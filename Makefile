@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all race-obs race-obs-cluster race-cluster race-storm cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline pipeline-guard trace-overhead lint check ci
+.PHONY: all build test vet race race-all race-obs race-obs-cluster race-cluster race-storm cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline pipeline-guard trace-overhead perfbench-check lint check ci
 
 all: check
 
@@ -81,8 +81,9 @@ storm-cluster-smoke:
 	$(GO) run ./cmd/adaptsim -storm-cluster -trials 2 -seed 7
 
 # trace-overhead runs the instrumentation-overhead guards: BenchmarkSelect
-# traced vs plain, and the session hot path with full QoS SLO tracking vs
-# a nil counter sink. Both must stay within a 5% budget.
+# traced vs plain, and the session re-evaluation path with the storm
+# controller's full QoS SLO tracking vs a nil counter sink. Both must
+# stay within a 5% budget.
 trace-overhead:
 	TRACE_OVERHEAD_GUARD=1 $(GO) test -run 'TestTracingOverheadGuard|TestSLOOverheadGuard' -count=1 -v ./
 
@@ -124,6 +125,13 @@ lint:
 		echo "lint: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
+# perfbench-check vets and tests the end-to-end benchmark. perfbench/ is
+# a Go module of its own (replace qoschain => ../), so ./... from the
+# repository root never compiles it; this keeps API changes from
+# breaking the benchmark unnoticed. Runs offline.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 check: vet build test
 
-ci: vet build race
+ci: vet build race perfbench-check

@@ -19,6 +19,11 @@
 //
 //	adaptd -state-dir /var/lib/adaptd -snapshot-every 64
 //
+// Sessions created over POST /v1/sessions fold into storm equivalence
+// classes on shared region overlays (see internal/storm): a fault
+// re-composes once per affected class, not once per session, and
+// /healthz carries the controller's status.
+//
 // Observability is always on: every response carries an X-Trace-Id
 // header, GET /metrics serves the Prometheus text exposition, and
 // GET /debug/traces returns the last completed request traces. An
@@ -65,7 +70,6 @@ import (
 	"qoschain/internal/registry"
 	"qoschain/internal/session"
 	"qoschain/internal/store"
-	"qoschain/internal/storm"
 	"qoschain/internal/trace"
 )
 
@@ -88,7 +92,6 @@ func main() {
 	overlayHost := flag.String("overlay-host", "", "overlay host this node represents; injected as a host crash when a peer promotes our replica")
 	clusterLease := flag.Duration("cluster-lease", 10*time.Second, "membership lease TTL; a node silent past this is declared dead")
 	shipInterval := flag.Duration("ship-interval", time.Second, "how often the journal is shipped to the follower (also the heartbeat cadence)")
-	stormAttach := flag.Bool("storm-attach", false, "attach /v1/sessions to the storm controller: sessions fold into fingerprint-keyed equivalence classes on shared region overlays and faults re-compose class-at-a-time (with -cluster-id the class state replicates in the shipped WAL)")
 	flag.Parse()
 
 	if *clusterID != "" && (*stateDir == "" || *clusterRegistry == "") {
@@ -106,20 +109,6 @@ func main() {
 
 	var opts httpapi.Options
 	opts.Metrics = reg
-	if !*stormAttach {
-		// The standalone storm controller owns mass re-composition state.
-		// The daemon's overlay regions attach at runtime; even before any
-		// do, /healthz carries the storm section and /metrics the storm.*
-		// counters. With -storm-attach the session manager embeds the
-		// controller instead, and /healthz reports that one.
-		storms, err := storm.Open(storm.Config{Counters: metrics.CountersOn(reg)}, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adaptd: storm controller:", err)
-			os.Exit(1)
-		}
-		defer storms.Close()
-		opts.Storm = storms
-	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -139,7 +128,6 @@ func main() {
 				Host:          *overlayHost,
 				SnapshotEvery: *snapshotEvery,
 				Counters:      metrics.CountersOn(reg),
-				Storm:         *stormAttach,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "adaptd: recovering cluster state:", err)
@@ -153,7 +141,6 @@ func main() {
 				StateDir:      *stateDir,
 				SnapshotEvery: *snapshotEvery,
 				Counters:      metrics.CountersOn(reg),
-				Storm:         *stormAttach,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "adaptd: recovering state:", err)
@@ -169,20 +156,19 @@ func main() {
 		for _, msg := range rec.ReplayErrors {
 			fmt.Fprintln(os.Stderr, "adaptd: replay:", msg)
 		}
-		// Release or re-compose around holds whose links died with the
-		// previous process. In storm-attached mode this also finishes any
-		// storm the journal left open (begin without end).
+		// Finish any storm the journal left open (begin without end) and
+		// re-compose around holds whose links died with the previous
+		// process.
 		if rep := sessions.Reconcile(); rep.Recomposed > 0 {
 			fmt.Printf("adaptd: reconciled %d sessions, released %.0f kbps of stale holds\n",
 				rep.Recomposed, rep.ReleasedKbps)
 		}
-	} else if *stormAttach {
+	} else {
 		// No journal: class state dies with the process, but the live
 		// path — shared regions, class-at-a-time re-composition — is the
 		// same.
 		var err error
 		sessions, err = session.NewManager(session.ManagerConfig{
-			Storm:    true,
 			Counters: metrics.CountersOn(reg),
 		})
 		if err != nil {
@@ -191,10 +177,8 @@ func main() {
 		}
 		opts.Sessions = sessions
 	}
-	if *stormAttach {
-		// /healthz reports the embedded controller.
-		opts.Storm = sessions.StormController()
-	}
+	// /healthz and /metrics report the manager's embedded controller.
+	opts.Storm = sessions.StormController()
 	handler := httpapi.HandlerWithOptions(opts)
 	handler = httpapi.WithAdmission(handler, httpapi.AdmissionConfig{
 		MaxInFlight:    *maxInFlight,

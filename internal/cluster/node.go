@@ -45,7 +45,6 @@ import (
 	"qoschain/internal/journal"
 	"qoschain/internal/metrics"
 	"qoschain/internal/session"
-	"qoschain/internal/storm"
 )
 
 // PromotePath and StatusPath are the cluster control routes a Node
@@ -83,11 +82,6 @@ type NodeConfig struct {
 	Counters *metrics.Counters
 	// Client ships batches (nil uses http.DefaultClient).
 	Client *http.Client
-	// Storm runs every manager on this node — the primary and each
-	// replica — in storm-attached mode (see session.ManagerConfig.Storm):
-	// sessions attach to equivalence classes and storm fan-out records
-	// ride the shipped WAL, so a promoted follower resumes an open storm.
-	Storm bool
 	// StormVerify arms the primary's naive-equivalence check (harness
 	// use only; replicas replay recorded plans and never Select).
 	StormVerify bool
@@ -133,7 +127,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		IDPrefix:              cfg.ID + "-",
 		SnapshotEvery:         cfg.SnapshotEvery,
 		Counters:              cfg.Counters,
-		Storm:                 cfg.Storm,
 		StormVerify:           cfg.StormVerify,
 		StormHaltAfterFanouts: cfg.StormHaltAfterFanouts,
 	})
@@ -188,11 +181,9 @@ func (n *Node) openReplicaLocked(source string) (*replica, error) {
 		// The source decides compaction; the replica follows verbatim.
 		SnapshotEvery: -1,
 		Counters:      n.cfg.Counters,
-		// Replicas mirror the source's mode so replicated storm records
-		// replay; the halt crash site stays primary-only, and Verify is
+		// The halt crash site stays primary-only, and Verify is
 		// pointless on a replica (replay applies recorded plans, it
 		// never runs Select).
-		Storm: n.cfg.Storm,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening replica of %s: %w", source, err)
@@ -313,11 +304,7 @@ func (n *Node) LastSeq() uint64 { return n.primary.LastSeq() }
 // follower must land on the dead primary's exact class chains.
 func (n *Node) StormFingerprint(source string) (string, error) {
 	if source == "" {
-		ctrl := n.primary.StormController()
-		if ctrl == nil {
-			return "", errors.New("cluster: node is not in storm mode")
-		}
-		return ctrl.Fingerprint()
+		return n.primary.StormController().Fingerprint()
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -325,16 +312,12 @@ func (n *Node) StormFingerprint(source string) (string, error) {
 	if r == nil {
 		return "", fmt.Errorf("cluster: %s holds no replica of %s", n.cfg.ID, source)
 	}
-	ctrl := r.m.StormController()
-	if ctrl == nil {
-		return "", errors.New("cluster: replica is not in storm mode")
-	}
-	return ctrl.Fingerprint()
+	return r.m.StormController().Fingerprint()
 }
 
 // ReplicaManager exposes the manager mirroring source, for audits that
 // need more than the fingerprint (e.g. the shared-region reservation
-// ledger after a storm-mode promotion).
+// ledger after a promotion).
 func (n *Node) ReplicaManager(source string) (*session.Manager, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -559,26 +542,18 @@ func (n *Node) Handler(api http.Handler) http.Handler {
 // twice — once live on its primary, once replayed on the follower —
 // under the same storm sequence number.
 func (n *Node) handleStorms(w http.ResponseWriter, hr *http.Request) {
-	flights := []storm.Flight{}
-	if ctrl := n.primary.StormController(); ctrl != nil {
-		fs := ctrl.Flights()
-		for i := range fs {
-			fs[i].Source = n.cfg.ID
-		}
-		flights = append(flights, fs...)
+	flights := n.primary.StormController().Flights()
+	for i := range flights {
+		flights[i].Source = n.cfg.ID
 	}
 	n.mu.Lock()
 	for _, source := range n.sortedSourcesLocked() {
 		r := n.replicas[source]
-		ctrl := r.m.StormController()
-		if ctrl == nil {
-			continue
-		}
 		src := "replica:" + source
 		if r.promoted {
 			src = "promoted:" + source
 		}
-		fs := ctrl.Flights()
+		fs := r.m.StormController().Flights()
 		for i := range fs {
 			fs[i].Source = src
 		}

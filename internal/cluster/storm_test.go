@@ -2,48 +2,20 @@ package cluster
 
 import (
 	"context"
-	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"qoschain/internal/httpapi"
-	"qoschain/internal/registry"
 	"qoschain/internal/session"
 )
 
-// startStormNode is startNode with the storm-attached manager: live
-// sessions fold into equivalence classes and the class state ships in
-// the WAL alongside the session commands.
-func startStormNode(t *testing.T, id, host string) *testNode {
-	t.Helper()
-	n, err := NewNode(NodeConfig{
-		ID:       id,
-		StateDir: filepath.Join(t.TempDir(), id),
-		Host:     host,
-		Storm:    true,
-	})
-	if err != nil {
-		t.Fatalf("storm node %s: %v", id, err)
-	}
-	srv := httptest.NewServer(n.Handler(httpapi.HandlerWithOptions(httpapi.Options{Sessions: n})))
-	t.Cleanup(func() { srv.Close(); n.Close() })
-	return &testNode{
-		node:   n,
-		srv:    srv,
-		member: registry.Member{ID: id, Addr: strings.TrimPrefix(srv.URL, "http://"), Host: host},
-	}
-}
-
-// TestStormAccessors pins the failure modes of the storm-state
-// accessors the EXT-P harness leans on: a non-storm node refuses to
-// fingerprint, a missing replica is reported by name, and a shipped
-// storm replica's fingerprint matches the primary's byte-for-byte.
+// TestStormAccessors pins the storm-state accessors the EXT-P harness
+// leans on: every node fingerprints its embedded controller, a missing
+// replica is reported by name, and a shipped replica's fingerprint
+// matches the primary's byte-for-byte.
 func TestStormAccessors(t *testing.T) {
 	plain := startNode(t, "plain", "p9", nil, 0)
-	if _, err := plain.node.StormFingerprint(""); err == nil ||
-		!strings.Contains(err.Error(), "not in storm mode") {
-		t.Errorf("plain StormFingerprint() err = %v, want not-in-storm-mode", err)
+	if fp, err := plain.node.StormFingerprint(""); err != nil || fp == "" {
+		t.Errorf("fresh node StormFingerprint() = %q, %v; want the empty controller's fingerprint", fp, err)
 	}
 	if _, err := plain.node.StormFingerprint("ghost"); err == nil ||
 		!strings.Contains(err.Error(), "ghost") {
@@ -53,8 +25,8 @@ func TestStormAccessors(t *testing.T) {
 		t.Error("ReplicaManager(ghost) = ok, want missing")
 	}
 
-	n1 := startStormNode(t, "s1", "p8")
-	n2 := startStormNode(t, "s2", "p7")
+	n1 := startNode(t, "s1", "p8", nil, 0)
+	n2 := startNode(t, "s2", "p7", nil, 0)
 	if _, err := n1.node.CreateCtx(context.Background(), session.CreateSpec{
 		Set: *clusterSet(), Floor: 0.3, Seed: 1,
 	}); err != nil {
@@ -76,7 +48,7 @@ func TestStormAccessors(t *testing.T) {
 	if rfp != fp {
 		t.Errorf("replica fingerprint diverged:\nprimary %s\nreplica %s", fp, rfp)
 	}
-	if rm, ok := n2.node.ReplicaManager("s1"); !ok || rm.StormController() == nil {
-		t.Errorf("ReplicaManager(s1) = %v, %v; want storm-attached manager", rm, ok)
+	if _, ok := n2.node.ReplicaManager("s1"); !ok {
+		t.Error("ReplicaManager(s1) missing after a ship")
 	}
 }

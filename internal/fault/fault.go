@@ -200,6 +200,9 @@ func (s *ServiceSet) SetHostDown(host string, down bool) {
 func (s *ServiceSet) Down() []service.ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if len(s.svcDown) == 0 && len(s.hostDown) == 0 {
+		return nil
+	}
 	var out []service.ID
 	for _, svc := range s.all {
 		if s.svcDown[svc.ID] || s.hostDown[svc.Host] {

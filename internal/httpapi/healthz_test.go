@@ -80,7 +80,6 @@ func TestHealthzStormStatus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("storm.Open: %v", err)
 	}
-	defer ctrl.Close()
 	srv := httptest.NewServer(HandlerWithOptions(Options{Storm: ctrl}))
 	defer srv.Close()
 	doc := getHealthz(t, srv.URL)

@@ -1,27 +1,28 @@
 package httpapi
 
-// sessions.go exposes live failover sessions over HTTP. A session is
-// created from a profile.Set and holds its own overlay network and
-// service pool; faults can then be injected against them and the
-// session's failover machinery observed through its status resource.
-// Session lifecycle, fault application, and (when the server runs with a
-// state directory) durability all live in session.Manager — this file is
-// the HTTP veneer.
+// sessions.go exposes live sessions over HTTP. A session is created
+// from a profile.Set and joins the equivalence class of every session
+// with the same profiles on the same infrastructure: sessions created
+// over one network share its region overlay and service pool, so a
+// fault injected through any of them re-plans every class it touches.
+// Session lifecycle, fault application, and (when the server runs with
+// a state directory) durability all live in session.Manager — this file
+// is the HTTP veneer.
 //
 //	POST   /v1/sessions                  profile.Set JSON -> session created
 //	GET    /v1/sessions                  list session statuses
 //	GET    /v1/sessions/{id}             one session's chain + failover status
-//	POST   /v1/sessions/{id}/fault       inject a fault against the session's overlay
-//	POST   /v1/sessions/{id}/reevaluate  advance one step and re-evaluate
+//	POST   /v1/sessions/{id}/fault       inject a fault against the session's region
+//	POST   /v1/sessions/{id}/reevaluate  advance one step and re-plan the session's class
 //	DELETE /v1/sessions/{id}             tear the session down (releases its holds)
 //
 // /v1/sessions query parameters: floor=<0..1> (minimum acceptable
 // satisfaction before graceful degradation, default 0), contact=<class>,
-// seed=<int> (failover jitter seed, default 1), reserve=1 (hold the
-// chain's bitrate on the session's overlay links; a chain that does not
-// fit the free capacity is rejected with 503 before activation). Retry
-// backoff never wall-clock sleeps inside a handler; the virtual clock
-// advances one step per reevaluate call.
+// seed=<int> (accepted and journaled; it influences nothing), reserve=1
+// (hold the chain's bitrate on the region overlay's links; a hold that
+// does not fit the free capacity leaves the session degraded, holding
+// nothing, until a re-plan finds room). The virtual clock advances one
+// step per reevaluate call.
 //
 // On a persistent manager every state-changing request is journaled
 // before the response is written; a journal failure surfaces as 500 and
@@ -34,10 +35,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"qoschain/internal/fault"
-	"qoschain/internal/overlay"
 	"qoschain/internal/profile"
 	"qoschain/internal/service"
 	"qoschain/internal/session"
@@ -72,19 +71,14 @@ func (sm *SessionManager) register(mux *http.ServeMux) {
 }
 
 // createError maps a session.Manager.Create failure to its HTTP status:
-// malformed specs are the client's fault, capacity exhaustion is an
-// overload condition, a journal failure is a server-side durability
-// loss, anything else is an unprocessable (chain-less) profile.
+// malformed specs are the client's fault, anything else is an
+// unprocessable (chain-less) profile.
 func createError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, session.ErrBadSpec):
+	if errors.Is(err, session.ErrBadSpec) {
 		writeError(w, http.StatusBadRequest, err.Error())
-	case errors.Is(err, overlay.ErrInsufficientCapacity):
-		setRetryAfter(w, time.Second)
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		return
 	}
+	writeError(w, http.StatusUnprocessableEntity, err.Error())
 }
 
 func (sm *SessionManager) handleCreate(w http.ResponseWriter, r *http.Request) {

@@ -35,26 +35,20 @@ func failoverSet() *profile.Set {
 
 // sessionJSON mirrors the handler's status response for decoding.
 type sessionJSON struct {
-	ID           string   `json:"id"`
-	Path         []string `json:"path"`
-	Satisfaction float64  `json:"satisfaction"`
-	Step         int      `json:"step"`
-	Changed      bool     `json:"changed"`
-	Error        string   `json:"error"`
-	DownHosts    []string `json:"downHosts"`
-	Failover     struct {
-		Enabled     bool     `json:"enabled"`
-		Degraded    bool     `json:"degraded"`
-		Failovers   int      `json:"failovers"`
-		Retries     int      `json:"retries"`
-		Quarantined []string `json:"quarantined"`
-		LastError   string   `json:"lastError"`
+	ID             string             `json:"id"`
+	Path           []string           `json:"path"`
+	Satisfaction   float64            `json:"satisfaction"`
+	Step           int                `json:"step"`
+	Recompositions int                `json:"recompositions"`
+	Changed        bool               `json:"changed"`
+	Error          string             `json:"error"`
+	DownHosts      []string           `json:"downHosts"`
+	DownServices   []string           `json:"downServices"`
+	Reserved       map[string]float64 `json:"reserved"`
+	Failover       struct {
+		Enabled  bool `json:"enabled"`
+		Degraded bool `json:"degraded"`
 	} `json:"failover"`
-	History []struct {
-		Reason string `json:"reason"`
-		To     string `json:"to"`
-	} `json:"history"`
-	Counters map[string]int64 `json:"counters"`
 }
 
 func createSession(t *testing.T, srv string, set *profile.Set) sessionJSON {
@@ -139,8 +133,9 @@ func TestSessionFailoverRoundTrip(t *testing.T) {
 	s := createSession(t, srv.URL, failoverSet())
 	base := srv.URL + "/v1/sessions/" + s.ID
 
-	// Kill the active chain's host: the next reevaluation must fail over
-	// to the conv2 path and record the event.
+	// Kill the active chain's host: the fault's storm re-plans the
+	// session's class onto the conv2 path, and the next reevaluation
+	// reports the switch.
 	resp, st := postJSON(t, base+"/fault", map[string]string{"kind": "hostcrash", "host": "p1"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fault status = %d", resp.StatusCode)
@@ -158,14 +153,8 @@ func TestSessionFailoverRoundTrip(t *testing.T) {
 	if st.Path[1] != "conv2" {
 		t.Errorf("path = %v, want failover to conv2", st.Path)
 	}
-	if st.Failover.Failovers != 1 || st.Failover.Degraded {
-		t.Errorf("failover = %+v, want one recovered failover", st.Failover)
-	}
-	if st.Counters["failover.entered"] != 1 || st.Counters["failover.recovered"] != 1 {
-		t.Errorf("counters = %v", st.Counters)
-	}
-	if n := len(st.History); n == 0 || st.History[n-1].Reason != "failover" {
-		t.Errorf("history = %+v, want a failover entry", st.History)
+	if st.Recompositions != 1 || st.Failover.Degraded {
+		t.Errorf("recompositions = %d, failover = %+v; want one healthy recomposition", st.Recompositions, st.Failover)
 	}
 
 	// Recover the host: the session climbs back to the better chain.
@@ -182,6 +171,9 @@ func TestSessionFailoverRoundTrip(t *testing.T) {
 	}
 	if st.Satisfaction < 0.59 {
 		t.Errorf("satisfaction = %v, want ~0.6 back", st.Satisfaction)
+	}
+	if st.Recompositions != 2 {
+		t.Errorf("recompositions = %d, want 2 (failover and climb back)", st.Recompositions)
 	}
 }
 
@@ -202,6 +194,40 @@ func TestSessionServiceChurnOverAPI(t *testing.T) {
 	_, st = postJSON(t, base+"/reevaluate", nil)
 	if !st.Changed || st.Path[1] != "conv1" {
 		t.Errorf("path = %v, want conv1 after re-registration", st.Path)
+	}
+}
+
+// TestServiceFaultReplansOtherClass: sessions created over the same
+// infrastructure share one region, so a service deregistration posted
+// on one session re-plans every class whose chain runs through it — here
+// a second session of a different class (another floor).
+func TestServiceFaultReplansOtherClass(t *testing.T) {
+	srv := server(t)
+	a := createSession(t, srv.URL, failoverSet())
+	resp, err := http.Post(srv.URL+"/v1/sessions?floor=0.1", "application/json", setBody(t, failoverSet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b sessionJSON
+	err = json.NewDecoder(resp.Body).Decode(&b)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create b: status %d, %v", resp.StatusCode, err)
+	}
+	if a.Path[1] != "conv1" || b.Path[1] != "conv1" {
+		t.Fatalf("paths = %v / %v, want both on conv1", a.Path, b.Path)
+	}
+
+	resp, _ = postJSON(t, srv.URL+"/v1/sessions/"+a.ID+"/fault", map[string]string{"kind": "servicedown", "service": "conv1"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fault status = %d", resp.StatusCode)
+	}
+	_, st := getSession(t, srv.URL, b.ID)
+	if st.Path[1] != "conv2" || st.Recompositions != 1 {
+		t.Errorf("session b path = %v after %d recompositions, want one re-plan onto conv2", st.Path, st.Recompositions)
+	}
+	if fmt.Sprint(st.DownServices) != "[conv1]" {
+		t.Errorf("session b downServices = %v, want [conv1]", st.DownServices)
 	}
 }
 
@@ -391,5 +417,57 @@ func TestSessionsSurviveRestart(t *testing.T) {
 	}
 	if !health.Durable || health.Recovery.Sessions != 1 {
 		t.Errorf("healthz = %+v, want durable with 1 recovered session", health)
+	}
+}
+
+// regionReserved sums the reserved kbps of every region overlay the
+// manager's sessions share.
+func regionReserved(m *session.Manager) float64 {
+	ctrl := m.StormController()
+	total := 0.0
+	for _, name := range ctrl.Regions() {
+		total += ctrl.RegionNet(name).TotalReservedKbps()
+	}
+	return total
+}
+
+// TestCreateWithoutReserveHoldsNothing: only reserve=1 takes bandwidth
+// on the shared region overlay, live and after a restart replays the
+// creates.
+func TestCreateWithoutReserveHoldsNothing(t *testing.T) {
+	dir := t.TempDir()
+	srv1, m1 := persistentServer(t, dir)
+
+	plain := createSession(t, srv1.URL, failoverSet())
+	if len(plain.Path) == 0 || len(plain.Reserved) != 0 {
+		t.Fatalf("non-reserving create = path %v, reserved %v; want a chain and no hold", plain.Path, plain.Reserved)
+	}
+	if r := regionReserved(m1); r != 0 {
+		t.Fatalf("region reserves %v kbps after a non-reserving create, want 0", r)
+	}
+	resp, err := http.Post(srv1.URL+"/v1/sessions?reserve=1", "application/json", setBody(t, failoverSet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("reserving create status = %d", resp.StatusCode)
+	}
+	held := regionReserved(m1)
+	if held <= 0 {
+		t.Fatal("reserve=1 create took no bandwidth")
+	}
+	srv1.Close()
+	if err := m1.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	srv2, m2 := persistentServer(t, dir)
+	defer m2.Close()
+	if r := regionReserved(m2); r != held {
+		t.Errorf("region reserves %v kbps after restart, want the reserving session's %v", r, held)
+	}
+	if _, st := getSession(t, srv2.URL, plain.ID); len(st.Reserved) != 0 {
+		t.Errorf("replayed non-reserving session holds %v", st.Reserved)
 	}
 }

@@ -9,12 +9,11 @@ import (
 	"qoschain/internal/session"
 )
 
-// stormServer is the adaptd -storm-attach wiring: the session backend
-// is a storm-attached manager and /healthz carries its controller's
-// status.
+// stormServer is the adaptd wiring: the session backend is a manager
+// and /healthz carries its embedded controller's status.
 func stormServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	m, err := session.NewManager(session.ManagerConfig{Storm: true})
+	m, err := session.NewManager(session.ManagerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +25,8 @@ func stormServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestStormAttachedSessionsOverHTTP drives the storm-attached daemon
-// surface end to end: two identical creates share one equivalence
+// TestStormAttachedSessionsOverHTTP drives the daemon's class-based
+// session surface end to end: two identical creates share one equivalence
 // class, /healthz reports it, and a fault + reevaluate round-trip
 // stays storm-planned.
 func TestStormAttachedSessionsOverHTTP(t *testing.T) {

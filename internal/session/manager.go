@@ -1,28 +1,26 @@
 package session
 
 // manager.go makes session state durable. A Manager owns the live
-// sessions created over the API (each with its private overlay network
-// and service pool) and — when given a state directory — journals every
-// state-changing command through a checksummed, hash-chained write-ahead
-// log (internal/journal): session create, fault injection, reevaluate
-// and delete, which implicitly carry the reservation commit/release and
-// failover/degrade transitions those commands cause.
+// sessions created over the API — each a member of a storm equivalence
+// class on a shared region overlay (see storm.go) — and, when given a
+// state directory, journals every state-changing command through a
+// checksummed, hash-chained write-ahead log (internal/journal): session
+// create, fault injection, reevaluate and delete, interleaved in true
+// order with the embedded storm controller's fan-out records.
 //
-// Sessions are deterministic state machines: the failover jitter is
-// seeded, the clock is virtual (one tick per reevaluate), and faults
-// mutate only the session's private overlay. Replaying the journaled
-// command stream against the journaled creation profile therefore
-// rebuilds byte-identical session state — including bandwidth holds,
-// which are re-applied through the same overlay.ReserveChain admissions
-// the live path used. Periodic snapshots compact the journal to the
-// per-session command histories still needed (deleted sessions drop
-// out), and recovery is snapshot + journal-suffix replay.
+// The state machine is deterministic: the clock is virtual (one tick
+// per reevaluate), faults mutate only the region overlays, and storm
+// records replay their recorded plans verbatim. Replaying the journal
+// therefore rebuilds byte-identical session and class state — including
+// bandwidth holds, which are re-applied through the same
+// overlay.ReserveChain admissions the live path used. Snapshots carry
+// the full ordered command log (sessions in one region share overlay
+// state, so cross-session order is what makes replay deterministic),
+// and recovery is snapshot + journal-suffix replay.
 //
-// After replay, Reconcile walks every recovered session and pushes the
-// ones whose chain or bandwidth holds no longer match their overlay
-// (a fault committed without a follow-up reevaluate before the crash)
-// through the ordinary failover re-composition, releasing holds whose
-// links died.
+// After replay, Reconcile finishes any storm the journal left open and
+// re-plans every class whose members hold bandwidth on links that died
+// (a fault committed before its storm ran).
 
 import (
 	"context"
@@ -33,11 +31,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
-	"qoschain/internal/core"
 	"qoschain/internal/fault"
-	"qoschain/internal/graph"
 	"qoschain/internal/journal"
 	"qoschain/internal/metrics"
 	"qoschain/internal/overlay"
@@ -63,13 +58,14 @@ var ErrJournal = errors.New("session: journal write failed")
 type CreateSpec struct {
 	// Set is the full profile set the session composes over.
 	Set profile.Set `json:"set"`
-	// Floor is the failover satisfaction floor.
+	// Floor is the class's QoS floor: below it the class is degraded.
 	Floor float64 `json:"floor,omitempty"`
-	// Seed seeds the failover jitter (0 behaves as 1).
+	// Seed is accepted for wire compatibility; managed sessions have no
+	// per-session retry jitter, so it influences nothing.
 	Seed int64 `json:"seed,omitempty"`
 	// Contact selects per-contact user preferences.
 	Contact string `json:"contact,omitempty"`
-	// Reserve holds the chain's bitrate on the session's overlay links.
+	// Reserve holds the chain's bitrate on the region overlay's links.
 	Reserve bool `json:"reserve,omitempty"`
 }
 
@@ -87,22 +83,14 @@ type ManagerConfig struct {
 	// SnapshotEvery compacts the journal after this many commands.
 	// Default 64; negative disables periodic snapshots.
 	SnapshotEvery int
-	// Counters receives journal.* and recovery.* metrics, and mirrors
-	// every per-session failover counter (the authoritative copies live
-	// with each session and replay with it — see metrics.Fanout). Nil is
-	// a valid no-op sink.
+	// Counters receives journal.*, recovery.*, storm.* and qos.*
+	// metrics, and mirrors every per-session reevaluate-reason counter.
+	// Nil is a valid no-op sink.
 	Counters *metrics.Counters
 	// FailPoints injects deterministic crash sites into the journal —
 	// the adaptsim -crash harness and tests arm these.
 	FailPoints *journal.FailPoints
-	// Storm switches the manager to storm-attached mode: instead of a
-	// private overlay and failover loop per session, each create derives
-	// a shared region from its network profile and attaches the session
-	// to a storm equivalence class (fingerprint-keyed ClassSpec).
-	// Faults route their changed-link sets through the storm controller
-	// — one Select per affected class, atomic SwapChain per member — and
-	// the controller's storm records journal through this manager's WAL,
-	// so cluster WAL shipping replicates class state for free.
+	// Deprecated: storm-attached is the only mode; ignored.
 	Storm bool
 	// StormVerify arms the controller's naive per-session equivalence
 	// check (harness use only).
@@ -132,23 +120,11 @@ type walEvent struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// sessionHistory is one session's replayable command stream: its
-// creation spec plus every fault and reevaluate since. Snapshots carry
-// exactly these, so compaction drops deleted sessions' commands.
-type sessionHistory struct {
-	Create CreateSpec `json:"create"`
-	Events []walEvent `json:"events,omitempty"`
-}
-
-// snapshotDoc is the snapshot payload. Non-storm managers carry
-// per-session histories (deleted sessions compact away); storm-attached
-// managers carry the full ordered command log instead, because sessions
-// in one region share overlay state and cross-session command order is
-// what makes replay deterministic.
+// snapshotDoc is the snapshot payload: the session ID counter and the
+// full ordered command log.
 type snapshotDoc struct {
-	Seq      int                        `json:"seq"`
-	Sessions map[string]*sessionHistory `json:"sessions"`
-	Ordered  []walEvent                 `json:"ordered,omitempty"`
+	Seq     int        `json:"seq"`
+	Ordered []walEvent `json:"ordered,omitempty"`
 }
 
 // RecoveryReport summarizes what a Manager rebuilt at startup; adaptd
@@ -177,8 +153,8 @@ type RecoveryReport struct {
 type ReconcileReport struct {
 	// Checked counts sessions inspected.
 	Checked int `json:"checked"`
-	// Recomposed counts sessions pushed through failover re-composition
-	// because their chain or holds no longer matched the overlay.
+	// Recomposed counts sessions re-planned because their holds sat on
+	// dead links, plus the members an open storm's resume re-planned.
 	Recomposed int `json:"recomposed"`
 	// ReleasedKbps is the bandwidth freed from holds on dead links.
 	ReleasedKbps float64 `json:"releasedKbps"`
@@ -192,53 +168,40 @@ type Manager struct {
 	cfg         ManagerConfig
 	log         *journal.Log
 	sessions    map[string]*Managed
-	histories   map[string]*sessionHistory
 	seq         int // session ID counter
 	eventsSince int // commands since the last snapshot
 	recovery    *RecoveryReport
 
-	// Storm-attached mode state. storm is the embedded controller (its
-	// records journal through this manager's WAL via the sink); ordered
-	// is the full command log in journal order, the storm-mode snapshot
-	// payload. attachMu serializes create/delete so attach order on the
-	// shared region overlays matches journal order; it is never taken by
-	// the controller's sink path, so it cannot deadlock against a storm
-	// fan-out (which holds the controller lock and then takes m.mu).
+	// storm is the embedded controller (its records journal through this
+	// manager's WAL via the sink); ordered is the full command log in
+	// journal order, the snapshot payload. attachMu serializes
+	// create/delete so attach order on the shared region overlays
+	// matches journal order; it is never taken by the controller's sink
+	// path, so it cannot deadlock against a storm fan-out (which holds
+	// the controller lock and then takes m.mu).
 	storm    *storm.Controller
 	ordered  []walEvent
 	attachMu sync.Mutex
-
-	// QoS SLO tracking for the non-attached mode (see qos.go). qosMu is
-	// a leaf lock: taken after ms.mu/m.mu, never around them.
-	qosMu       sync.Mutex
-	qosBurn     *metrics.BurnWindow
-	qosDegraded int
 }
 
-// Managed is one manager-owned session. In the default mode it owns a
-// private overlay and service pool (faults against one session never
-// leak into another) and sess drives per-session failover. In
-// storm-attached mode sess is nil: the session is a member of a storm
-// equivalence class, net aliases the shared region overlay, and all
-// re-composition happens through the manager's storm controller.
+// Managed is one manager-owned session: a member of a storm equivalence
+// class. net aliases the shared region overlay, and all re-composition
+// happens through the manager's storm controller.
 type Managed struct {
 	mu       sync.Mutex
 	m        *Manager
 	id       string
-	sess     *Session
 	net      *overlay.Network
 	pool     *fault.ServiceSet
-	counters *metrics.Counters
+	counters *metrics.Counters // per-session reevaluate-reason counters
 
-	attached bool
 	classKey string
 	region   string
 	step     int // virtual clock: one tick per reevaluate
-
-	// qosBelow tracks the session's last observed below-floor state for
-	// breach-transition counting (guarded by m.qosMu). Unexported and
-	// never marshaled: SLO telemetry stays out of Fingerprint.
-	qosBelow bool
+	// seenSwaps is the member's chain-swap count at its last reevaluate
+	// (or at recovery): a reevaluate reports a change when the count has
+	// moved since, whether its own re-plan or a fault's storm swapped.
+	seenSwaps int
 }
 
 // NewManager builds a manager and — with a state directory — recovers
@@ -248,28 +211,23 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg.SnapshotEvery = 64
 	}
 	m := &Manager{
-		cfg:       cfg,
-		sessions:  make(map[string]*Managed),
-		histories: make(map[string]*sessionHistory),
-		recovery:  &RecoveryReport{},
-		qosBurn:   metrics.NewBurnWindow(0),
+		cfg:      cfg,
+		sessions: make(map[string]*Managed),
+		recovery: &RecoveryReport{},
 	}
-	if cfg.Storm {
-		// The embedded controller journals its storm records through
-		// this manager's WAL (the sink) and is rebuilt from it on
-		// recovery — it never owns a log of its own.
-		ctrl, err := storm.Open(storm.Config{
-			Workers:          1,
-			Verify:           cfg.StormVerify,
-			HaltAfterFanouts: cfg.StormHaltAfterFanouts,
-			Counters:         cfg.Counters,
-			Sink:             m.stormSink,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		m.storm = ctrl
+	// The embedded controller journals its storm records through this
+	// manager's WAL (the sink) and is rebuilt from it on recovery.
+	ctrl, err := storm.Open(storm.Config{
+		Workers:          1,
+		Verify:           cfg.StormVerify,
+		HaltAfterFanouts: cfg.StormHaltAfterFanouts,
+		Counters:         cfg.Counters,
+		Sink:             m.stormSink,
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
+	m.storm = ctrl
 	if cfg.StateDir == "" {
 		return m, nil
 	}
@@ -289,42 +247,30 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		Skipped:        rec.Skipped,
 	}
 	if rec.SnapshotData != nil {
-		var doc snapshotDoc
+		// Sessions is the per-session history map a snapshot of the
+		// removed per-session manager mode carried. Such a snapshot is
+		// refused rather than silently recovered to zero sessions.
+		var doc struct {
+			snapshotDoc
+			Sessions map[string]json.RawMessage `json:"sessions"`
+		}
 		if err := json.Unmarshal(rec.SnapshotData, &doc); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("session: decoding snapshot: %w", err)
 		}
+		if len(doc.Sessions) > 0 {
+			log.Close()
+			return nil, fmt.Errorf("session: snapshot seq %d in %s holds %d per-session histories written by the removed per-session manager mode; only storm-attached snapshots can be recovered",
+				rec.SnapshotSeq, cfg.StateDir, len(doc.Sessions))
+		}
 		m.seq = doc.Seq
-		if m.cfg.Storm {
-			// Storm-mode snapshots are the ordered command log; replay
-			// it like a journal prefix (cross-session order matters on
-			// the shared region overlays).
-			for _, ev := range doc.Ordered {
-				m.replayCommand(ev, 0)
-			}
-			m.recovery.SnapshotSessions = len(m.sessions)
+		// The snapshot is the ordered command log; replay it like a
+		// journal prefix (cross-session order matters on the shared
+		// region overlays).
+		for _, ev := range doc.Ordered {
+			m.replayCommand(ev, 0)
 		}
-		m.recovery.SnapshotSessions += len(doc.Sessions)
-		ids := make([]string, 0, len(doc.Sessions))
-		for id := range doc.Sessions {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			hist := doc.Sessions[id]
-			ms, err := m.buildManaged(id, hist.Create)
-			if err != nil {
-				m.replayError(fmt.Sprintf("snapshot session %s: %v", id, err))
-				continue
-			}
-			m.sessions[id] = ms
-			m.histories[id] = hist
-			for _, ev := range hist.Events {
-				if err := ms.replay(ev); err != nil {
-					m.replayError(fmt.Sprintf("snapshot session %s op %s: %v", id, ev.Op, err))
-				}
-			}
-		}
+		m.recovery.SnapshotSessions = len(m.sessions)
 	}
 	for _, r := range rec.Records {
 		var ev walEvent
@@ -333,6 +279,13 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			continue
 		}
 		m.replayCommand(ev, r.Seq)
+	}
+	// Changes made before the restart are not news to the next
+	// reevaluate.
+	for _, ms := range m.sessions {
+		if v, ok := m.storm.MemberState(ms.id); ok {
+			ms.seenSwaps = v.Swaps
+		}
 	}
 	m.recovery.Sessions = len(m.sessions)
 	cfg.Counters.Add(metrics.CounterRecoverySessions, int64(len(m.sessions)))
@@ -348,34 +301,21 @@ func (m *Manager) replayError(msg string) {
 
 // replayCommand re-applies one journaled command during recovery.
 func (m *Manager) replayCommand(ev walEvent, seq uint64) {
-	if m.cfg.Storm {
-		// The ordered log must mirror the journal exactly so the next
-		// snapshot replays to the same state.
-		m.ordered = append(m.ordered, ev)
-	}
+	// The ordered log must mirror the journal exactly so the next
+	// snapshot replays to the same state.
+	m.ordered = append(m.ordered, ev)
 	switch ev.Op {
 	case "create":
 		if ev.Create == nil {
 			m.replayError(fmt.Sprintf("journal seq %d: create without spec", seq))
 			return
 		}
-		var (
-			ms  *Managed
-			err error
-		)
-		if m.cfg.Storm {
-			ms, err = m.buildAttached(ev.ID, *ev.Create)
-		} else {
-			ms, err = m.buildManaged(ev.ID, *ev.Create)
-		}
+		ms, err := m.build(ev.ID, *ev.Create)
 		if err != nil {
 			m.replayError(fmt.Sprintf("journal seq %d: create %s: %v", seq, ev.ID, err))
 			return
 		}
 		m.sessions[ev.ID] = ms
-		if !m.cfg.Storm {
-			m.histories[ev.ID] = &sessionHistory{Create: *ev.Create}
-		}
 		m.bumpSeq(ev.ID)
 	case "fault", "reevaluate":
 		ms := m.sessions[ev.ID]
@@ -385,65 +325,23 @@ func (m *Manager) replayCommand(ev walEvent, seq uint64) {
 		}
 		if err := ms.replay(ev); err != nil {
 			m.replayError(fmt.Sprintf("journal seq %d: %s %s: %v", seq, ev.Op, ev.ID, err))
-			return
-		}
-		if h := m.histories[ev.ID]; h != nil {
-			h.Events = append(h.Events, ev)
 		}
 	case "delete":
-		if ms := m.sessions[ev.ID]; ms != nil {
-			if ms.attached {
-				if err := m.storm.DetachSession(ev.ID); err != nil {
-					m.replayError(fmt.Sprintf("journal seq %d: detach %s: %v", seq, ev.ID, err))
-				}
-			} else {
-				ms.sess.Close()
-				ms.qosDrop()
+		if _, ok := m.sessions[ev.ID]; ok {
+			if err := m.storm.DetachSession(ev.ID); err != nil {
+				m.replayError(fmt.Sprintf("journal seq %d: detach %s: %v", seq, ev.ID, err))
 			}
 		}
 		delete(m.sessions, ev.ID)
-		delete(m.histories, ev.ID)
 	case "storm":
 		// A storm controller record that journaled through the sink;
 		// hand it back for replay (fan-outs re-apply their recorded
 		// plans — no Select).
-		if m.storm == nil {
-			m.replayError(fmt.Sprintf("journal seq %d: storm record without storm mode", seq))
-			return
-		}
 		if err := m.storm.ReplayRecord(ev.Kind, ev.Data); err != nil {
 			m.replayError(fmt.Sprintf("journal seq %d: storm %s: %v", seq, ev.Kind, err))
 		}
 	default:
 		m.replayError(fmt.Sprintf("journal seq %d: unknown op %q", seq, ev.Op))
-	}
-}
-
-// replay re-applies one command against a session being rebuilt. The
-// session's own error returns (a failed reevaluate under partition, say)
-// are part of its deterministic behavior, not replay failures.
-func (ms *Managed) replay(ev walEvent) error {
-	if ms.attached {
-		return ms.replayAttached(ev)
-	}
-	switch ev.Op {
-	case "fault":
-		if ev.Fault == nil {
-			return fmt.Errorf("fault command without fault")
-		}
-		return ms.applyFault(*ev.Fault)
-	case "reevaluate":
-		ms.sess.Tick()
-		// The reason counter is part of the session's deterministic
-		// counter state, so replay must increment it exactly as the live
-		// command did (old journals carry no reason: no increment, same
-		// as the live no-reason path never taken today).
-		ms.sess.NoteReevaluateReason(ev.Reason)
-		ms.sess.Reevaluate() //nolint:errcheck // deterministic session-level outcome, replayed as-is
-		ms.qosNoteLocked()
-		return nil
-	default:
-		return fmt.Errorf("unknown session op %q", ev.Op)
 	}
 }
 
@@ -453,72 +351,6 @@ func (m *Manager) bumpSeq(id string) {
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "s")); err == nil && n > m.seq {
 		m.seq = n
 	}
-}
-
-// buildManaged constructs a session from its spec — the single path both
-// live creation and replay go through, so they cannot diverge.
-func (m *Manager) buildManaged(id string, spec CreateSpec) (*Managed, error) {
-	return m.buildManagedCtx(context.Background(), id, spec)
-}
-
-// buildManagedCtx is buildManaged under a context carrying the creating
-// request's trace (replay passes a background context — tracing never
-// influences session state, so replayed sessions stay byte-identical).
-func (m *Manager) buildManagedCtx(ctx context.Context, id string, spec CreateSpec) (*Managed, error) {
-	set := spec.Set
-	if err := set.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	satProfile, err := set.User.SatisfactionProfile(profile.ContactClass(spec.Contact))
-	if err == nil {
-		err = satProfile.Validate()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	net, err := overlay.FromProfile(set.Network)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	svcs := graph.CollectServices(set.Intermediaries)
-	pool := fault.NewServiceSet(svcs)
-	counters := metrics.NewCounters()
-	sess, err := NewCtx(ctx, Config{
-		Content:          &set.Content,
-		Device:           &set.Device,
-		Services:         svcs,
-		Net:              net,
-		SenderHost:       "sender",
-		ReceiverHost:     set.Device.ID,
-		ReserveBandwidth: spec.Reserve,
-		Select: core.Config{
-			Profile:      satProfile,
-			Budget:       set.User.Budget,
-			ReceiverCaps: set.Device.RenderCaps(),
-		},
-		Pool: pool,
-		Failover: FailoverConfig{
-			Enabled:           true,
-			SatisfactionFloor: spec.Floor,
-			JitterSeed:        spec.Seed,
-			// Managed sessions run on a virtual clock; retries never
-			// wall-clock sleep.
-			Sleep: func(time.Duration) {},
-			// The session's private counters stay authoritative (they are
-			// part of the deterministic State/Fingerprint); the manager's
-			// sink mirrors every write so daemon-wide registries see
-			// failover.* activity too.
-			Metrics: metrics.Fanout(counters, m.cfg.Counters),
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ms := &Managed{m: m, id: id, sess: sess, net: net, pool: pool, counters: counters}
-	// The creation compose is the session's first SLO observation —
-	// recorded here so live creates and replayed creates agree.
-	ms.qosNoteLocked()
-	return ms, nil
 }
 
 // journalCommand appends one command to the WAL and fsyncs (callers
@@ -532,9 +364,7 @@ func (m *Manager) journalCommand(ev walEvent) error {
 	if err != nil {
 		return fmt.Errorf("session: encoding command: %w", err)
 	}
-	if m.cfg.Storm {
-		m.ordered = append(m.ordered, ev)
-	}
+	m.ordered = append(m.ordered, ev)
 	if _, err := m.log.Append(data); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
@@ -550,12 +380,7 @@ func (m *Manager) snapshotLocked() error {
 	if m.log == nil {
 		return nil
 	}
-	doc := snapshotDoc{Seq: m.seq, Sessions: m.histories}
-	if m.cfg.Storm {
-		doc.Sessions = nil
-		doc.Ordered = m.ordered
-	}
-	data, err := json.Marshal(doc)
+	data, err := json.Marshal(snapshotDoc{Seq: m.seq, Ordered: m.ordered})
 	if err != nil {
 		return fmt.Errorf("session: encoding snapshot: %w", err)
 	}
@@ -597,24 +422,24 @@ func (m *Manager) Create(spec CreateSpec) (*Managed, error) {
 
 // CreateCtx is Create under a context: a trace carried by the context
 // records the composition and journal-append spans of the creation.
+// attachMu serializes attach order with journal order across concurrent
+// creates and deletes, so replay reserves against the shared region
+// overlays in the same sequence the live path did.
 func (m *Manager) CreateCtx(ctx context.Context, spec CreateSpec) (*Managed, error) {
-	if m.cfg.Storm {
-		return m.createAttachedCtx(ctx, spec)
-	}
-	ms, err := m.buildManagedCtx(ctx, "", spec)
+	m.attachMu.Lock()
+	defer m.attachMu.Unlock()
+	m.mu.Lock()
+	m.seq++
+	id := fmt.Sprintf("%ss%d", m.cfg.IDPrefix, m.seq)
+	m.mu.Unlock()
+	ms, err := m.build(id, spec)
 	if err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.seq++
-	ms.id = fmt.Sprintf("%ss%d", m.cfg.IDPrefix, m.seq)
-	m.sessions[ms.id] = ms
-	m.histories[ms.id] = &sessionHistory{Create: spec}
-	if err := m.journalTraced(ctx, walEvent{Op: "create", ID: ms.id, Create: &spec}); err != nil {
-		return ms, err
-	}
-	return ms, nil
+	m.sessions[id] = ms
+	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec})
 }
 
 // journalTraced wraps journalCommand in a "journal.append" span when the
@@ -650,26 +475,27 @@ func (m *Manager) List() []*Managed {
 	return all
 }
 
-// Delete tears a session down, releasing its bandwidth holds, and
-// journals the deletion. It reports whether the session existed.
+// Delete tears a session down — detaching it from its class, which
+// releases its hold on the shared overlay — and journals the deletion.
+// It reports whether the session existed.
 func (m *Manager) Delete(id string) (bool, error) {
-	if m.cfg.Storm {
-		return m.deleteAttached(id)
-	}
+	m.attachMu.Lock()
+	defer m.attachMu.Unlock()
 	m.mu.Lock()
-	ms, ok := m.sessions[id]
+	_, ok := m.sessions[id]
 	if !ok {
 		m.mu.Unlock()
 		return false, nil
 	}
 	delete(m.sessions, id)
-	delete(m.histories, id)
+	m.mu.Unlock()
+	detachErr := m.storm.DetachSession(id)
+	m.mu.Lock()
 	err := m.journalCommand(walEvent{Op: "delete", ID: id})
 	m.mu.Unlock()
-	ms.mu.Lock()
-	ms.sess.Close()
-	ms.qosDrop()
-	ms.mu.Unlock()
+	if err == nil {
+		err = detachErr
+	}
 	return true, err
 }
 
@@ -691,87 +517,14 @@ func (m *Manager) Close() error {
 // ID returns the session's identifier.
 func (ms *Managed) ID() string { return ms.id }
 
-// Counters returns the session's private failover counters.
-func (ms *Managed) Counters() *metrics.Counters { return ms.counters }
-
-// Net returns the session's private overlay.
+// Net returns the session's region overlay, shared with every session
+// created over the same infrastructure.
 func (ms *Managed) Net() *overlay.Network { return ms.net }
-
-// Pool returns the session's private service pool.
-func (ms *Managed) Pool() *fault.ServiceSet { return ms.pool }
 
 // Held returns the session's live bandwidth reservations.
 func (ms *Managed) Held() []overlay.Reservation {
-	if ms.attached {
-		v, _ := ms.m.storm.MemberState(ms.id)
-		return v.Held
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.sess.Held()
-}
-
-// ApplyFault injects one fault against the session's private overlay and
-// pool, journaling it on success.
-func (ms *Managed) ApplyFault(f fault.Fault) error {
-	return ms.ApplyFaultCtx(context.Background(), f)
-}
-
-// ApplyFaultCtx is ApplyFault under a context carrying the request trace.
-func (ms *Managed) ApplyFaultCtx(ctx context.Context, f fault.Fault) error {
-	if ms.attached {
-		return ms.applyFaultAttachedCtx(ctx, f)
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if err := ms.applyFault(f); err != nil {
-		return err
-	}
-	ms.m.mu.Lock()
-	defer ms.m.mu.Unlock()
-	ev := walEvent{Op: "fault", ID: ms.id, Fault: &f}
-	if h := ms.m.histories[ms.id]; h != nil {
-		h.Events = append(h.Events, ev)
-	}
-	return ms.m.journalTraced(ctx, ev)
-}
-
-// applyFault mutates the overlay/pool. Callers hold ms.mu.
-func (ms *Managed) applyFault(f fault.Fault) error {
-	switch f.Kind {
-	case fault.HostCrash:
-		if err := ms.net.FailHost(f.Host); err != nil {
-			return err
-		}
-		ms.pool.SetHostDown(f.Host, true)
-	case fault.HostRecover:
-		if err := ms.net.RecoverHost(f.Host); err != nil {
-			return err
-		}
-		ms.pool.SetHostDown(f.Host, false)
-	case fault.LinkDown:
-		return ms.net.FailLink(f.From, f.To)
-	case fault.LinkUp:
-		return ms.net.RecoverLink(f.From, f.To)
-	case fault.BandwidthCollapse:
-		for _, l := range ms.net.Snapshot().Links {
-			if l.From == f.From && l.To == f.To {
-				return ms.net.SetBandwidth(f.From, f.To, l.BandwidthKbps*f.Factor)
-			}
-		}
-		return fmt.Errorf("session: no link %s->%s", f.From, f.To)
-	case fault.LossSpike:
-		return ms.net.SetLoss(f.From, f.To, f.LossRate)
-	case fault.DelaySpike:
-		return ms.net.SetDelay(f.From, f.To, f.DelayMs)
-	case fault.ServiceDown:
-		ms.pool.SetServiceDown(f.Service, true)
-	case fault.ServiceUp:
-		ms.pool.SetServiceDown(f.Service, false)
-	default:
-		return fmt.Errorf("session: unsupported fault kind %q", f.Kind)
-	}
-	return nil
+	v, _ := ms.m.storm.MemberState(ms.id)
+	return v.Held
 }
 
 // Reevaluate advances the session one step and re-evaluates its chain,
@@ -797,27 +550,6 @@ func (ms *Managed) ReevaluateReason(reason string) (changed bool, evalErr, logEr
 	return ms.ReevaluateReasonCtx(context.Background(), reason)
 }
 
-// ReevaluateReasonCtx is ReevaluateReason under a context.
-func (ms *Managed) ReevaluateReasonCtx(ctx context.Context, reason string) (changed bool, evalErr, logErr error) {
-	if ms.attached {
-		return ms.reevaluateAttachedCtx(ctx, reason)
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	ms.sess.Tick()
-	ms.sess.NoteReevaluateReason(reason)
-	changed, evalErr = ms.sess.ReevaluateCtx(ctx)
-	ms.qosNoteLocked()
-	ms.m.mu.Lock()
-	defer ms.m.mu.Unlock()
-	ev := walEvent{Op: "reevaluate", ID: ms.id, Reason: reason}
-	if h := ms.m.histories[ms.id]; h != nil {
-		h.Events = append(h.Events, ev)
-	}
-	logErr = ms.m.journalTraced(ctx, ev)
-	return changed, evalErr, logErr
-}
-
 // State is the externally visible, deterministic state of one managed
 // session — what /v1/sessions serves and what the crash harness compares
 // byte-for-byte across a crash and recovery.
@@ -837,41 +569,41 @@ type State struct {
 	Counters       map[string]int64   `json:"counters,omitempty"`
 }
 
-// State snapshots the session.
+// State snapshots the session from its class membership: the class
+// plan it rides, its own hold, and its region's down hosts and
+// services. History and the per-session failover internals (failovers,
+// retries, quarantine, last error) belong to the standalone Session's
+// failover loop and stay empty here.
 func (ms *Managed) State() State {
+	v, _ := ms.m.storm.MemberState(ms.id)
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	return ms.stateLocked()
-}
-
-func (ms *Managed) stateLocked() State {
-	if ms.attached {
-		return ms.attachedStateLocked()
-	}
-	res := ms.sess.Result()
 	st := State{
 		ID:             ms.id,
-		Satisfaction:   res.Satisfaction,
-		Cost:           res.Cost,
-		Step:           ms.sess.CurrentStep(),
-		Recompositions: ms.sess.Recompositions(),
-		Failover:       ms.sess.FailoverStatus(),
+		Satisfaction:   v.Satisfaction,
+		Cost:           v.Cost,
+		Step:           ms.step,
+		Recompositions: v.Swaps,
+		Failover:       FailoverStatus{Enabled: true, Degraded: v.Degraded},
 		DownHosts:      ms.net.DownHosts(),
-		History:        ms.sess.History(),
-		Reserved:       ms.sess.Reserved(),
 		Counters:       ms.counters.Snapshot(),
 	}
 	sort.Strings(st.DownHosts)
-	for _, id := range res.Path {
+	for _, id := range v.Path {
 		st.Path = append(st.Path, string(id))
 	}
-	for _, f := range res.Formats {
+	for _, f := range v.Formats {
 		st.Formats = append(st.Formats, f.String())
 	}
 	for _, id := range ms.pool.Down() {
 		st.DownServices = append(st.DownServices, string(id))
 	}
-	sort.Strings(st.DownServices)
+	if len(v.Held) > 0 {
+		st.Reserved = make(map[string]float64, len(v.Held))
+		for _, r := range v.Held {
+			st.Reserved[r.From+"->"+r.To] += r.Kbps
+		}
+	}
 	return st
 }
 
@@ -880,54 +612,4 @@ func (ms *Managed) stateLocked() State {
 func (ms *Managed) Fingerprint() (string, error) {
 	data, err := json.Marshal(ms.State())
 	return string(data), err
-}
-
-// Reconcile sweeps every session after recovery: a session whose chain
-// crosses a dead host or whose bandwidth holds sit on dead links is
-// pushed through the ordinary failover re-composition, which releases
-// the stale holds and re-reserves under the new chain (or degrades
-// gracefully). The sweep's commands journal like any other, so a second
-// crash replays the reconciled state. The report is also recorded on the
-// recovery report.
-func (m *Manager) Reconcile() *ReconcileReport {
-	if m.cfg.Storm {
-		return m.reconcileStorm()
-	}
-	rep := &ReconcileReport{}
-	for _, ms := range m.List() {
-		rep.Checked++
-		ms.mu.Lock()
-		stale := 0.0
-		for _, r := range ms.sess.Held() {
-			if !ms.net.Usable(r.From, r.To) {
-				stale += r.Kbps
-			}
-		}
-		broken := stale > 0
-		if !broken {
-			for _, h := range ms.sess.Hosts() {
-				if ms.net.HostDown(h) {
-					broken = true
-					break
-				}
-			}
-		}
-		ms.mu.Unlock()
-		if !broken {
-			continue
-		}
-		ms.ReevaluateReason(ReevalFault) //nolint:errcheck // degraded outcomes land in the session state
-		rep.Recomposed++
-		rep.ReleasedKbps += stale
-		rep.Sessions = append(rep.Sessions, ms.id)
-		m.cfg.Counters.Inc(metrics.CounterRecoveryReconciled)
-		if stale > 0 {
-			m.cfg.Counters.Observe(metrics.SampleRecoveryReleasedKbps, stale)
-		}
-	}
-	sort.Strings(rep.Sessions)
-	m.mu.Lock()
-	m.recovery.Reconcile = rep
-	m.mu.Unlock()
-	return rep
 }

@@ -1,7 +1,9 @@
 package session
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -231,7 +233,8 @@ func TestManagerCrashMidAppendRecoversCommitted(t *testing.T) {
 
 func TestManagerReconcileReleasesDeadHolds(t *testing.T) {
 	dir := t.TempDir()
-	m := newPersistent(t, dir, ManagerConfig{})
+	fp := journal.NewFailPoints()
+	m := newPersistent(t, dir, ManagerConfig{FailPoints: fp})
 	if _, err := m.Create(CreateSpec{Set: managerSet(), Floor: 0.2, Reserve: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,17 +244,18 @@ func TestManagerReconcileReleasesDeadHolds(t *testing.T) {
 	}
 	onP1 := strings.Contains(strings.Join(ms.State().Path, " "), "conv1")
 
-	// Crash the host the chain runs through, journaled, but crash before
-	// any reevaluate runs — the recovered session still holds bandwidth
-	// on links of a dead host.
+	// Crash the host the chain runs through: the fault record commits,
+	// but the process dies on the next append (the storm's begin record)
+	// before any re-plan runs — the recovered session still holds
+	// bandwidth on links of a dead host.
 	down := "p1"
 	if !onP1 {
 		down = "p2"
 	}
-	if err := ms.ApplyFault(fault.Fault{Kind: fault.HostCrash, Host: down}); err != nil {
-		t.Fatal(err)
+	fp.Arm(journal.FPAppend, fp.Hits(journal.FPAppend)+2)
+	if err := ms.ApplyFault(fault.Fault{Kind: fault.HostCrash, Host: down}); !errors.Is(err, journal.ErrCrashed) {
+		t.Fatalf("fault err = %v, want ErrCrashed from the storm's append", err)
 	}
-	m.Close()
 
 	counters := metrics.NewCounters()
 	m2 := newPersistent(t, dir, ManagerConfig{Counters: counters})
@@ -272,7 +276,7 @@ func TestManagerReconcileReleasesDeadHolds(t *testing.T) {
 	// equal exactly what the session reports holding, and every hold must
 	// sit on a usable link.
 	var held float64
-	for _, r := range r1.sess.Held() {
+	for _, r := range r1.Held() {
 		if !r1.Net().Usable(r.From, r.To) {
 			t.Errorf("hold %s->%s sits on an unusable link", r.From, r.To)
 		}
@@ -320,5 +324,40 @@ func TestManagerBadSpec(t *testing.T) {
 	_, err := m.Create(CreateSpec{Set: profile.Set{}})
 	if !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("err = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestManagerRefusesRemovedModeSnapshot feeds the manager a snapshot in
+// the format the removed per-session mode wrote — a map of per-session
+// command histories — and expects a refusal naming it, not a silent
+// recovery of zero sessions.
+func TestManagerRefusesRemovedModeSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := json.Marshal(CreateSpec{Set: managerSet(), Floor: 0.3, Seed: 7, Reserve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := fmt.Sprintf(`{"seq":1,"sessions":{"s1":{"create":%s,"events":[{"op":"reevaluate","id":"s1","reason":"manual"}]}}}`, spec)
+	log, _, err := journal.OpenLog(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]byte(`{"op":"create","id":"s1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Snapshot([]byte(doc)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := NewManager(ManagerConfig{StateDir: dir})
+	if err == nil {
+		m.Close()
+		t.Fatal("NewManager recovered a removed-mode snapshot")
+	}
+	if !strings.Contains(err.Error(), "removed per-session manager mode") {
+		t.Fatalf("error %q does not name the removed per-session mode", err)
 	}
 }

@@ -1,28 +1,32 @@
 package session
 
-// storm.go is the manager's storm-attached mode: the daemon-side
-// unification of the session manager and the storm controller
-// (internal/storm). Instead of giving every /v1/sessions create its own
-// private overlay and failover loop, the manager derives a shared
-// region from the session's network profile, folds the session into a
-// storm equivalence class (fingerprint-keyed ClassSpec), and lets the
-// controller own all re-composition — one Select per affected class per
-// event, one atomic SwapChain per member, one reservation ledger (the
-// region overlay) instead of the manager and controller double-tracking
-// holds.
+// storm.go is how the manager composes: through its embedded storm
+// controller (internal/storm), the one re-composition authority. The
+// paper's Select picks a chain from a user's profiles and the current
+// link bandwidths, so sessions with equal profiles on the same network
+// get the same chain — a session is just an equivalence class of one.
+// Each create derives a shared region from the session's network
+// profile, folds the session into a storm equivalence class
+// (fingerprint-keyed ClassSpec), and lets the controller own all
+// re-composition — one Select per affected class per event, one atomic
+// SwapChain per reserving member, one reservation ledger (the region
+// overlay).
 //
-// Durability inverts the standalone controller's layout: the controller
-// journals nothing itself. Its storm fan-out records flow through the
-// manager's WAL (Config.Sink → walEvent{Op: "storm"}), interleaved in
-// true order with the create/fault/reevaluate/delete commands, and
-// class membership is derived state — replaying the manager's commands
-// re-attaches every session and re-marks every pending link, while the
-// storm records replay their recorded plans verbatim (no Select). That
-// one WAL is exactly what the cluster tier ships, so a follower's
-// replica manager rebuilds the full class state for free, and a primary
-// that dies mid-storm leaves a begin-without-end the promoted follower
-// finishes via ResumeOpenStorm — in the recorded priority order, with
-// byte-identical resulting fingerprints.
+// The controller journals nothing itself. Its storm fan-out records
+// flow through the manager's WAL (Config.Sink → walEvent{Op: "storm"}),
+// interleaved in true order with the create/fault/reevaluate/delete
+// commands, and class membership is derived state — replaying the
+// manager's commands re-attaches every session and re-marks every
+// pending link, while the storm records replay their recorded plans
+// verbatim (no Select). That one WAL is exactly what the cluster tier
+// ships, so a follower's replica manager rebuilds the full class state
+// for free, and a primary that dies mid-storm leaves a begin-without-end
+// the promoted follower finishes via ResumeOpenStorm — in the recorded
+// priority order, with byte-identical resulting fingerprints.
+//
+// Managed sessions need no per-session quarantine or retry backoff:
+// down hosts and links are marked on the region overlay itself, so
+// every re-plan already routes around them, and the clock is virtual.
 
 import (
 	"context"
@@ -40,9 +44,8 @@ import (
 	"qoschain/internal/storm"
 )
 
-// StormController exposes the embedded controller (nil unless the
-// manager runs in storm-attached mode) — the daemon mounts its Status
-// on /healthz and the harnesses read fingerprints off it.
+// StormController exposes the embedded controller — the daemon mounts
+// its Status on /healthz and the harnesses read fingerprints off it.
 func (m *Manager) StormController() *storm.Controller { return m.storm }
 
 // stormSink is the controller's journal: storm records append to the
@@ -73,12 +76,12 @@ func stormRegionName(set *profile.Set) string {
 	return fmt.Sprintf("r%016x", h.Sum64())
 }
 
-// buildAttached validates a spec and attaches a session to its storm
+// build validates a spec and attaches a session to its storm
 // equivalence class under the given ID — the single path live creation
-// and replay share, mirroring buildManaged. Region and class
+// and replay share, so they cannot diverge. Region and class
 // registration are idempotent; only the first session of a fingerprint
 // pays for a Select.
-func (m *Manager) buildAttached(id string, spec CreateSpec) (*Managed, error) {
+func (m *Manager) build(id string, spec CreateSpec) (*Managed, error) {
 	set := spec.Set
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
@@ -103,7 +106,7 @@ func (m *Manager) buildAttached(id string, spec CreateSpec) (*Managed, error) {
 			Services:   svcs,
 			SenderHost: "sender",
 			// ReceiverHost stays empty: each class resolves its receiver
-			// to its own device ID, matching the non-storm session path.
+			// to its own device ID.
 		}); err != nil {
 			return nil, err
 		}
@@ -119,63 +122,18 @@ func (m *Manager) buildAttached(id string, spec CreateSpec) (*Managed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.storm.AttachSession(cls.Key(), id); err != nil {
+	if _, err := m.storm.AttachSession(cls.Key(), id, spec.Reserve); err != nil {
 		return nil, err
 	}
 	return &Managed{
 		m:        m,
 		id:       id,
 		net:      m.storm.RegionNet(regionName),
-		pool:     fault.NewServiceSet(nil),
+		pool:     m.storm.RegionServices(regionName),
 		counters: metrics.NewCounters(),
-		attached: true,
 		classKey: cls.Key(),
 		region:   regionName,
 	}, nil
-}
-
-// createAttachedCtx is the storm-mode CreateCtx. attachMu serializes
-// attach order with journal order across concurrent creates and
-// deletes, so replay reserves against the shared region overlay in the
-// same sequence the live path did.
-func (m *Manager) createAttachedCtx(ctx context.Context, spec CreateSpec) (*Managed, error) {
-	m.attachMu.Lock()
-	defer m.attachMu.Unlock()
-	m.mu.Lock()
-	m.seq++
-	id := fmt.Sprintf("%ss%d", m.cfg.IDPrefix, m.seq)
-	m.mu.Unlock()
-	ms, err := m.buildAttached(id, spec)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessions[id] = ms
-	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec})
-}
-
-// deleteAttached is the storm-mode Delete: detach (releasing the hold
-// on the shared overlay) and journal.
-func (m *Manager) deleteAttached(id string) (bool, error) {
-	m.attachMu.Lock()
-	defer m.attachMu.Unlock()
-	m.mu.Lock()
-	_, ok := m.sessions[id]
-	if !ok {
-		m.mu.Unlock()
-		return false, nil
-	}
-	delete(m.sessions, id)
-	m.mu.Unlock()
-	detachErr := m.storm.DetachSession(id)
-	m.mu.Lock()
-	err := m.journalCommand(walEvent{Op: "delete", ID: id})
-	m.mu.Unlock()
-	if err == nil {
-		err = detachErr
-	}
-	return true, err
 }
 
 // applyRegionFault mutates the shared region overlay and marks the
@@ -183,8 +141,8 @@ func (m *Manager) deleteAttached(id string) (bool, error) {
 // mutation path live faults and replayed faults share. Mutations are
 // idempotent (a host two sessions both crash fails once), because in a
 // shared region the same physical event can arrive through more than
-// one session. Service faults need per-session pools and are not
-// supported in storm mode.
+// one session. Service faults (de)register the service in the region's
+// pool and mark its host's links pending.
 func (m *Manager) applyRegionFault(regionName string, f fault.Fault) error {
 	net := m.storm.RegionNet(regionName)
 	if net == nil {
@@ -237,18 +195,27 @@ func (m *Manager) applyRegionFault(regionName string, f fault.Fault) error {
 		if err := net.SetDelay(f.From, f.To, f.DelayMs); err != nil {
 			return err
 		}
+	case fault.ServiceDown, fault.ServiceUp:
+		return m.storm.SetServiceDown(regionName, f.Service, f.Kind == fault.ServiceDown)
 	default:
-		return fmt.Errorf("session: fault kind %q unsupported in storm mode", f.Kind)
+		return fmt.Errorf("session: unsupported fault kind %q", f.Kind)
 	}
 	links := fault.ChangedLinks([]fault.Fault{f}, net)
 	return m.storm.NotePending(regionName, links)
 }
 
-// applyFaultAttachedCtx is the storm-mode fault path: mutate the shared
-// overlay, journal the command, then absorb the changed-link set with a
-// storm — O(affected classes) Selects, not O(sessions). A storm already
-// in flight keeps the links pending; they are absorbed by the next one.
-func (ms *Managed) applyFaultAttachedCtx(ctx context.Context, f fault.Fault) error {
+// ApplyFault injects one fault against the session's region, journaling
+// it on success.
+func (ms *Managed) ApplyFault(f fault.Fault) error {
+	return ms.ApplyFaultCtx(context.Background(), f)
+}
+
+// ApplyFaultCtx is ApplyFault under a context carrying the request
+// trace: mutate the shared overlay, journal the command, then absorb
+// the changed-link set with a storm — O(affected classes) Selects, not
+// O(sessions). A storm already in flight keeps the links pending; they
+// are absorbed by the next one.
+func (ms *Managed) ApplyFaultCtx(ctx context.Context, f fault.Fault) error {
 	m := ms.m
 	if err := m.applyRegionFault(ms.region, f); err != nil {
 		return err
@@ -267,7 +234,7 @@ func (ms *Managed) applyFaultAttachedCtx(ctx context.Context, f fault.Fault) err
 
 // noteReason records a reevaluate attribution on both the session's
 // private deterministic counters and the daemon-wide sink — the
-// storm-mode mirror of Session.NoteReevaluateReason.
+// managed-session mirror of Session.NoteReevaluateReason.
 func (ms *Managed) noteReason(reason string) {
 	if reason == "" {
 		return
@@ -276,11 +243,13 @@ func (ms *Managed) noteReason(reason string) {
 	ms.m.cfg.Counters.Inc(metrics.CounterReevalPrefix + reason)
 }
 
-// reevaluateAttachedCtx is the storm-mode re-evaluation: a single-class
-// storm over the session's equivalence class. Every class member gets
-// the refreshed plan — re-evaluating one session of a class and not its
-// twins would be a contradiction in terms.
-func (ms *Managed) reevaluateAttachedCtx(ctx context.Context, reason string) (changed bool, evalErr, logErr error) {
+// ReevaluateReasonCtx is ReevaluateReason under a context: a
+// single-class storm over the session's equivalence class. Every class
+// member gets the refreshed plan — re-evaluating one session of a class
+// and not its twins would be a contradiction in terms. changed reports
+// whether the session's chain was swapped since its previous
+// reevaluate, by this re-plan or by a fault's storm in between.
+func (ms *Managed) ReevaluateReasonCtx(ctx context.Context, reason string) (changed bool, evalErr, logErr error) {
 	m := ms.m
 	ms.mu.Lock()
 	ms.step++
@@ -289,28 +258,24 @@ func (ms *Managed) reevaluateAttachedCtx(ctx context.Context, reason string) (ch
 	m.mu.Lock()
 	logErr = m.journalTraced(ctx, walEvent{Op: "reevaluate", ID: ms.id, Reason: reason})
 	m.mu.Unlock()
-	rep, err := m.storm.ReplanClass(ms.classKey)
-	if err != nil {
-		if errors.Is(err, storm.ErrStormActive) {
-			// A storm in flight will re-plan the class anyway.
-			return false, nil, logErr
-		}
-		return false, err, logErr
+	// A storm in flight (ErrStormActive) re-plans the class anyway.
+	if _, err := m.storm.ReplanClass(ms.classKey); err != nil && !errors.Is(err, storm.ErrStormActive) {
+		evalErr = err
 	}
-	for _, out := range rep.Classes {
-		if out.Outcome == storm.OutcomeReplanned || out.Outcome == storm.OutcomeDegraded {
-			changed = true
-		}
-	}
-	return changed, nil, logErr
+	v, _ := m.storm.MemberState(ms.id)
+	ms.mu.Lock()
+	changed = v.Swaps != ms.seenSwaps
+	ms.seenSwaps = v.Swaps
+	ms.mu.Unlock()
+	return changed, evalErr, logErr
 }
 
-// replayAttached re-applies one command against an attached session
-// during recovery. Faults re-mutate the shared overlay and re-mark
+// replay re-applies one command against a session being rebuilt during
+// recovery. Faults re-mutate the shared overlay and re-mark
 // pending links but never trigger a storm — the journaled storm records
 // replay the fan-outs exactly as they happened. Reevaluates restore the
 // virtual clock and counters only, for the same reason.
-func (ms *Managed) replayAttached(ev walEvent) error {
+func (ms *Managed) replay(ev walEvent) error {
 	switch ev.Op {
 	case "fault":
 		if ev.Fault == nil {
@@ -326,46 +291,15 @@ func (ms *Managed) replayAttached(ev walEvent) error {
 	}
 }
 
-// attachedStateLocked builds the State view of an attached session from
-// its class membership. Callers hold ms.mu.
-func (ms *Managed) attachedStateLocked() State {
-	v, _ := ms.m.storm.MemberState(ms.id)
-	st := State{
-		ID:             ms.id,
-		Satisfaction:   v.Satisfaction,
-		Cost:           v.Cost,
-		Step:           ms.step,
-		Recompositions: v.Swaps,
-		Failover:       FailoverStatus{Enabled: true, Degraded: v.Degraded},
-		Counters:       ms.counters.Snapshot(),
-	}
-	if ms.net != nil {
-		st.DownHosts = ms.net.DownHosts()
-		sort.Strings(st.DownHosts)
-	}
-	for _, id := range v.Path {
-		st.Path = append(st.Path, string(id))
-	}
-	for _, f := range v.Formats {
-		st.Formats = append(st.Formats, f.String())
-	}
-	if len(v.Held) > 0 {
-		st.Reserved = make(map[string]float64, len(v.Held))
-		for _, r := range v.Held {
-			st.Reserved[r.From+"->"+r.To] += r.Kbps
-		}
-	}
-	return st
-}
-
-// reconcileStorm is the storm-mode post-recovery sweep. First any storm
-// the journal left open (begin without end — the previous primary died
-// mid-fan-out) is finished in its recorded priority order; the resumed
-// fan-outs journal live through the sink like any other. Then every
-// member's holds are audited against the region overlay: holds sitting
-// on dead links mark those links pending, and one storm absorbs the
-// whole batch — class-at-a-time, never per-session.
-func (m *Manager) reconcileStorm() *ReconcileReport {
+// Reconcile is the post-recovery sweep. First any storm the journal
+// left open (begin without end — the previous primary died mid-fan-out)
+// is finished in its recorded priority order; the resumed fan-outs
+// journal live through the sink like any other. Then every member's
+// holds are audited against the region overlay: holds sitting on dead
+// links mark those links pending, and one storm absorbs the whole batch
+// — class-at-a-time, never per-session. The report is also recorded on
+// the recovery report.
+func (m *Manager) Reconcile() *ReconcileReport {
 	rep := &ReconcileReport{}
 	resumed, err := m.storm.ResumeOpenStorm()
 	if err != nil {
@@ -374,9 +308,6 @@ func (m *Manager) reconcileStorm() *ReconcileReport {
 		m.mu.Unlock()
 	}
 	for _, ms := range m.List() {
-		if !ms.attached {
-			continue
-		}
 		rep.Checked++
 		v, ok := m.storm.MemberState(ms.id)
 		if !ok {

@@ -1,11 +1,11 @@
 package session
 
-// storm_test.go exercises the manager's storm-attached mode: sessions
-// created through the ordinary CreateSpec path fold into storm
-// equivalence classes, faults fan out through the controller instead of
-// per-session failover, and the whole construction — class membership,
-// region overlays, open storms — replays byte-identically from the
-// manager's single WAL.
+// storm_test.go exercises the manager's class-based composition:
+// sessions created through the ordinary CreateSpec path fold into storm
+// equivalence classes, faults fan out through the controller one Select
+// per class, and the whole construction — class membership, region
+// overlays, open storms — replays byte-identically from the manager's
+// single WAL.
 
 import (
 	"errors"
@@ -31,12 +31,12 @@ func stormSet() profile.Set {
 	return set
 }
 
-// newStormManager builds an in-memory storm-attached manager with its
-// own metrics sink.
+// newStormManager builds an in-memory manager with its own metrics
+// sink.
 func newStormManager(t *testing.T) (*Manager, *metrics.Counters) {
 	t.Helper()
 	c := metrics.NewCounters()
-	m, err := NewManager(ManagerConfig{Storm: true, Counters: c})
+	m, err := NewManager(ManagerConfig{Counters: c})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -80,12 +80,12 @@ func TestStormAttachSharesClass(t *testing.T) {
 	// Four sessions at floor 0.3 share one fingerprint; two at floor
 	// 0.5 form a second class. Only the first of each pays a Select.
 	for i := 0; i < 4; i++ {
-		if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3}); err != nil {
+		if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true}); err != nil {
 			t.Fatalf("create: %v", err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5}); err != nil {
+		if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5, Reserve: true}); err != nil {
 			t.Fatalf("create floor 0.5: %v", err)
 		}
 	}
@@ -140,14 +140,14 @@ func TestStormFaultFansOutPerClass(t *testing.T) {
 
 	var all []*Managed
 	for i := 0; i < 4; i++ {
-		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3})
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true})
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		all = append(all, ms)
 	}
 	for i := 0; i < 2; i++ {
-		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5})
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5, Reserve: true})
 		if err != nil {
 			t.Fatalf("create floor 0.5: %v", err)
 		}
@@ -192,22 +192,22 @@ func TestStormFaultFansOutPerClass(t *testing.T) {
 
 func TestStormRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := newPersistent(t, dir, ManagerConfig{Storm: true, Counters: metrics.NewCounters()})
+	m := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
 
 	var all []*Managed
 	for i := 0; i < 3; i++ {
-		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3})
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true})
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		all = append(all, ms)
 	}
-	ms2, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5})
+	ms2, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5, Reserve: true})
 	if err != nil {
 		t.Fatalf("create floor 0.5: %v", err)
 	}
 	// A fault-driven storm, a manual replan and a delete, so the
-	// journal carries every storm-mode command kind.
+	// journal carries every command kind.
 	host, _ := chainProxy(t, all[0])
 	if err := all[0].ApplyFault(fault.Fault{Kind: fault.LinkDown, From: host, To: "d"}); err != nil {
 		t.Fatalf("fault: %v", err)
@@ -227,7 +227,7 @@ func TestStormRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	m2 := newPersistent(t, dir, ManagerConfig{Storm: true, Counters: metrics.NewCounters()})
+	m2 := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
 	defer m2.Close()
 	if errs := m2.Recovery().ReplayErrors; len(errs) != 0 {
 		t.Fatalf("replay errors: %v", errs)
@@ -252,7 +252,7 @@ func TestStormRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("recovered leak of %v kbps", leak)
 	}
 	// The ID counter resumes past replayed and deleted sessions.
-	ms5, err := m2.Create(CreateSpec{Set: stormSet(), Floor: 0.3})
+	ms5, err := m2.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true})
 	if err != nil {
 		t.Fatalf("create after recovery: %v", err)
 	}
@@ -268,14 +268,13 @@ func TestStormRecoverRoundTrip(t *testing.T) {
 func TestStormCrashMidStormResumes(t *testing.T) {
 	run := func(t *testing.T, dir string, halt int) (map[string]string, string) {
 		m := newPersistent(t, dir, ManagerConfig{
-			Storm: true, Counters: metrics.NewCounters(),
-			StormHaltAfterFanouts: halt,
+			Counters: metrics.NewCounters(), StormHaltAfterFanouts: halt,
 		})
 		for i := 0; i < 2; i++ {
-			if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3}); err != nil {
+			if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true}); err != nil {
 				t.Fatalf("create: %v", err)
 			}
-			if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5}); err != nil {
+			if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5, Reserve: true}); err != nil {
 				t.Fatalf("create floor 0.5: %v", err)
 			}
 		}
@@ -290,7 +289,7 @@ func TestStormCrashMidStormResumes(t *testing.T) {
 			if cerr := m.Close(); cerr != nil {
 				t.Fatalf("close: %v", cerr)
 			}
-			m2 := newPersistent(t, dir, ManagerConfig{Storm: true, Counters: metrics.NewCounters()})
+			m2 := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
 			defer m2.Close()
 			rep := m2.Reconcile()
 			if rep.Recomposed == 0 {
@@ -337,14 +336,14 @@ func TestStormConcurrentReevaluateAndFault(t *testing.T) {
 
 	var all []*Managed
 	for i := 0; i < 3; i++ {
-		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3})
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true})
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		all = append(all, ms)
 	}
 	for i := 0; i < 3; i++ {
-		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5})
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.5, Reserve: true})
 		if err != nil {
 			t.Fatalf("create floor 0.5: %v", err)
 		}

@@ -15,7 +15,7 @@ package sim
 //     byte-exact, not approximate;
 //   - after the promotion's host-crash fault and Reconcile, every
 //     bandwidth hold of every adopted session sits on a usable link and
-//     the overlay's reserved total equals what the sessions account for
+//     each region overlay's reserved total equals what its members hold
 //     — zero leaked kbps;
 //   - the dead node's zombie shipper is fenced: a resurrected primary
 //     cannot fork the adopted sessions;
@@ -369,7 +369,7 @@ func RunCluster(spec ClusterSpec) (*ClusterReport, error) {
 	}
 
 	// Zero-leak audit on the adopter: every hold sits on a usable link
-	// and the overlay total matches the session's accounting.
+	// and each region of the adopted replica balances.
 	adopter := nodes[promo.Adopter]
 	var adoptedIDs []string
 	for id := range preKill.StateHashes {
@@ -382,16 +382,18 @@ func RunCluster(spec ClusterSpec) (*ClusterReport, error) {
 			rep.Err = fmt.Sprintf("adopter %s does not serve adopted session %s", promo.Adopter, id)
 			return rep, nil
 		}
-		var held float64
 		for _, r := range ms.Held() {
 			if !ms.Net().Usable(r.From, r.To) {
 				rep.Err = fmt.Sprintf("session %s holds %s->%s on an unusable link", id, r.From, r.To)
 				return rep, nil
 			}
-			held += r.Kbps
 		}
-		rep.LeakKbps += ms.Net().TotalReservedKbps() - held
 	}
+	rm, ok := adopter.node.ReplicaManager(victim.ID)
+	if !ok {
+		return rep, fmt.Errorf("sim: adopter %s holds no replica of %s", promo.Adopter, victim.ID)
+	}
+	rep.LeakKbps = regionLeak(rm.StormController())
 	if rep.LeakKbps != 0 {
 		rep.Err = fmt.Sprintf("leaked %.1f kbps of reservations", rep.LeakKbps)
 		return rep, nil

@@ -18,8 +18,8 @@ package sim
 //   - the recovered session state is byte-identical to the fingerprint
 //     recorded at that sequence;
 //   - after Reconcile, every bandwidth hold sits on a usable link and
-//     the overlay's total reserved bandwidth equals exactly what the
-//     sessions account for — zero leaked kbps.
+//     each region overlay's total reserved bandwidth equals exactly what
+//     its member sessions hold — zero leaked kbps.
 //
 // Everything derives from the seed: the schedule, the session jitter,
 // and the armed failpoint hit, so a failing run reproduces exactly.
@@ -39,6 +39,7 @@ import (
 	"qoschain/internal/profile"
 	"qoschain/internal/service"
 	"qoschain/internal/session"
+	"qoschain/internal/storm"
 	"qoschain/internal/trace"
 )
 
@@ -160,6 +161,18 @@ func managerFingerprint(m *session.Manager) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
+}
+
+// regionLeak sums, over every region, the overlay's reserved total
+// minus what the region's members hold. Sessions created over the same
+// infrastructure share one region overlay, so the ledger balances per
+// region, not per session.
+func regionLeak(ctrl *storm.Controller) float64 {
+	leak := 0.0
+	for _, name := range ctrl.Regions() {
+		leak += ctrl.RegionNet(name).TotalReservedKbps() - ctrl.HeldKbps(name)
+	}
+	return leak
 }
 
 // RunCrash executes one scenario: build, run, kill, recover, verify.
@@ -360,23 +373,22 @@ func RunCrash(spec CrashSpec) (*CrashReport, error) {
 		return rep, nil
 	}
 
-	// Reconcile, then audit the holds: every reservation the overlay
-	// carries must be accounted for by a session and sit on a live link.
+	// Reconcile, then audit the holds: every hold sits on a live link,
+	// and every reservation a region overlay carries is accounted for by
+	// its members.
 	sweep := m2.Reconcile()
 	rep.Reconciled = sweep.Recomposed
 	rep.ReleasedKbps = sweep.ReleasedKbps
 	for _, ms := range m2.List() {
-		var held float64
 		for _, r := range ms.Held() {
 			if !ms.Net().Usable(r.From, r.To) {
 				rep.Err = fmt.Sprintf("session %s holds %s->%s on an unusable link",
 					ms.ID(), r.From, r.To)
 				return rep, nil
 			}
-			held += r.Kbps
 		}
-		rep.LeakKbps += ms.Net().TotalReservedKbps() - held
 	}
+	rep.LeakKbps = regionLeak(m2.StormController())
 	if rep.LeakKbps != 0 {
 		rep.Err = fmt.Sprintf("leaked %.1f kbps of reservations", rep.LeakKbps)
 	}

@@ -186,7 +186,6 @@ func RunStorm(spec StormSpec) (*StormReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("sim: storm controller: %w", err)
 	}
-	defer ctrl.Close()
 
 	// Populate: one plan per class, then the members attach against it.
 	perClass := spec.Sessions / len(specs)

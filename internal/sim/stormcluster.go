@@ -7,7 +7,7 @@ package sim
 // Two runs share one scaled Figure 6 deployment and one correlated
 // backbone fault (a loss spike on the link every class chain crosses):
 //
-//   - the REFERENCE run drives a storm-attached manager in-process with
+//   - the REFERENCE run drives a session manager in-process with
 //     naive-equivalence verification on. It proves the daemon path
 //     absorbs the fault in O(affected classes) Selects and that every
 //     class chain matches the per-session Select byte-for-byte
@@ -61,7 +61,7 @@ type StormClusterSpec struct {
 	// (default 1 — the storm is barely started).
 	HaltAfterFanouts int
 	// SnapshotEvery compacts the primary journal this often (default 8,
-	// small enough that the follower exercises the storm-mode snapshot
+	// small enough that the follower exercises the manager snapshot
 	// bootstrap).
 	SnapshotEvery int
 	// Counters, when set, receives the storm.*/replication.* series.
@@ -202,9 +202,9 @@ func startStormNode(id, dir string, halt, snapshotEvery int, counters *metrics.C
 	tracer := trace.NewTracer(256)
 	n, err := cluster.NewNode(cluster.NodeConfig{
 		ID: id, StateDir: dir, Host: "node-" + id,
-		SnapshotEvery: snapshotEvery,
-		Counters:      metrics.Fanout(counters, metrics.CountersOn(reg)),
-		Storm:         true, StormHaltAfterFanouts: halt,
+		SnapshotEvery:         snapshotEvery,
+		Counters:              metrics.Fanout(counters, metrics.CountersOn(reg)),
+		StormHaltAfterFanouts: halt,
 	})
 	if err != nil {
 		return nil, err
@@ -274,13 +274,13 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	// The ID prefix matches the primary's so member IDs — part of the
 	// controller fingerprint — agree between the runs.
 	ref, err := session.NewManager(session.ManagerConfig{
-		Storm: true, StormVerify: true, IDPrefix: "n1-", Counters: refCounters,
+		StormVerify: true, IDPrefix: "n1-", Counters: refCounters,
 	})
 	if err != nil {
 		return rep, fmt.Errorf("sim: reference manager: %w", err)
 	}
 	err = createStormSessions(spec, func(floor float64, seed int64) error {
-		_, err := ref.Create(session.CreateSpec{Set: set, Floor: floor, Seed: seed})
+		_, err := ref.Create(session.CreateSpec{Set: set, Floor: floor, Seed: seed, Reserve: true})
 		return err
 	})
 	if err != nil {
@@ -340,7 +340,7 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	shippedBase := spec.Counters.Get(metrics.CounterReplicationShippedRecords)
 	var firstID string
 	err = createStormSessions(spec, func(floor float64, seed int64) error {
-		url := fmt.Sprintf("%s/v1/sessions?floor=%g&seed=%d", base, floor, seed)
+		url := fmt.Sprintf("%s/v1/sessions?reserve=1&floor=%g&seed=%d", base, floor, seed)
 		resp, err := http.Post(url, "application/json", bytes.NewReader(setBuf.Bytes()))
 		if err != nil {
 			return err
@@ -476,7 +476,7 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	rep.ShippedRecords = spec.Counters.Get(metrics.CounterReplicationShippedRecords) - shippedBase
 	n1.srv.Close() //nolint:errcheck
 
-	// Promote: the follower adopts the replica, and its storm-mode
+	// Promote: the follower adopts the replica, and its
 	// Reconcile finds the begin-without-end and finishes the storm in
 	// the recorded priority order. No host fault is injected — the dead
 	// node is not part of the content overlay.

@@ -1,74 +1,35 @@
 package storm
 
-// journal.go makes the controller crash-safe. Every state-changing
-// command — class registration, member attachment, reported network
-// changes, and each class's storm fan-out — is appended to the
-// hash-chained WAL (internal/journal) as a typed Event record. Open
-// replays the journal against freshly constructed regions: classes are
-// re-planned deterministically, attachments re-reserved, link changes
-// re-applied, and completed fan-outs restored from their journaled
-// results. A storm that began but never ended (crash mid-storm) is
-// finished during Open: the classes already fanned out are restored
-// from their records, the remainder re-planned in the recorded
-// priority order against the replayed network — exactly the state the
-// crashed process would have produced.
-//
-// Periodic snapshots (Config.SnapshotEvery) compact the journal: the
-// snapshot captures the full controller state — every region's
-// link-level QoS, every class's chain, every member's holds — so
-// replay can start from it instead of the beginning of time.
+// journal.go makes storms crash-safe through the embedding host's
+// write-ahead log. The controller owns no log of its own: each storm
+// fan-out — storm-begin, one storm-class per re-planned class,
+// storm-end — is handed to Config.Sink, which journals it in true order
+// with the host's own commands. Everything else (regions, classes,
+// attachments, link changes) is derived state the host rebuilds by
+// replaying its own create/fault/delete commands. During that replay
+// the host hands the storm records back through ReplayRecord: fan-outs
+// re-apply their recorded plans verbatim (no Select), and a storm that
+// began but never ended — the host died mid-fan-out — is finished by
+// ResumeOpenStorm in the recorded priority order, so the resulting
+// state is byte-identical to what the interrupted process would have
+// produced.
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"qoschain/internal/core"
 	"qoschain/internal/graph"
-	"qoschain/internal/journal"
 	"qoschain/internal/media"
 	"qoschain/internal/overlay"
 )
 
-// Journal record kinds.
+// Storm record kinds forwarded to Config.Sink.
 const (
-	kindClass      = "class"
-	kindAttach     = "attach"
-	kindDetach     = "detach"
-	kindNetChange  = "netchange"
 	kindStormBegin = "storm-begin"
 	kindStormClass = "storm-class"
 	kindStormEnd   = "storm-end"
 )
-
-type attachRecord struct {
-	Key   string `json:"key"`
-	Count int    `json:"count"`
-	// ID, when set, is the caller-chosen member ID of a single
-	// AttachSession; Count is 1 and the legacy mint loop is skipped.
-	ID string `json:"id,omitempty"`
-}
-
-type detachRecord struct {
-	ID string `json:"id"`
-}
-
-// linkChange is one link's post-change state, captured when the change
-// is reported so replay can re-apply it to a fresh region.
-type linkChange struct {
-	From         string  `json:"from"`
-	To           string  `json:"to"`
-	CapacityKbps float64 `json:"capacityKbps"`
-	DelayMs      float64 `json:"delayMs,omitempty"`
-	LossRate     float64 `json:"lossRate,omitempty"`
-	Down         bool    `json:"down,omitempty"`
-	Missing      bool    `json:"missing,omitempty"`
-}
-
-type netChangeRecord struct {
-	Region string       `json:"region"`
-	Links  []linkChange `json:"links"`
-}
 
 // beginRecord opens a storm: the absorbed changed-link set and the
 // affected classes in their decided priority order, so a crash-resume
@@ -82,7 +43,8 @@ type beginRecord struct {
 
 // classRecord is one class's completed fan-out: the plan result to
 // re-apply verbatim on replay (replay re-runs the member swaps, never
-// Select).
+// Select), plus the members whose holds the event invalidated before
+// the plan (see restoreMembersLocked).
 type classRecord struct {
 	Storm        int            `json:"storm"`
 	Key          string         `json:"key"`
@@ -95,122 +57,24 @@ type classRecord struct {
 	Cost         float64        `json:"cost"`
 	Kbps         float64        `json:"kbps"`
 	Degraded     bool           `json:"degraded"`
+	Dropped      []string       `json:"dropped,omitempty"`
 }
 
 type endRecord struct {
 	Storm int `json:"storm"`
 }
 
-// Recovery reports what Open rebuilt from the journal.
-type Recovery struct {
-	// Records is how many journal records were replayed.
-	Records int `json:"records"`
-	// FromSnapshot reports whether replay started from a snapshot.
-	FromSnapshot bool `json:"fromSnapshot,omitempty"`
-	// Classes and Sessions count the rebuilt state.
-	Classes  int `json:"classes"`
-	Sessions int `json:"sessions"`
-	// ResumedStorm is set when a crash interrupted a storm and Open
-	// finished it; Resumed is that storm's report.
-	ResumedStorm bool    `json:"resumedStorm,omitempty"`
-	Resumed      *Report `json:"resumed,omitempty"`
-}
-
-// journalLocked appends one typed record. Nil log (in-memory
-// controller) and replay are no-ops. An append failure is permanent:
-// the journal can no longer be trusted to match memory.
-//
-// In embedded mode (Config.Sink) the controller owns no log of its own:
-// storm fan-out records are handed to the host's WAL and everything
-// else — classes, attachments, net changes — is derived state the host
-// reconstructs by replaying its own commands, so it is not forwarded.
+// journalLocked hands one storm record to the sink. A controller
+// without a sink (in-memory use, the harnesses) and replay are no-ops.
 func (c *Controller) journalLocked(kind string, payload any) error {
-	if c.replaying {
+	if c.replaying || c.cfg.Sink == nil {
 		return nil
 	}
-	if c.cfg.Sink != nil {
-		switch kind {
-		case kindStormBegin, kindStormClass, kindStormEnd:
-			data, err := json.Marshal(payload)
-			if err != nil {
-				return err
-			}
-			return c.cfg.Sink(kind, data)
-		default:
-			return nil
-		}
-	}
-	if c.log == nil {
-		return nil
-	}
-	if c.journalDead {
-		return fmt.Errorf("storm: journal unusable after earlier append failure")
-	}
-	rec, err := journal.EncodeEvent(kind, payload)
+	data, err := json.Marshal(payload)
 	if err != nil {
 		return err
 	}
-	if _, err := c.log.Append(rec); err != nil {
-		c.journalDead = true
-		return fmt.Errorf("storm: journal: %w", err)
-	}
-	c.records++
-	if c.records >= c.cfg.SnapshotEvery {
-		if err := c.snapshotLocked(); err != nil {
-			return err
-		}
-		c.records = 0
-	}
-	return nil
-}
-
-// recover opens the journal and replays it. Called from Open with no
-// lock held (the controller is not yet published).
-func (c *Controller) recover() error {
-	log, rec, err := journal.OpenLog(c.cfg.StateDir, journal.Options{
-		FailPoints: c.cfg.FailPoints,
-		Counters:   c.cfg.Counters,
-	})
-	if err != nil {
-		return fmt.Errorf("storm: open journal: %w", err)
-	}
-	c.log = log
-
-	c.mu.Lock()
-	c.replaying = true
-	rep := &Recovery{}
-	if len(rec.SnapshotData) > 0 {
-		if err := c.restoreSnapshotLocked(rec.SnapshotData); err != nil {
-			c.replaying = false
-			c.mu.Unlock()
-			return err
-		}
-		rep.FromSnapshot = true
-	}
-	for _, r := range rec.Records {
-		if err := c.replayLocked(r.Data); err != nil {
-			c.replaying = false
-			c.mu.Unlock()
-			return fmt.Errorf("storm: replay record %d: %w", r.Seq, err)
-		}
-		rep.Records++
-	}
-	rep.Classes = len(c.classes)
-	for _, cls := range c.classes {
-		rep.Sessions += len(cls.members)
-	}
-	c.mu.Unlock()
-
-	stormRep, err := c.ResumeOpenStorm()
-	if err != nil {
-		return err
-	}
-	if stormRep != nil {
-		rep.ResumedStorm = true
-		rep.Resumed = stormRep
-	}
-	c.rec = rep
-	return nil
+	return c.cfg.Sink(kind, data)
 }
 
 // ResumeOpenStorm finishes a storm whose begin record was replayed
@@ -218,24 +82,21 @@ func (c *Controller) recover() error {
 // with a journaled fan-out were restored verbatim during replay; the
 // remainder re-plan live here, in the recorded priority order, so the
 // resulting state is byte-identical to what the interrupted process
-// would have produced. Exported for embedded mode: the host calls it
-// after its own replay completes (the promoted follower's Reconcile).
-// Returns (nil, nil) when no storm was open.
+// would have produced. The host calls it after its own replay completes
+// (the promoted follower's Reconcile). Returns (nil, nil) when no storm
+// was open.
 func (c *Controller) ResumeOpenStorm() (*Report, error) {
 	c.mu.Lock()
 	open := c.openStorm
 	c.openStorm = nil
+	done := c.replayDone
+	c.replayDone = nil
 	if open == nil {
-		c.replaying = false
-		c.replayDone = nil
 		c.mu.Unlock()
 		return nil, nil
 	}
-	c.replaying = false
 	c.active = true
 	c.fanouts = 0
-	done := c.replayDone
-	c.replayDone = nil
 	var items []planItem
 	for _, key := range open.Classes {
 		if done[key] {
@@ -264,64 +125,15 @@ func (c *Controller) ResumeOpenStorm() (*Report, error) {
 	return stormRep, nil
 }
 
-// replayLocked applies one journal record.
-func (c *Controller) replayLocked(record []byte) error {
-	kind, data, err := journal.DecodeEvent(record)
-	if err != nil {
-		return err
-	}
-	return c.replayKindLocked(kind, data)
-}
-
-// ReplayRecord applies one record by kind — the embedded-mode replay
-// entry point. The host replays its WAL and hands the storm-kind
-// records back in order; after the last one it calls ResumeOpenStorm.
+// ReplayRecord applies one sink record by kind. The host replays its
+// WAL and hands the storm records back in order; after the last one it
+// calls ResumeOpenStorm.
 func (c *Controller) ReplayRecord(kind string, data json.RawMessage) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev := c.replaying
 	c.replaying = true
-	err := c.replayKindLocked(kind, data)
-	c.replaying = prev
-	return err
-}
-
-func (c *Controller) replayKindLocked(kind string, data json.RawMessage) error {
+	defer func() { c.replaying = false }()
 	switch kind {
-	case kindClass:
-		var spec ClassSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return err
-		}
-		_, err := c.addClassLocked(spec)
-		return err
-	case kindAttach:
-		var rec attachRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return err
-		}
-		if rec.ID != "" {
-			cls, ok := c.classes[rec.Key]
-			if !ok {
-				return fmt.Errorf("attach for unknown class %s", rec.Key)
-			}
-			c.attachOneLocked(cls, rec.ID)
-			return nil
-		}
-		_, err := c.attachLocked(rec.Key, rec.Count)
-		return err
-	case kindDetach:
-		var rec detachRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return err
-		}
-		return c.detachLocked(rec.ID)
-	case kindNetChange:
-		var rec netChangeRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return err
-		}
-		return c.replayNetChangeLocked(rec)
 	case kindStormBegin:
 		var rec beginRecord
 		if err := json.Unmarshal(data, &rec); err != nil {
@@ -358,6 +170,7 @@ func (c *Controller) replayKindLocked(kind string, data json.RawMessage) error {
 				Params: rec.Params, Satisfaction: rec.Satisfaction, Cost: rec.Cost,
 			}
 		}
+		c.dropHoldsLocked(cls, rec.Dropped)
 		c.applyPlanLocked(cls, res, rec.Degraded)
 		c.flights.class(rec.Storm, rec.Key, rec.Outcome, rec.Satisfaction, 0, true)
 		if c.replayDone != nil {
@@ -374,263 +187,6 @@ func (c *Controller) replayKindLocked(kind string, data json.RawMessage) error {
 		c.replayDone = nil
 		return nil
 	default:
-		return fmt.Errorf("unknown journal record kind %q", kind)
+		return fmt.Errorf("unknown storm record kind %q", kind)
 	}
-}
-
-// replayNetChangeLocked re-applies a reported link change to the fresh
-// region network and restores the pending/dirty bookkeeping.
-func (c *Controller) replayNetChangeLocked(rec netChangeRecord) error {
-	r, ok := c.regions[rec.Region]
-	if !ok {
-		return fmt.Errorf("netchange for unknown region %q", rec.Region)
-	}
-	var links []overlay.LinkRef
-	for _, lc := range rec.Links {
-		links = append(links, overlay.LinkRef{From: lc.From, To: lc.To})
-		if lc.Missing {
-			continue
-		}
-		if _, _, ok := r.Net.Capacity(lc.From, lc.To); !ok {
-			// The fresh topology lacks the link the live network had —
-			// reconstruct it rather than diverge.
-			r.Net.AddLink(lc.From, lc.To, lc.CapacityKbps, lc.DelayMs, lc.LossRate)
-		}
-		if err := r.Net.SetBandwidth(lc.From, lc.To, lc.CapacityKbps); err != nil {
-			return err
-		}
-		if lc.Down {
-			if !r.Net.LinkDown(lc.From, lc.To) {
-				if err := r.Net.FailLink(lc.From, lc.To); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if r.Net.LinkDown(lc.From, lc.To) {
-			if err := r.Net.RecoverLink(lc.From, lc.To); err != nil {
-				return err
-			}
-		}
-		if err := r.Net.SetLoss(lc.From, lc.To, lc.LossRate); err != nil {
-			return err
-		}
-		if err := r.Net.SetDelay(lc.From, lc.To, lc.DelayMs); err != nil {
-			return err
-		}
-	}
-	gen := r.Net.Generation()
-	for _, l := range links {
-		r.pending[l] = true
-		r.dirty[l] = gen
-	}
-	return nil
-}
-
-// Snapshot types: the full controller state, sufficient to rebuild
-// without the records that preceded it.
-type snapshot struct {
-	StormSeq int          `json:"stormSeq"`
-	Regions  []regionSnap `json:"regions"`
-	Classes  []classSnap  `json:"classes"`
-}
-
-type regionSnap struct {
-	Name      string            `json:"name"`
-	DownHosts []string          `json:"downHosts,omitempty"`
-	Links     []linkChange      `json:"links"`
-	Pending   []overlay.LinkRef `json:"pending,omitempty"`
-}
-
-type chainSnap struct {
-	Path         []graph.NodeID `json:"path"`
-	Formats      []media.Format `json:"formats"`
-	Params       media.Params   `json:"params,omitempty"`
-	Satisfaction float64        `json:"satisfaction"`
-	Cost         float64        `json:"cost"`
-}
-
-type memberSnap struct {
-	ID       string                `json:"id"`
-	Held     []overlay.Reservation `json:"held,omitempty"`
-	Degraded bool                  `json:"degraded,omitempty"`
-}
-
-type classSnap struct {
-	Spec     ClassSpec    `json:"spec"`
-	Chain    *chainSnap   `json:"chain,omitempty"`
-	Kbps     float64      `json:"kbps"`
-	Degraded bool         `json:"degraded"`
-	Members  []memberSnap `json:"members,omitempty"`
-}
-
-// snapshotLocked compacts the journal with a full-state snapshot.
-func (c *Controller) snapshotLocked() error {
-	snap := snapshot{StormSeq: c.stormSeq}
-	regionNames := make([]string, 0, len(c.regions))
-	for name := range c.regions {
-		regionNames = append(regionNames, name)
-	}
-	sort.Strings(regionNames)
-	for _, name := range regionNames {
-		r := c.regions[name]
-		rs := regionSnap{Name: name, DownHosts: r.Net.DownHosts(), Pending: sortLinks(r.pending)}
-		for _, ref := range regionLinks(r.Net) {
-			lc := linkChange{From: ref.From, To: ref.To}
-			lc.CapacityKbps, _, _ = r.Net.Capacity(ref.From, ref.To)
-			if _, delay, loss, ok := r.Net.Link(ref.From, ref.To); ok {
-				lc.DelayMs, lc.LossRate = delay, loss
-			}
-			lc.Down = r.Net.LinkDown(ref.From, ref.To)
-			rs.Links = append(rs.Links, lc)
-		}
-		snap.Regions = append(snap.Regions, rs)
-	}
-	for _, key := range c.order {
-		cls := c.classes[key]
-		cs := classSnap{Spec: cls.spec, Kbps: cls.kbps, Degraded: cls.degraded}
-		if cls.current != nil && cls.current.Found {
-			cs.Chain = &chainSnap{
-				Path: cls.current.Path, Formats: cls.current.Formats,
-				Params: cls.current.Params, Satisfaction: cls.current.Satisfaction,
-				Cost: cls.current.Cost,
-			}
-		}
-		for _, s := range cls.members {
-			cs.Members = append(cs.Members, memberSnap{ID: s.ID, Held: s.held, Degraded: s.degraded})
-		}
-		snap.Classes = append(snap.Classes, cs)
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	if err := c.log.Snapshot(data); err != nil {
-		c.journalDead = true
-		return fmt.Errorf("storm: snapshot: %w", err)
-	}
-	return nil
-}
-
-// restoreSnapshotLocked rebuilds the controller from a snapshot. Link
-// capacities are lifted while member holds re-reserve (a collapse may
-// have shrunk capacity below the standing reservations live), then
-// restored, then failed links and hosts re-failed.
-func (c *Controller) restoreSnapshotLocked(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("storm: decode snapshot: %w", err)
-	}
-	c.stormSeq = snap.StormSeq
-	const liftKbps = 1e15
-	for _, rs := range snap.Regions {
-		r, ok := c.regions[rs.Name]
-		if !ok {
-			return fmt.Errorf("storm: snapshot region %q not configured", rs.Name)
-		}
-		for _, lc := range rs.Links {
-			if _, _, ok := r.Net.Capacity(lc.From, lc.To); !ok {
-				r.Net.AddLink(lc.From, lc.To, lc.CapacityKbps, lc.DelayMs, lc.LossRate)
-			}
-			if err := r.Net.SetBandwidth(lc.From, lc.To, liftKbps); err != nil {
-				return err
-			}
-			if err := r.Net.SetLoss(lc.From, lc.To, lc.LossRate); err != nil {
-				return err
-			}
-			if err := r.Net.SetDelay(lc.From, lc.To, lc.DelayMs); err != nil {
-				return err
-			}
-		}
-	}
-	for _, cs := range snap.Classes {
-		r, ok := c.regions[cs.Spec.Region]
-		if !ok {
-			return fmt.Errorf("storm: snapshot class in unknown region %q", cs.Spec.Region)
-		}
-		prof, err := cs.Spec.User.SatisfactionProfile(cs.Spec.Contact)
-		if err != nil {
-			return err
-		}
-		cls := &Class{
-			spec:     cs.Spec,
-			key:      cs.Spec.Key(),
-			kbps:     cs.Kbps,
-			degraded: cs.Degraded,
-		}
-		cls.selcfg = core.Config{
-			Profile:           prof,
-			Budget:            cs.Spec.User.Budget,
-			ReceiverCaps:      cs.Spec.Device.RenderCaps(),
-			SatisfactionFloor: cs.Spec.Floor,
-		}
-		cls.in = graph.Input{
-			Content:      &cls.spec.Content,
-			Device:       &cls.spec.Device,
-			Services:     r.Services,
-			Net:          r.Net,
-			SenderHost:   r.SenderHost,
-			ReceiverHost: receiverHost(&r.Region, &cls.spec),
-		}
-		if cs.Chain != nil {
-			cls.current = &core.Result{
-				Found: true, Path: cs.Chain.Path, Formats: cs.Chain.Formats,
-				Params: cs.Chain.Params, Satisfaction: cs.Chain.Satisfaction,
-				Cost: cs.Chain.Cost,
-			}
-		}
-		// Members restore while capacities are lifted so the exact
-		// journaled holds re-reserve without capacity pushback.
-		for _, ms := range cs.Members {
-			s := &Session{ID: ms.ID, class: cls, degraded: ms.Degraded}
-			if len(ms.Held) > 0 {
-				hold := append([]overlay.Reservation(nil), ms.Held...)
-				if err := r.Net.ReserveChain(hold); err != nil {
-					return fmt.Errorf("storm: restore hold for %s: %w", ms.ID, err)
-				}
-				s.held = hold
-			}
-			cls.members = append(cls.members, s)
-			c.memberIdx[s.ID] = s
-		}
-		c.classes[cls.key] = cls
-		c.order = append(c.order, cls.key)
-	}
-	for _, rs := range snap.Regions {
-		r := c.regions[rs.Name]
-		for _, lc := range rs.Links {
-			if err := r.Net.SetBandwidth(lc.From, lc.To, lc.CapacityKbps); err != nil {
-				return err
-			}
-			if lc.Down && !r.Net.LinkDown(lc.From, lc.To) {
-				if err := r.Net.FailLink(lc.From, lc.To); err != nil {
-					return err
-				}
-			}
-		}
-		for _, host := range rs.DownHosts {
-			if !r.Net.HostDown(host) {
-				if err := r.Net.FailHost(host); err != nil {
-					return err
-				}
-			}
-		}
-		gen := r.Net.Generation()
-		for _, l := range rs.Pending {
-			r.pending[l] = true
-			r.dirty[l] = gen
-		}
-	}
-	return nil
-}
-
-// regionLinks enumerates every directed link of a network.
-func regionLinks(n *overlay.Network) []overlay.LinkRef {
-	set := make(map[overlay.LinkRef]bool)
-	for _, node := range n.Nodes() {
-		for _, ref := range n.LinksOf(node) {
-			set[ref] = true
-		}
-	}
-	return sortLinks(set)
 }

@@ -1,28 +1,49 @@
 package storm_test
 
-// Durability tests: journal replay round-trips the controller state
-// byte-for-byte, a crash mid-storm resumes to the same final state a
-// crash-free run reaches, and snapshots compact without changing
-// anything observable.
+// Durability tests: the storm records a controller hands its sink —
+// journaled here into a real write-ahead log, as the session manager
+// does — replay onto a freshly rebuilt controller to the byte-identical
+// live state, and a storm cut short mid-fan-out (a journal crash or the
+// halt crash site) resumes to the state a crash-free run reaches.
 
 import (
+	"encoding/json"
+	"errors"
 	"testing"
 
 	"qoschain/internal/journal"
 	"qoschain/internal/storm"
 )
 
-// buildDurable runs the canonical scenario against a durable controller
-// rooted at dir: two classes with members, a backbone collapse, one
-// storm. fp may arm journal crash sites; stormErr receives Storm's
-// error. The controller is returned still open.
-func buildDurable(t *testing.T, dir string, fp *journal.FailPoints) (*storm.Controller, storm.Region, error) {
+// sinkRecord wraps one storm record for the log.
+type sinkRecord struct {
+	Kind string          `json:"kind"`
+	Data json.RawMessage `json:"data"`
+}
+
+// walSink journals the controller's records into a write-ahead log at
+// dir; fp may arm journal crash sites.
+func walSink(t *testing.T, dir string, fp *journal.FailPoints) func(string, json.RawMessage) error {
 	t.Helper()
-	reg := buildRegion("r1", 80000)
-	c, err := storm.Open(storm.Config{StateDir: dir, FailPoints: fp}, []storm.Region{reg})
+	log, _, err := journal.OpenLog(dir, journal.Options{FailPoints: fp})
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("OpenLog: %v", err)
 	}
+	t.Cleanup(func() { log.Close() })
+	return func(kind string, data json.RawMessage) error {
+		rec, err := json.Marshal(sinkRecord{Kind: kind, Data: data})
+		if err != nil {
+			return err
+		}
+		_, err = log.Append(rec)
+		return err
+	}
+}
+
+// populate registers the canonical scenario's derived state: two
+// classes with six members each.
+func populate(t *testing.T, c *storm.Controller) {
+	t.Helper()
 	for _, ideal := range []float64{30, 24} {
 		cls, err := c.AddClass(classSpec("r1", ideal, 0.6))
 		if err != nil {
@@ -32,26 +53,63 @@ func buildDurable(t *testing.T, dir string, fp *journal.FailPoints) (*storm.Cont
 			t.Fatalf("Attach %.0f: %v", ideal, err)
 		}
 	}
+}
+
+// buildScenario runs the canonical scenario — populate, a backbone
+// collapse, one storm — on a controller built from cfg. stormErr is
+// Storm's error.
+func buildScenario(t *testing.T, cfg storm.Config) (c *storm.Controller, reg storm.Region, stormErr error) {
+	t.Helper()
+	reg = buildRegion("r1", 80000)
+	c, err := storm.Open(cfg, []storm.Region{reg})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	populate(t, c)
 	collapse(t, c, reg, 0.5)
-	_, stormErr := c.Storm()
+	_, stormErr = c.Storm()
 	return c, reg, stormErr
 }
 
-// reopen restores the journal at dir onto a fresh, pre-fault region —
-// the same way a restarted process would come back up.
-func reopen(t *testing.T, dir string) (*storm.Controller, storm.Region) {
+// replay recovers the log at dir the way the session manager does on
+// restart: rebuild the derived state on a fresh, pre-fault region,
+// re-apply the collapse, hand the surviving storm records back in
+// order, then finish any storm the log left open. kinds lists the
+// replayed records.
+func replay(t *testing.T, dir string) (c *storm.Controller, reg storm.Region, resumed *storm.Report, kinds []string) {
 	t.Helper()
-	reg := buildRegion("r1", 80000)
-	c, err := storm.Open(storm.Config{StateDir: dir}, []storm.Region{reg})
+	log, rec, err := journal.OpenLog(dir, journal.Options{})
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
+		t.Fatalf("reopen log: %v", err)
 	}
-	return c, reg
+	defer log.Close()
+	reg = buildRegion("r1", 80000)
+	c, err = storm.Open(storm.Config{}, []storm.Region{reg})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	populate(t, c)
+	collapse(t, c, reg, 0.5)
+	for _, r := range rec.Records {
+		var sr sinkRecord
+		if err := json.Unmarshal(r.Data, &sr); err != nil {
+			t.Fatalf("record %d: %v", r.Seq, err)
+		}
+		if err := c.ReplayRecord(sr.Kind, sr.Data); err != nil {
+			t.Fatalf("ReplayRecord %d (%s): %v", r.Seq, sr.Kind, err)
+		}
+		kinds = append(kinds, sr.Kind)
+	}
+	resumed, err = c.ResumeOpenStorm()
+	if err != nil {
+		t.Fatalf("ResumeOpenStorm: %v", err)
+	}
+	return c, reg, resumed, kinds
 }
 
 func TestJournalReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c, reg, err := buildDurable(t, dir, nil)
+	c, reg, err := buildScenario(t, storm.Config{Sink: walSink(t, dir, nil)})
 	if err != nil {
 		t.Fatalf("Storm: %v", err)
 	}
@@ -60,18 +118,23 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 		t.Fatalf("Fingerprint: %v", err)
 	}
 	wantReserved := reg.Net.TotalReservedKbps()
-	if err := c.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 
-	c2, reg2 := reopen(t, dir)
-	defer c2.Close()
-	rec := c2.Recovery()
-	if rec == nil || rec.Records == 0 {
-		t.Fatalf("Recovery() = %+v, want replayed records", rec)
+	c2, reg2, resumed, kinds := replay(t, dir)
+	// Only the fan-out records reach the sink: one begin, one record per
+	// affected class, one end.
+	if n := len(kinds); n < 3 || kinds[0] != "storm-begin" || kinds[n-1] != "storm-end" {
+		t.Fatalf("journaled records = %v, want storm-begin, storm-class..., storm-end", kinds)
 	}
-	if rec.Classes != 2 || rec.Sessions != 12 {
-		t.Fatalf("recovered %d classes / %d sessions, want 2 / 12", rec.Classes, rec.Sessions)
+	for _, kind := range kinds[1 : len(kinds)-1] {
+		if kind != "storm-class" {
+			t.Fatalf("journaled records = %v, want only storm-class between begin and end", kinds)
+		}
+	}
+	if resumed != nil {
+		t.Fatalf("a closed storm resumed: %+v", resumed)
+	}
+	if c2.Classes() != 2 || c2.Sessions() != 12 {
+		t.Fatalf("replayed %d classes / %d sessions, want 2 / 12", c2.Classes(), c2.Sessions())
 	}
 	got, err := c2.Fingerprint()
 	if err != nil {
@@ -90,8 +153,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 
 func TestCrashMidStormResumes(t *testing.T) {
 	// Control: the same scenario with no crash.
-	controlDir := t.TempDir()
-	control, _, err := buildDurable(t, controlDir, nil)
+	control, _, err := buildScenario(t, storm.Config{})
 	if err != nil {
 		t.Fatalf("control Storm: %v", err)
 	}
@@ -99,36 +161,39 @@ func TestCrashMidStormResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("control Fingerprint: %v", err)
 	}
-	control.Close()
 
-	// Crash run: kill the journal on its first storm-class append. The
-	// setup writes 2 class + 2 attach + 1 netchange + 1 storm-begin
-	// records, so the 7th append is the first class fan-out.
-	for _, point := range []journal.FailPoint{journal.FPAppend, journal.FPTornAppend} {
-		t.Run(string(point), func(t *testing.T) {
+	// The journal failpoints kill the log on its second append — the
+	// first class fan-out after the storm-begin — so the fan-out never
+	// becomes durable; the halt crash site dies right after that fan-out
+	// is journaled.
+	for _, tc := range []struct {
+		point journal.FailPoint
+		halt  int
+	}{
+		{point: journal.FPAppend},
+		{point: journal.FPTornAppend},
+		{point: "halt", halt: 1},
+	} {
+		t.Run(string(tc.point), func(t *testing.T) {
 			dir := t.TempDir()
 			fp := journal.NewFailPoints()
-			fp.Arm(point, 7)
-			c, reg, stormErr := buildDurable(t, dir, fp)
-			if stormErr == nil {
-				t.Fatal("Storm survived an armed journal crash")
+			if tc.halt == 0 {
+				fp.Arm(tc.point, 2)
 			}
-			if !journal.IsCrash(stormErr) {
+			c, reg, stormErr := buildScenario(t, storm.Config{Sink: walSink(t, dir, fp), HaltAfterFanouts: tc.halt})
+			switch {
+			case tc.halt > 0 && !errors.Is(stormErr, storm.ErrHalted):
+				t.Fatalf("Storm error = %v, want ErrHalted", stormErr)
+			case tc.halt == 0 && !journal.IsCrash(stormErr):
 				t.Fatalf("Storm error = %v, want a journal crash", stormErr)
 			}
 			if d := leak(c, reg); d != 0 {
 				t.Fatalf("leak at crash point: %.3f kbps", d)
 			}
-			c.Close()
 
-			c2, reg2 := reopen(t, dir)
-			defer c2.Close()
-			rec := c2.Recovery()
-			if rec == nil || !rec.ResumedStorm || rec.Resumed == nil {
-				t.Fatalf("Recovery() = %+v, want a resumed storm", rec)
-			}
-			if !rec.Resumed.Resumed {
-				t.Fatal("resumed report not marked Resumed")
+			c2, reg2, resumed, _ := replay(t, dir)
+			if resumed == nil || !resumed.Resumed {
+				t.Fatalf("ResumeOpenStorm = %+v, want a resumed storm", resumed)
 			}
 			got, err := c2.Fingerprint()
 			if err != nil {
@@ -141,54 +206,5 @@ func TestCrashMidStormResumes(t *testing.T) {
 				t.Fatalf("leak after resume: %.3f kbps", d)
 			}
 		})
-	}
-}
-
-func TestSnapshotCompaction(t *testing.T) {
-	dir := t.TempDir()
-	reg := buildRegion("r1", 200000)
-	c, err := storm.Open(storm.Config{StateDir: dir, SnapshotEvery: 4}, []storm.Region{reg})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	// Enough commands to cross several snapshot boundaries.
-	for i, ideal := range []float64{30, 28, 26, 24, 22, 20} {
-		cls, err := c.AddClass(classSpec("r1", ideal, 0.55))
-		if err != nil {
-			t.Fatalf("AddClass %d: %v", i, err)
-		}
-		if _, err := c.Attach(cls.Key(), 3); err != nil {
-			t.Fatalf("Attach %d: %v", i, err)
-		}
-	}
-	collapse(t, c, reg, 0.5)
-	if _, err := c.Storm(); err != nil {
-		t.Fatalf("Storm: %v", err)
-	}
-	want, err := c.Fingerprint()
-	if err != nil {
-		t.Fatalf("Fingerprint: %v", err)
-	}
-	c.Close()
-
-	reg2 := buildRegion("r1", 200000)
-	c2, err := storm.Open(storm.Config{StateDir: dir, SnapshotEvery: 4}, []storm.Region{reg2})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer c2.Close()
-	rec := c2.Recovery()
-	if rec == nil || !rec.FromSnapshot {
-		t.Fatalf("Recovery() = %+v, want snapshot-based restart", rec)
-	}
-	got, err := c2.Fingerprint()
-	if err != nil {
-		t.Fatalf("Fingerprint after snapshot restore: %v", err)
-	}
-	if got != want {
-		t.Fatalf("snapshot restore differs\nlive:     %s\nrestored: %s", want, got)
-	}
-	if d := leak(c2, reg2); d != 0 {
-		t.Fatalf("leak after snapshot restore: %.3f kbps", d)
 	}
 }

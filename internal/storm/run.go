@@ -221,10 +221,8 @@ func (c *Controller) execute(seq, totalLinks int, items []planItem, resumed bool
 		return nil, err
 	}
 	c.flights.end(seq, false)
-	if !c.replaying {
-		c.cfg.Counters.Inc(metrics.CounterStormEvents)
-		c.cfg.Counters.Add(metrics.CounterStormClasses, int64(rep.AffectedClasses))
-	}
+	c.cfg.Counters.Inc(metrics.CounterStormEvents)
+	c.cfg.Counters.Add(metrics.CounterStormClasses, int64(rep.AffectedClasses))
 	return rep, nil
 }
 
@@ -306,6 +304,13 @@ func sortItems(items []planItem) {
 // (graph.Cache.BuildRepair). Called with c.mu held.
 func (c *Controller) repairLocked(cls *Class) (*graph.Graph, error) {
 	r := c.regions[cls.spec.Region]
+	if cls.svcGen != r.svcGen {
+		// A service fault changed the region's pool since the class last
+		// planned: re-derive its alive services (a new cache key, so the
+		// build below starts fresh).
+		cls.in.Services = r.services()
+		cls.svcGen = r.svcGen
+	}
 	gen := r.Net.Generation()
 	var diff []overlay.LinkRef
 	for l, at := range r.dirty {
@@ -383,9 +388,7 @@ func (c *Controller) partition(items []planItem) [][]planItem {
 func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 	cls := it.cls
 	planStart := now()
-	if !c.replaying {
-		c.cfg.Counters.Observe(metrics.SampleStormQueueDepth, float64(c.lane.Stats().QueueLen))
-	}
+	c.cfg.Counters.Observe(metrics.SampleStormQueueDepth, float64(c.lane.Stats().QueueLen))
 	release, err := c.lane.Acquire(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("storm: admission lane: %w", err)
@@ -400,16 +403,14 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 	c.mu.Lock()
 	saved := c.releaseMembersLocked(cls)
 	g, err := c.repairLocked(cls)
-	c.restoreMembersLocked(cls, saved)
+	dropped := c.restoreMembersLocked(cls, saved)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("storm: class %s: %w", cls.key, err)
 	}
 
 	res, selErr := core.Select(g, cls.selcfg)
-	if !c.replaying {
-		c.cfg.Counters.Inc(metrics.CounterStormSelectCalls)
-	}
+	c.cfg.Counters.Inc(metrics.CounterStormSelectCalls)
 	degraded := false
 	switch {
 	case selErr == nil:
@@ -429,7 +430,7 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 	out.Gap = it.gap
 	rec := classRecord{
 		Storm: seq, Key: cls.key, Outcome: out.Outcome,
-		Degraded: cls.degraded, Kbps: cls.kbps,
+		Degraded: cls.degraded, Kbps: cls.kbps, Dropped: dropped,
 	}
 	if res != nil {
 		rec.Found = res.Found
@@ -444,7 +445,7 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 	}
 	c.flights.class(seq, cls.key, out.Outcome, out.Satisfaction, ms(now().Sub(planStart)), false)
 	c.fanouts++
-	if c.cfg.HaltAfterFanouts > 0 && c.fanouts >= c.cfg.HaltAfterFanouts && !c.replaying {
+	if c.cfg.HaltAfterFanouts > 0 && c.fanouts >= c.cfg.HaltAfterFanouts {
 		// The fan-out above is journaled; dying here leaves begin + the
 		// completed class records and no end — the mid-storm crash state.
 		return nil, ErrHalted
@@ -453,7 +454,7 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 }
 
 // ReplanClass runs a single-class storm outside a fault event — the
-// embedded mode's manual re-evaluation path. The class re-plans against
+// session manager's manual re-evaluation path. The class re-plans against
 // its repaired graph and fans out exactly like a storm of one, sharing
 // the journal format so a crash mid-replan resumes identically.
 func (c *Controller) ReplanClass(key string) (*Report, error) {
@@ -493,7 +494,8 @@ func (c *Controller) ReplanClass(key string) (*Report, error) {
 }
 
 // releaseMembersLocked lifts every member's hold off the overlay,
-// returning the holds for exact restoration.
+// returning the holds for exact restoration. Non-reserving members hold
+// nothing and are skipped here and in restoreMembersLocked.
 func (c *Controller) releaseMembersLocked(cls *Class) [][]overlay.Reservation {
 	r := c.regions[cls.spec.Region]
 	saved := make([][]overlay.Reservation, len(cls.members))
@@ -507,11 +509,14 @@ func (c *Controller) releaseMembersLocked(cls *Class) [][]overlay.Reservation {
 }
 
 // restoreMembersLocked re-reserves the holds releaseMembersLocked
-// lifted. Restoration can only fail when the event took a held link
-// down entirely; such a member loses its hold (it was dead bandwidth)
-// and is marked degraded — the accounting stays exact either way.
-func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservation) {
+// lifted. Restoration fails when the event took a held link down or
+// shrank it below the standing holds; such a member loses its hold (it
+// was dead bandwidth) and is marked degraded — the accounting stays
+// exact either way. It returns the members that lost their hold, which
+// the class's fan-out record carries so replay drops the same holds.
+func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservation) []string {
 	r := c.regions[cls.spec.Region]
+	var dropped []string
 	for i, hold := range saved {
 		if len(hold) == 0 {
 			continue
@@ -519,7 +524,24 @@ func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservat
 		if err := r.Net.ReserveChain(hold); err != nil {
 			cls.members[i].held = nil
 			cls.members[i].degraded = true
+			dropped = append(dropped, cls.members[i].ID)
 		}
+	}
+	return dropped
+}
+
+// dropHoldsLocked replays restoreMembersLocked's losses: each named
+// member's hold is released and the member marked degraded.
+func (c *Controller) dropHoldsLocked(cls *Class, ids []string) {
+	r := c.regions[cls.spec.Region]
+	for _, id := range ids {
+		s, ok := c.memberIdx[id]
+		if !ok || s.class != cls {
+			continue
+		}
+		r.Net.ReleaseChain(s.held)
+		s.held = nil
+		s.degraded = true
 	}
 }
 
@@ -606,17 +628,21 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 	r := c.regions[cls.spec.Region]
 	newHolds := c.chainReservations(cls)
 	for _, s := range cls.members {
-		hold := append([]overlay.Reservation(nil), newHolds...)
-		if err := r.Net.SwapChain(s.held, hold); err != nil {
-			// Atomicity: the swap released nothing and acquired
-			// nothing; the member keeps its old chain, degraded.
-			s.degraded = true
-			out.SwapFailed++
-			continue
+		// A non-reserving member holds nothing: it just rides the new
+		// chain.
+		if s.reserve {
+			hold := append([]overlay.Reservation(nil), newHolds...)
+			if err := r.Net.SwapChain(s.held, hold); err != nil {
+				// Atomicity: the swap released nothing and acquired
+				// nothing; the member keeps its old chain, degraded.
+				s.degraded = true
+				out.SwapFailed++
+				continue
+			}
+			c.markDirtyLocked(r, s.held)
+			c.markDirtyLocked(r, hold)
+			s.held = hold
 		}
-		c.markDirtyLocked(r, s.held)
-		c.markDirtyLocked(r, hold)
-		s.held = hold
 		s.degraded = degraded
 		s.swaps++
 		if !c.replaying {

@@ -22,17 +22,17 @@
 //     class the best below-floor chain is adopted (core.ErrBelowFloor);
 //     when no chain exists at all, members keep their old holds rather
 //     than being dropped.
-//   - Crash safety: classes, attachments, network changes and per-class
-//     fan-outs are journaled through the hash-chained WAL
-//     (internal/journal). A crash mid-storm replays to a consistent
-//     state and finishes the interrupted storm: fanned-out classes are
-//     restored from their journal records, the remainder re-planned in
-//     the recorded priority order.
+//   - Crash safety: every per-class fan-out is journaled through the
+//     embedding host's WAL (Config.Sink, see journal.go). A crash
+//     mid-storm replays to a consistent state and finishes the
+//     interrupted storm: fanned-out classes are restored from their
+//     records, the remainder re-planned in the recorded priority order.
 //
 // The controller owns every reservation it manages: all mutations of a
 // region's overlay must either go through the controller or be reported
-// to it via OnLinkChange, which is what keeps the incremental-repair
-// bookkeeping (the per-region dirty-link map) complete.
+// to it via NotePending (or SetServiceDown for the region's service
+// pool), which is what keeps the incremental-repair bookkeeping (the
+// per-region dirty-link map) complete.
 package storm
 
 import (
@@ -48,7 +48,6 @@ import (
 	"qoschain/internal/core"
 	"qoschain/internal/fault"
 	"qoschain/internal/graph"
-	"qoschain/internal/journal"
 	"qoschain/internal/media"
 	"qoschain/internal/metrics"
 	"qoschain/internal/overlay"
@@ -59,8 +58,8 @@ import (
 // Region is one overlay deployment the controller plans within: its
 // live network, its deployed services, and the hosts the endpoints sit
 // on. Regions are infrastructure, not journaled state — the embedder
-// reconstructs them (fresh topology) and passes them to Open, which
-// replays journaled mutations on top.
+// reconstructs them (fresh topology) on replay, before its own
+// commands re-apply the mutations on top.
 type Region struct {
 	Name         string
 	Net          *overlay.Network
@@ -71,12 +70,6 @@ type Region struct {
 
 // Config assembles a Controller.
 type Config struct {
-	// StateDir, when non-empty, makes the controller durable: every
-	// command and storm fan-out is journaled there and replayed by Open.
-	StateDir string
-	// SnapshotEvery compacts the journal every that many records.
-	// Default 512.
-	SnapshotEvery int
 	// LaneCapacity bounds concurrently re-planning classes — the storm
 	// admission lane. Default 2.
 	LaneCapacity int
@@ -96,18 +89,13 @@ type Config struct {
 	// Counters receives storm.* and admission metrics; nil is a no-op
 	// sink.
 	Counters *metrics.Counters
-	// FailPoints injects deterministic journal crash sites; nil
-	// disables.
-	FailPoints *journal.FailPoints
-	// Sink, when set, embeds the controller inside a host that owns the
-	// write-ahead log (the session manager): instead of appending to its
-	// own journal the controller hands each storm fan-out record —
-	// storm-begin, storm-class, storm-end — to the sink, which is
-	// expected to journal it and replay it back through ReplayRecord on
-	// recovery. Class, attach, detach and netchange records are NOT
-	// forwarded: in embedded mode they are derived state, reconstructed
-	// by the host replaying its own create/fault/delete commands.
-	// Mutually exclusive with StateDir.
+	// Sink, when set, journals the controller's storm fan-out records —
+	// storm-begin, storm-class, storm-end — in the embedding host's
+	// write-ahead log (the session manager); the host replays them back
+	// through ReplayRecord on recovery. Classes, attachments and link
+	// changes are derived state the host reconstructs by replaying its
+	// own create/fault/delete commands. Nil keeps the controller
+	// in-memory.
 	Sink func(kind string, data json.RawMessage) error
 	// HaltAfterFanouts, when > 0, aborts a storm with ErrHalted after
 	// that many class fan-outs have been journaled — a deterministic
@@ -164,6 +152,10 @@ type Class struct {
 	degraded bool
 	members  []*Session
 
+	// svcGen is the region service-set generation cls.in.Services was
+	// derived at; a service fault bumps the region's and the class
+	// re-derives its alive services before the next Select.
+	svcGen uint64
 	// repairGen is the region-net generation the class's cached graph
 	// was last annotated at; links dirtied after it must be repaired
 	// before the next Select.
@@ -196,10 +188,12 @@ func (c *Class) Satisfaction() float64 {
 func (c *Class) Degraded() bool { return c.degraded }
 
 // Session is one class member: its identity and the chain hold it
-// currently owns on the region overlay.
+// currently owns on the region overlay. A non-reserving member rides
+// the class chain without holding bandwidth.
 type Session struct {
 	ID       string
 	class    *Class
+	reserve  bool
 	held     []overlay.Reservation
 	degraded bool
 	swaps    int // successful chain swaps fanned out to this member
@@ -209,6 +203,10 @@ type Session struct {
 type region struct {
 	Region
 	hostOf map[service.ID]string
+	// pool is the region's live service directory; svcGen counts its
+	// changes (see Class.svcGen).
+	pool   *fault.ServiceSet
+	svcGen uint64
 	// dirty maps each link to the net generation it last changed at —
 	// the incremental-repair bookkeeping. A class whose repairGen is
 	// older than a link's entry must have that link's edges repaired
@@ -225,13 +223,11 @@ type Controller struct {
 	cfg     Config
 	cache   *graph.Cache
 	lane    *admission.Limiter
-	log     *journal.Log
-	rec     *Recovery
 	regions map[string]*region
 	classes map[string]*Class
 	order   []string // class keys in creation order (deterministic walks)
 	// memberIdx resolves a member session ID to its Session across all
-	// classes — the lookup the embedded (daemon) mode uses for detach
+	// classes — the lookup the session manager uses for detach
 	// and per-session state.
 	memberIdx map[string]*Session
 
@@ -248,23 +244,14 @@ type Controller struct {
 	naiveChecks     int
 	naiveMismatches int
 	lastReport      *Report
-	records         int // journal records since last snapshot
 	replaying       bool
 	openStorm       *beginRecord // begin seen without end during replay
 	replayDone      map[string]bool
-	journalDead     bool // a journal append failed; durability is lost
 }
 
-// Open builds a controller over the given regions and, when
-// Config.StateDir is set, replays its journal: classes are re-planned,
-// attachments re-reserved, network changes re-applied and completed
-// fan-outs restored, all in command order, so the controller resumes
-// exactly where it crashed. An interrupted storm (begin without end) is
-// finished before Open returns.
+// Open builds an in-memory controller over the given regions; more
+// regions may register later through EnsureRegion.
 func Open(cfg Config, regions []Region) (*Controller, error) {
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 512
-	}
 	if cfg.LaneCapacity <= 0 {
 		cfg.LaneCapacity = 2
 	}
@@ -273,9 +260,6 @@ func Open(cfg Config, regions []Region) (*Controller, error) {
 	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 64
-	}
-	if cfg.StateDir != "" && cfg.Sink != nil {
-		return nil, fmt.Errorf("storm: StateDir and Sink are mutually exclusive")
 	}
 	c := &Controller{
 		cfg:       cfg,
@@ -287,11 +271,6 @@ func Open(cfg Config, regions []Region) (*Controller, error) {
 	}
 	for _, r := range regions {
 		if err := c.addRegionLocked(r); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.StateDir != "" {
-		if err := c.recover(); err != nil {
 			return nil, err
 		}
 	}
@@ -312,6 +291,7 @@ func (c *Controller) addRegionLocked(r Region) error {
 	c.regions[r.Name] = &region{
 		Region:  r,
 		hostOf:  hostOf,
+		pool:    fault.NewServiceSet(r.Services),
 		dirty:   make(map[overlay.LinkRef]uint64),
 		pending: make(map[overlay.LinkRef]bool),
 	}
@@ -321,8 +301,8 @@ func (c *Controller) addRegionLocked(r Region) error {
 // EnsureRegion registers a region at runtime; a region with the same
 // name already registered is left untouched (the daemon derives regions
 // from session profiles, so the same region arrives once per session).
-// Regions are infrastructure, never journaled — in embedded mode the
-// host re-derives them during its own replay.
+// Regions are infrastructure, never journaled — the host re-derives
+// them during its own replay.
 func (c *Controller) EnsureRegion(r Region) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -363,23 +343,35 @@ func (c *Controller) RegionNet(name string) *overlay.Network {
 	return nil
 }
 
-// Close closes the journal. The controller must not be used afterwards.
-func (c *Controller) Close() error {
+// RegionServices returns a region's live service directory (nil when
+// unknown) — what the daemon reports as a session's down services.
+func (c *Controller) RegionServices(name string) *fault.ServiceSet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.log != nil {
-		err := c.log.Close()
-		c.log = nil
-		return err
+	if r, ok := c.regions[name]; ok {
+		return r.pool
 	}
 	return nil
 }
 
-// Recovery reports what Open replayed; nil for a fresh store.
-func (c *Controller) Recovery() *Recovery {
+// SetServiceDown (de)registers one service in a region's pool and
+// marks its host's links pending, so the next storm re-plans every
+// class whose chain runs through the host (and gives degraded classes
+// their recovery chance). Classes re-derive their alive services lazily,
+// before their next Select.
+func (c *Controller) SetServiceDown(regionName string, id service.ID, down bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.rec
+	r, ok := c.regions[regionName]
+	if !ok {
+		return fmt.Errorf("storm: unknown region %q", regionName)
+	}
+	r.pool.SetServiceDown(id, down)
+	r.svcGen++
+	if host, ok := r.hostOf[id]; ok {
+		notePendingLocked(r, r.Net.LinksOf(host))
+	}
+	return nil
 }
 
 // AddClass registers and plans one equivalence class: the class graph
@@ -389,14 +381,7 @@ func (c *Controller) Recovery() *Recovery {
 func (c *Controller) AddClass(spec ClassSpec) (*Class, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cls, err := c.addClassLocked(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.journalLocked(kindClass, spec); err != nil {
-		return nil, err
-	}
-	return cls, nil
+	return c.addClassLocked(spec)
 }
 
 func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
@@ -425,7 +410,7 @@ func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
 	cls.in = graph.Input{
 		Content:      &cls.spec.Content,
 		Device:       &cls.spec.Device,
-		Services:     r.Services,
+		Services:     r.services(),
 		Net:          r.Net,
 		SenderHost:   r.SenderHost,
 		ReceiverHost: receiverHost(&r.Region, &cls.spec),
@@ -446,6 +431,7 @@ func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
 	cls.current = res
 	cls.kbps = requiredKbps(cls.selcfg, res)
 	cls.repairGen = gen
+	cls.svcGen = r.svcGen
 	c.classes[key] = cls
 	c.order = append(c.order, key)
 	return cls, nil
@@ -475,9 +461,6 @@ func (c *Controller) EnsureClass(spec ClassSpec) (*Class, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.journalLocked(kindClass, spec); err != nil {
-		return nil, err
-	}
 	c.refreshGaugesLocked()
 	return cls, nil
 }
@@ -490,18 +473,6 @@ func (c *Controller) EnsureClass(spec ClassSpec) (*Class, error) {
 func (c *Controller) Attach(key string, n int) ([]*Session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ss, err := c.attachLocked(key, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.journalLocked(kindAttach, attachRecord{Key: key, Count: n}); err != nil {
-		return nil, err
-	}
-	c.refreshGaugesLocked()
-	return ss, nil
-}
-
-func (c *Controller) attachLocked(key string, n int) ([]*Session, error) {
 	cls, ok := c.classes[key]
 	if !ok {
 		return nil, fmt.Errorf("storm: unknown class %s", key)
@@ -511,19 +482,19 @@ func (c *Controller) attachLocked(key string, n int) ([]*Session, error) {
 	}
 	out := make([]*Session, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, c.attachOneLocked(cls, fmt.Sprintf("%s#%d", key, len(cls.members))))
+		out = append(out, c.attachOneLocked(cls, fmt.Sprintf("%s#%d", key, len(cls.members)), true))
 	}
+	c.refreshGaugesLocked()
 	return out, nil
 }
 
-// attachOneLocked attaches a single member with the given ID and
-// reserves the class chain for it; a refused reservation degrades the
-// member instead of rejecting it.
-func (c *Controller) attachOneLocked(cls *Class, id string) *Session {
+// attachOneLocked attaches a single member with the given ID and, when
+// reserve is set, reserves the class chain for it; a refused
+// reservation degrades the member instead of rejecting it.
+func (c *Controller) attachOneLocked(cls *Class, id string, reserve bool) *Session {
 	r := c.regions[cls.spec.Region]
-	rs := c.chainReservations(cls)
-	s := &Session{ID: id, class: cls, degraded: cls.degraded}
-	if len(rs) > 0 {
+	s := &Session{ID: id, class: cls, reserve: reserve, degraded: cls.degraded}
+	if rs := c.chainReservations(cls); reserve && len(rs) > 0 {
 		hold := append([]overlay.Reservation(nil), rs...)
 		if err := r.Net.ReserveChain(hold); err == nil {
 			s.held = hold
@@ -540,8 +511,9 @@ func (c *Controller) attachOneLocked(cls *Class, id string) *Session {
 
 // AttachSession attaches one member with a caller-chosen ID — the
 // daemon's session ID, so the storm tier and the session manager agree
-// on identity. The attachment is journaled with the explicit ID.
-func (c *Controller) AttachSession(key, id string) (*Session, error) {
+// on identity. reserve selects whether the member holds the class
+// chain's bandwidth on the region overlay.
+func (c *Controller) AttachSession(key, id string, reserve bool) (*Session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cls, ok := c.classes[key]
@@ -554,14 +526,9 @@ func (c *Controller) AttachSession(key, id string) (*Session, error) {
 	if _, dup := c.memberIdx[id]; dup {
 		return nil, fmt.Errorf("storm: duplicate member %s", id)
 	}
-	s := c.attachOneLocked(cls, id)
-	if err := c.journalLocked(kindAttach, attachRecord{Key: key, Count: 1, ID: id}); err != nil {
-		return nil, err
-	}
+	s := c.attachOneLocked(cls, id, reserve)
 	c.refreshGaugesLocked()
-	if cc := c.cfg.Counters; cc != nil && !c.replaying {
-		cc.Observe(metrics.SampleStormMembersPerClass, float64(len(cls.members)))
-	}
+	c.cfg.Counters.Observe(metrics.SampleStormMembersPerClass, float64(len(cls.members)))
 	return s, nil
 }
 
@@ -571,17 +538,6 @@ func (c *Controller) AttachSession(key, id string) (*Session, error) {
 func (c *Controller) DetachSession(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.detachLocked(id); err != nil {
-		return err
-	}
-	if err := c.journalLocked(kindDetach, detachRecord{ID: id}); err != nil {
-		return err
-	}
-	c.refreshGaugesLocked()
-	return nil
-}
-
-func (c *Controller) detachLocked(id string) error {
 	s, ok := c.memberIdx[id]
 	if !ok {
 		return fmt.Errorf("storm: unknown member %s", id)
@@ -601,6 +557,7 @@ func (c *Controller) detachLocked(id string) error {
 	}
 	delete(c.memberIdx, id)
 	c.qosPublishLocked()
+	c.refreshGaugesLocked()
 	return nil
 }
 
@@ -649,10 +606,11 @@ func (c *Controller) MemberState(id string) (MemberView, bool) {
 	return v, true
 }
 
-// NotePending marks a changed-link set pending+dirty without journaling
-// it — the embedded mode's variant of OnLinkChange, used when the host
-// already journals the fault that caused the change and re-derives the
-// link set during its own replay.
+// NotePending reports that an external event (fault injection, a real
+// network monitor) changed the QoS of the given links in a region. The
+// links are marked pending for the next Storm and dirty for graph
+// repair. Nothing is journaled: the host journals the event that caused
+// the change and re-derives the link set during its own replay.
 func (c *Controller) NotePending(regionName string, links []overlay.LinkRef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -660,22 +618,32 @@ func (c *Controller) NotePending(regionName string, links []overlay.LinkRef) err
 	if !ok {
 		return fmt.Errorf("storm: unknown region %q", regionName)
 	}
-	if len(links) == 0 {
-		return nil
-	}
+	notePendingLocked(r, links)
+	return nil
+}
+
+func notePendingLocked(r *region, links []overlay.LinkRef) {
 	gen := r.Net.Generation()
 	for _, l := range links {
 		r.pending[l] = true
 		r.dirty[l] = gen
 	}
-	return nil
+}
+
+// services returns the region's alive services — the declared list
+// itself until a service fault first changes the pool.
+func (r *region) services() []*service.Service {
+	if r.svcGen == 0 {
+		return r.Services
+	}
+	return r.pool.Alive()
 }
 
 // refreshGaugesLocked re-publishes the class-skew gauge: how many
 // classes currently have at least one attached member.
 func (c *Controller) refreshGaugesLocked() {
 	cc := c.cfg.Counters
-	if cc == nil || c.replaying {
+	if cc == nil {
 		return
 	}
 	attached := 0
@@ -732,49 +700,6 @@ func (c *Controller) markDirtyLocked(r *region, rs []overlay.Reservation) {
 	}
 }
 
-// OnLinkChange reports that an external event (fault injection, a real
-// network monitor) changed the QoS of the given links in a region. The
-// links are marked pending for the next Storm and dirty for graph
-// repair, and the post-change link state is journaled so recovery can
-// re-apply it to a freshly built region.
-func (c *Controller) OnLinkChange(regionName string, links []overlay.LinkRef) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.regions[regionName]
-	if !ok {
-		return fmt.Errorf("storm: unknown region %q", regionName)
-	}
-	if len(links) == 0 {
-		return nil
-	}
-	rec := c.noteLinkChangeLocked(r, links)
-	return c.journalLocked(kindNetChange, rec)
-}
-
-// noteLinkChangeLocked marks the links pending+dirty and captures their
-// post-change state for the journal.
-func (c *Controller) noteLinkChangeLocked(r *region, links []overlay.LinkRef) netChangeRecord {
-	gen := r.Net.Generation()
-	rec := netChangeRecord{Region: r.Name, Links: make([]linkChange, 0, len(links))}
-	for _, l := range links {
-		r.pending[l] = true
-		r.dirty[l] = gen
-		lc := linkChange{From: l.From, To: l.To}
-		if capacity, _, ok := r.Net.Capacity(l.From, l.To); ok {
-			lc.CapacityKbps = capacity
-		} else {
-			lc.Missing = true
-		}
-		if _, delay, loss, ok := r.Net.Link(l.From, l.To); ok {
-			lc.DelayMs, lc.LossRate = delay, loss
-		} else {
-			lc.Down = true
-		}
-		rec.Links = append(rec.Links, lc)
-	}
-	return rec
-}
-
 // OnFaults is the fault-injection adapter: it reduces a batch of fired
 // faults to their changed-link set (fault.ChangedLinks) and reports it
 // for the region. The returned count is how many links changed.
@@ -786,10 +711,7 @@ func (c *Controller) OnFaults(regionName string, fired []fault.Fault) (int, erro
 		return 0, fmt.Errorf("storm: unknown region %q", regionName)
 	}
 	links := fault.ChangedLinks(fired, r.Net)
-	if len(links) == 0 {
-		return 0, nil
-	}
-	return len(links), c.OnLinkChange(regionName, links)
+	return len(links), c.NotePending(regionName, links)
 }
 
 // requiredKbps converts a planned chain's delivered parameters into the

@@ -2,8 +2,8 @@ package storm_test
 
 // Tests for the storm controller's live behavior: class identity,
 // reservation accounting, plan-once-per-class storms, priority
-// ordering, and graceful degradation. Durability (journal replay,
-// crash-resume, snapshots) is covered in journal_test.go.
+// ordering, and graceful degradation. Durability (sink replay and
+// crash-resume) is covered in journal_test.go.
 
 import (
 	"math"
@@ -15,6 +15,7 @@ import (
 	"qoschain/internal/overlay"
 	"qoschain/internal/paperexample"
 	"qoschain/internal/profile"
+	"qoschain/internal/service"
 	"qoschain/internal/storm"
 )
 
@@ -68,8 +69,8 @@ func collapse(t *testing.T, c *storm.Controller, reg storm.Region, factor float6
 			t.Fatalf("SetBandwidth: %v", err)
 		}
 	}
-	if err := c.OnLinkChange(reg.Name, links); err != nil {
-		t.Fatalf("OnLinkChange: %v", err)
+	if err := c.NotePending(reg.Name, links); err != nil {
+		t.Fatalf("NotePending: %v", err)
 	}
 	return links
 }
@@ -115,7 +116,6 @@ func TestAttachAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer c.Close()
 
 	cls, err := c.AddClass(classSpec("r1", 30, 0.7))
 	if err != nil {
@@ -154,7 +154,6 @@ func TestStormPlansOncePerClass(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer c.Close()
 
 	ideals := []float64{30, 26, 22}
 	for i, ideal := range ideals {
@@ -212,7 +211,6 @@ func TestStormPriorityOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer c.Close()
 
 	// Same ideal, different floors: the high-floor class is pushed
 	// further below its floor by the same event and must re-plan first.
@@ -247,7 +245,6 @@ func TestStormGracefulDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer c.Close()
 
 	cls, err := c.AddClass(classSpec("r1", 30, 0.7))
 	if err != nil {
@@ -283,13 +280,62 @@ func TestStormGracefulDegradation(t *testing.T) {
 	}
 }
 
+// TestServiceDownReplansThroughHost: deregistering a service the class
+// chain runs through marks its host's links pending, and the next storm
+// re-plans the class around it; a non-reserving member rides the new
+// chain without ever holding bandwidth.
+func TestServiceDownReplansThroughHost(t *testing.T) {
+	reg := buildRegion("r1", 80000)
+	c, err := storm.Open(storm.Config{}, []storm.Region{reg})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	cls, err := c.AddClass(classSpec("r1", 30, 0.3))
+	if err != nil {
+		t.Fatalf("AddClass: %v", err)
+	}
+	if _, err := c.Attach(cls.Key(), 2); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	if _, err := c.AttachSession(cls.Key(), "free", false); err != nil {
+		t.Fatalf("AttachSession: %v", err)
+	}
+	before, _ := c.MemberState("free")
+	if len(before.Held) != 0 {
+		t.Fatalf("non-reserving member holds %v", before.Held)
+	}
+	victim := string(before.Path[1])
+
+	if err := c.SetServiceDown("r1", service.ID(victim), true); err != nil {
+		t.Fatalf("SetServiceDown: %v", err)
+	}
+	rep, err := c.Storm()
+	if err != nil || rep == nil || rep.AffectedClasses != 1 {
+		t.Fatalf("Storm = %+v, %v; want the class re-planned", rep, err)
+	}
+	after, _ := c.MemberState("free")
+	for _, hop := range after.Path {
+		if string(hop) == victim {
+			t.Fatalf("chain %v still runs through deregistered %s", after.Path, victim)
+		}
+	}
+	if len(after.Held) != 0 || after.Swaps != 1 {
+		t.Fatalf("non-reserving member after storm: held %v, swaps %d; want nothing held, one swap", after.Held, after.Swaps)
+	}
+	if got := c.RegionServices("r1").Down(); len(got) != 1 || string(got[0]) != victim {
+		t.Fatalf("region down services = %v, want [%s]", got, victim)
+	}
+	if d := leak(c, reg); d != 0 {
+		t.Fatalf("leak after service storm: %.3f kbps", d)
+	}
+}
+
 func TestOnFaultsFeedsPendingSet(t *testing.T) {
 	reg := buildRegion("r1", 80000)
 	c, err := storm.Open(storm.Config{}, []storm.Region{reg})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer c.Close()
 	cls, err := c.AddClass(classSpec("r1", 30, 0.6))
 	if err != nil {
 		t.Fatalf("AddClass: %v", err)
@@ -331,7 +377,6 @@ func TestStatusSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer c.Close()
 	cls, err := c.AddClass(classSpec("r1", 28, 0.6))
 	if err != nil {
 		t.Fatalf("AddClass: %v", err)

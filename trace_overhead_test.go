@@ -142,13 +142,15 @@ func sloBenchSet() profile.Set {
 
 // TestSLOOverheadGuard is the session-hot-path companion to
 // TestTracingOverheadGuard: it drives repeated re-evaluations of a
-// Figure 6 session through an in-memory manager, once with a nil
-// counter sink and once with the full SLO tracking pipeline (counters
-// mirrored onto a well-known-registered registry, which arms the
-// qos.below_floor_seconds / qos.floor_breaches / satisfaction-histogram
-// bookkeeping on every re-evaluation), and fails if SLO tracking costs
-// more than 5% wall time. Opt-in via TRACE_OVERHEAD_GUARD=1 like its
-// sibling; CI runs both in the trace-overhead step.
+// Figure 6 session through an in-memory manager — each a single-class
+// re-plan by the embedded storm controller, the one QoS SLO writer
+// (internal/storm/qos.go) — once with a nil counter sink and once with
+// the full SLO tracking pipeline (counters mirrored onto a
+// well-known-registered registry, which arms the qos.below_floor_seconds
+// / qos.floor_breaches / satisfaction-histogram bookkeeping on every
+// plan application), and fails if SLO tracking costs more than 5% wall
+// time. Opt-in via TRACE_OVERHEAD_GUARD=1 like its sibling; CI runs both
+// in the trace-overhead step.
 func TestSLOOverheadGuard(t *testing.T) {
 	if os.Getenv("TRACE_OVERHEAD_GUARD") == "" {
 		t.Skip("set TRACE_OVERHEAD_GUARD=1 to run the overhead guard")
