@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all race-obs race-obs-cluster race-cluster race-storm cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline pipeline-guard trace-overhead perfbench-check lint check ci
+.PHONY: all build test vet race race-all cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline pipeline-guard trace-overhead perfbench-check lint check ci
 
 all: check
 
@@ -16,10 +16,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# race-all folds every targeted race lane into one target: the
-# observability surfaces, the replicated tier, the storm tier, the
-# data plane, and the durable session layer the storm-attached daemon
-# path runs on. CI runs this instead of the individual race-* targets.
+# race-all races every concurrent surface in one target: the
+# observability surfaces (metrics registry, tracer, HTTP middleware,
+# federation and trace stitching), the replicated tier (WAL shipping,
+# promotion, routing, leases), the storm tier with the graph repair and
+# overlay swaps it drives, the data plane, and the durable session
+# layer the daemon runs on.
 race-all:
 	$(GO) test -race -count=1 \
 		./internal/metrics/ ./internal/trace/ ./internal/httpapi/ \
@@ -28,28 +30,6 @@ race-all:
 		./internal/pipeline/ ./internal/transcode/ \
 		./internal/journal/ ./internal/session/ ./internal/sim/
 
-# race-obs races the observability surfaces specifically: the metrics
-# registry, the tracer, and the HTTP middleware that drives both.
-race-obs:
-	$(GO) test -race -count=1 ./internal/metrics/ ./internal/trace/ ./internal/httpapi/
-
-# race-obs-cluster races the cluster-wide observability path: metrics
-# federation and trace stitching on the router, cross-node header
-# propagation through WAL shipping, the storm flight recorder, and the
-# sim harness that drives the whole mid-storm-kill scenario under -race.
-# Folded into race-all (its packages are a subset of that matrix); kept
-# as its own lane so the cluster-observability surface can be raced in
-# isolation while iterating.
-race-obs-cluster:
-	$(GO) test -race -count=1 \
-		./internal/metrics/ ./internal/trace/ ./internal/httpapi/ \
-		./internal/cluster/ ./internal/storm/ ./internal/sim/
-
-# race-cluster races the replicated tier: WAL shipping, promotion,
-# routing, and the membership/lease machinery they depend on.
-race-cluster:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/registry/
-
 # cluster-smoke runs seeded node-kill scenarios against a 3-replica
 # Figure 6 deployment: WAL shipping over real sockets, lease-expiry
 # death detection, follower promotion. Fails unless every adopted
@@ -57,11 +37,6 @@ race-cluster:
 # node's shipper is fenced.
 cluster-smoke:
 	$(GO) run ./cmd/adaptsim -cluster -trials 5 -seed 7
-
-# race-storm races the mass re-composition tier: the storm controller's
-# concurrent class fan-out and the incremental graph repair it drives.
-race-storm:
-	$(GO) test -race -count=1 ./internal/storm/ ./internal/graph/ ./internal/overlay/
 
 # storm-smoke runs a seeded correlated backbone event over a scaled
 # multi-region deployment and mass re-composes by equivalence class.

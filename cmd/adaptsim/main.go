@@ -258,8 +258,6 @@ func runChaos(seed int64, steps, frames int) {
 		Failover: session.FailoverConfig{
 			Enabled:           true,
 			SatisfactionFloor: 0.3,
-			JitterSeed:        seed,
-			Sleep:             func(time.Duration) {}, // virtual time
 			Metrics:           counters,
 		},
 	})
@@ -785,10 +783,6 @@ func runStorm(seed int64, sessions, regions, classes int, verify bool) {
 	fmt.Printf("recovery: %.2f ms wall-clock for %d sessions\n", rep.RecoveryMs, rep.AffectedSessions)
 	fmt.Println()
 	counters.Render(os.Stdout)
-	if qd := counters.SampleSummary(metrics.SampleStormQueueDepth); qd.Count > 0 {
-		fmt.Printf("\nstorm queue depth: n=%d mean=%.2f p90=%.2f max=%.2f\n",
-			qd.Count, qd.Mean, qd.P90, qd.Max)
-	}
 	dumpMetrics(counters)
 	if !rep.OK() {
 		if rep.Err != "" {

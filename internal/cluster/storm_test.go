@@ -28,7 +28,7 @@ func TestStormAccessors(t *testing.T) {
 	n1 := startNode(t, "s1", "p8", nil, 0)
 	n2 := startNode(t, "s2", "p7", nil, 0)
 	if _, err := n1.node.CreateCtx(context.Background(), session.CreateSpec{
-		Set: *clusterSet(), Floor: 0.3, Seed: 1,
+		Set: *clusterSet(), Floor: 0.3,
 	}); err != nil {
 		t.Fatalf("storm create: %v", err)
 	}

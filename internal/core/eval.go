@@ -156,3 +156,28 @@ func EvalPath(g *graph.Graph, cfg Config, edges []*graph.Edge) (params media.Par
 	}
 	return params.Clone(), sat, cost, true
 }
+
+// PathEdges resolves a planned chain back to the graph's edge objects,
+// so the chain can be re-scored with EvalPath against a rebuilt or
+// repaired graph. Each hop takes the first out-edge of the previous node
+// that reaches the path's next node in the result's format. ok is false
+// when an edge no longer exists.
+func PathEdges(g *graph.Graph, res *Result) ([]*graph.Edge, bool) {
+	edges := make([]*graph.Edge, 0, len(res.Formats))
+	at := graph.SenderID
+	for i, to := range res.Path[1:] {
+		var found *graph.Edge
+		for _, e := range g.Out(at) {
+			if e.To == to && e.Format == res.Formats[i] {
+				found = e
+				break
+			}
+		}
+		if found == nil {
+			return nil, false
+		}
+		edges = append(edges, found)
+		at = to
+	}
+	return edges, true
+}

@@ -278,7 +278,7 @@ func TestMetricsNameCoverage(t *testing.T) {
 	}
 	text := string(body)
 	for _, name := range []string{
-		metrics.CounterFailovers, metrics.CounterRetries, metrics.CounterRecovered,
+		metrics.CounterFailovers, metrics.CounterRecovered,
 		metrics.CounterDegraded, metrics.CounterQuarantined,
 		metrics.CounterAdmissionAdmitted, metrics.CounterAdmissionQueued,
 		metrics.CounterAdmissionShedQueueFull, metrics.CounterAdmissionShedExpired,

@@ -18,11 +18,10 @@ package httpapi
 //
 // /v1/sessions query parameters: floor=<0..1> (minimum acceptable
 // satisfaction before graceful degradation, default 0), contact=<class>,
-// seed=<int> (accepted and journaled; it influences nothing), reserve=1
-// (hold the chain's bitrate on the region overlay's links; a hold that
-// does not fit the free capacity leaves the session degraded, holding
-// nothing, until a re-plan finds room). The virtual clock advances one
-// step per reevaluate call.
+// reserve=1 (hold the chain's bitrate on the region overlay's links; a
+// hold that does not fit the free capacity leaves the session degraded,
+// holding nothing, until a re-plan finds room). The virtual clock
+// advances one step per reevaluate call.
 //
 // On a persistent manager every state-changing request is journaled
 // before the response is written; a journal failure surfaces as 500 and
@@ -97,18 +96,9 @@ func (sm *SessionManager) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var seed int64 = 1
-	if v := q.Get("seed"); v != "" {
-		seed, err = strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "seed must be an integer")
-			return
-		}
-	}
 	ms, err := sm.m.CreateCtx(r.Context(), session.CreateSpec{
 		Set:     *set,
 		Floor:   floor,
-		Seed:    seed,
 		Contact: q.Get("contact"),
 		Reserve: q.Get("reserve") == "1",
 	})

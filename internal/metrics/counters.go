@@ -24,11 +24,8 @@ type Counters struct {
 // Well-known counter and sample names recorded by the session failover
 // path. Samples (Observe) use the same namespace as counters (Inc/Add).
 const (
-	// CounterFailovers counts entries into the failover loop.
+	// CounterFailovers counts failovers entered.
 	CounterFailovers = "failover.entered"
-	// CounterRetries counts re-composition retry attempts beyond the
-	// first within failover loops.
-	CounterRetries = "failover.retries"
 	// CounterRecovered counts failovers that ended on a live chain.
 	CounterRecovered = "failover.recovered"
 	// CounterDegraded counts sessions that entered the degraded state
@@ -39,9 +36,6 @@ const (
 	// SampleRecoverySteps observes the virtual-time steps a session spent
 	// without a healthy chain before recovering.
 	SampleRecoverySteps = "failover.recovery_steps"
-	// SampleRecoveryRetries observes how many attempts a successful
-	// failover needed.
-	SampleRecoveryRetries = "failover.recovery_retries"
 	// CounterReevalPrefix prefixes the per-reason re-evaluation counters
 	// below; the reason token ("manual", "fault", "storm") is appended,
 	// so storm-driven re-plans are distinguishable from per-session
@@ -77,9 +71,6 @@ const (
 	// CounterStormDegraded counts member sessions left below their QoS
 	// floor after a storm (no above-floor chain existed for their class).
 	CounterStormDegraded = "storm.sessions_degraded"
-	// SampleStormQueueDepth observes the storm admission lane's queue
-	// depth at each class admission — how backed up a storm in flight is.
-	SampleStormQueueDepth = "storm.queue_depth"
 	// SampleStormRecoveryMs observes wall-clock milliseconds from storm
 	// start to the last fan-out.
 	SampleStormRecoveryMs = "storm.recovery_ms"
@@ -262,9 +253,9 @@ func CountersOn(r *Registry) *Counters {
 
 // Fanout returns a sink that writes through to both primary and
 // mirror but reads (Get/Sample/Snapshot/Render) only from primary.
-// The session manager uses this to keep its per-session counters
-// byte-deterministic for crash-recovery fingerprints while the same
-// series still reach the daemon's process-wide registry.
+// Only the storm-cluster harness (internal/sim) uses it: each node
+// writes to the run's shared sink, which the report reads, and to the
+// node's own registry, which that node's /metrics serves.
 func Fanout(primary, mirror *Counters) *Counters {
 	if primary == nil {
 		return mirror

@@ -9,8 +9,8 @@ import (
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
 	c.Inc(CounterFailovers)
-	c.Add(CounterRetries, 3)
-	if c.Get(CounterFailovers) != 1 || c.Get(CounterRetries) != 3 {
+	c.Add(CounterQuarantined, 3)
+	if c.Get(CounterFailovers) != 1 || c.Get(CounterQuarantined) != 3 {
 		t.Errorf("counts = %v", c.Snapshot())
 	}
 	if c.Get("unknown") != 0 {

@@ -48,7 +48,7 @@ func RegisterWellKnown(r *Registry) {
 		return
 	}
 	for _, name := range []string{
-		CounterFailovers, CounterRetries, CounterRecovered,
+		CounterFailovers, CounterRecovered,
 		CounterDegraded, CounterQuarantined,
 		CounterAdmissionAdmitted, CounterAdmissionQueued,
 		CounterAdmissionShedQueueFull, CounterAdmissionShedExpired,
@@ -82,13 +82,13 @@ func RegisterWellKnown(r *Registry) {
 	}
 	for _, name := range []string{
 		SampleQoSSatisfaction,
-		SampleRecoverySteps, SampleRecoveryRetries, SampleReservedKbps,
+		SampleRecoverySteps, SampleReservedKbps,
 		SampleRecoveryReleasedKbps,
 		SampleReplicationLag, SampleClusterRecoveryMs,
 		HistComposeLatencyMs, HistHTTPLatencyMs, HistQueueWaitMs,
 		HistJournalAppendMs, HistJournalFsyncMs, HistSelectRounds,
 		SamplePipelineBatchOccupancy, SamplePipelineQueueDepth,
-		SampleStormQueueDepth, SampleStormRecoveryMs,
+		SampleStormRecoveryMs,
 		SampleStormMembersPerClass,
 	} {
 		r.DeclareHist(name)

@@ -1,8 +1,9 @@
 package metrics
 
-// The storm.* counters are written from concurrent storm workers while
-// /metrics and /healthz readers snapshot them; this is the -race proof
-// plus the well-known registration check behind satellite wiring.
+// The storm.* counters are written by the storm controller while
+// /metrics and /healthz readers snapshot them, and several sessions may
+// attach concurrently; this is the -race proof plus the well-known
+// registration check behind satellite wiring.
 
 import (
 	"strings"
@@ -33,7 +34,7 @@ func TestStormCountersRegisteredWellKnown(t *testing.T) {
 func TestStormCountersConcurrent(t *testing.T) {
 	c := NewCounters()
 	var wg sync.WaitGroup
-	// Writers: the shape of a multi-worker storm fan-out.
+	// Writers: concurrent attaches and fan-outs.
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
@@ -41,7 +42,7 @@ func TestStormCountersConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc(CounterStormSelectCalls)
 				c.Add(CounterStormSessionsReplanned, 3)
-				c.Observe(SampleStormQueueDepth, float64(i%5))
+				c.Observe(SampleStormMembersPerClass, float64(i%5))
 			}
 		}()
 	}
@@ -52,7 +53,7 @@ func TestStormCountersConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = c.Get(CounterStormSelectCalls)
-				_ = c.SampleSummary(SampleStormQueueDepth)
+				_ = c.SampleSummary(SampleStormMembersPerClass)
 			}
 		}()
 	}
@@ -63,7 +64,7 @@ func TestStormCountersConcurrent(t *testing.T) {
 	if got := c.Get(CounterStormSessionsReplanned); got != 24000 {
 		t.Fatalf("storm.sessions_replanned = %d, want 24000", got)
 	}
-	if s := c.SampleSummary(SampleStormQueueDepth); s.Count != 8000 {
-		t.Fatalf("storm.queue_depth samples = %d, want 8000", s.Count)
+	if s := c.SampleSummary(SampleStormMembersPerClass); s.Count != 8000 {
+		t.Fatalf("storm.members_per_class samples = %d, want 8000", s.Count)
 	}
 }

@@ -2,11 +2,8 @@ package session
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"qoschain/internal/core"
 	"qoschain/internal/metrics"
@@ -26,29 +23,12 @@ type ServicePool interface {
 // disables failover entirely, preserving the strict error-returning
 // behavior of plain sessions.
 type FailoverConfig struct {
-	// Enabled turns the failover loop on.
+	// Enabled turns failover on.
 	Enabled bool
-	// MaxRetries bounds re-composition attempts per failover (beyond
-	// the first try). Default 4.
-	MaxRetries int
-	// BaseBackoff is the first retry's delay; it doubles per attempt up
-	// to MaxBackoff, with jitter. Defaults 50ms and 1s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterSeed seeds the backoff jitter draws (0 uses seed 1) so
-	// chaos runs replay identically.
-	JitterSeed int64
-	// Sleep replaces time.Sleep between retries — tests and the
-	// virtual-time simulator inject a no-op recorder here.
-	Sleep func(time.Duration)
-	// QuarantineSteps is how many session ticks a failed host or
-	// service stays excluded from composition after a failure was
-	// pinned on it. Default 8.
-	QuarantineSteps int
 	// SatisfactionFloor is the minimum acceptable satisfaction for a
-	// recovered chain. Below it the session degrades gracefully:
-	// retries first, then adopts the best below-floor chain rather than
-	// dying. 0 accepts anything.
+	// recovered chain. Below it the session degrades gracefully: it
+	// adopts the best below-floor chain rather than dying. 0 accepts
+	// anything.
 	SatisfactionFloor float64
 	// Metrics receives failover counters; nil is a valid no-op sink.
 	Metrics *metrics.Counters
@@ -81,6 +61,10 @@ func (s *Session) NoteReevaluateReason(reason string) {
 	s.cfg.Failover.Metrics.Inc(metrics.CounterReevalPrefix + reason)
 }
 
+// quarantineSteps is how many session ticks a failed host or service
+// stays excluded from composition after a failure was pinned on it.
+const quarantineSteps = 8
+
 // FailoverStatus is the externally visible failure-handling state.
 type FailoverStatus struct {
 	// Enabled mirrors the config.
@@ -88,41 +72,12 @@ type FailoverStatus struct {
 	// Degraded is true while the session runs below its satisfaction
 	// floor (or with no viable chain at all).
 	Degraded bool `json:"degraded"`
-	// Failovers and Retries count loop entries and retry attempts.
+	// Failovers counts failovers entered.
 	Failovers int `json:"failovers"`
-	Retries   int `json:"retries"`
 	// Quarantined lists active exclusions ("host:p3", "svc:t7"), sorted.
 	Quarantined []string `json:"quarantined,omitempty"`
 	// LastError describes the most recent unrecovered failure, if any.
 	LastError string `json:"lastError,omitempty"`
-}
-
-func (fc *FailoverConfig) maxRetries() int {
-	if fc.MaxRetries > 0 {
-		return fc.MaxRetries
-	}
-	return 4
-}
-
-func (fc *FailoverConfig) baseBackoff() time.Duration {
-	if fc.BaseBackoff > 0 {
-		return fc.BaseBackoff
-	}
-	return 50 * time.Millisecond
-}
-
-func (fc *FailoverConfig) maxBackoff() time.Duration {
-	if fc.MaxBackoff > 0 {
-		return fc.MaxBackoff
-	}
-	return time.Second
-}
-
-func (fc *FailoverConfig) quarantineSteps() int {
-	if fc.QuarantineSteps > 0 {
-		return fc.QuarantineSteps
-	}
-	return 8
 }
 
 // Tick advances the session's virtual clock one step and re-admits
@@ -140,14 +95,14 @@ func (s *Session) Tick() {
 // CurrentStep returns the session's virtual clock.
 func (s *Session) CurrentStep() int { return s.step }
 
-// QuarantineHost excludes a host's services from composition for the
-// configured number of ticks.
+// QuarantineHost excludes a host's services from composition for
+// quarantineSteps ticks.
 func (s *Session) QuarantineHost(host string) {
 	s.quarantineKey("host:" + host)
 }
 
-// QuarantineService excludes one service from composition for the
-// configured number of ticks.
+// QuarantineService excludes one service from composition for
+// quarantineSteps ticks.
 func (s *Session) QuarantineService(id service.ID) {
 	s.quarantineKey("svc:" + string(id))
 }
@@ -159,7 +114,7 @@ func (s *Session) quarantineKey(key string) {
 	if _, already := s.quarantine[key]; !already {
 		s.cfg.Failover.Metrics.Inc(metrics.CounterQuarantined)
 	}
-	s.quarantine[key] = s.step + s.cfg.Failover.quarantineSteps()
+	s.quarantine[key] = s.step + quarantineSteps
 }
 
 // Quarantined returns the active exclusions, sorted.
@@ -182,7 +137,6 @@ func (s *Session) FailoverStatus() FailoverStatus {
 		Enabled:     s.cfg.Failover.Enabled,
 		Degraded:    s.degraded,
 		Failovers:   s.failovers,
-		Retries:     s.retries,
 		Quarantined: s.Quarantined(),
 	}
 	if s.lastErr != nil {
@@ -238,18 +192,18 @@ func (s *Session) OnStageFailure(stage string) (bool, error) {
 		s.releaseCurrent()
 		defer s.reserveCurrent() //nolint:errcheck // degraded sessions may not fit; tracked via lastErr
 	}
-	return s.failover(fmt.Errorf("session: stage %s failed", stage))
+	return s.failover()
 }
 
-// failover is the bounded-retry re-composition loop. It never returns a
-// hard error and never blocks indefinitely: it retries with exponential
-// backoff and jitter, prefers any chain clearing the satisfaction floor,
-// then degrades gracefully to the best below-floor chain, and as a last
-// resort keeps the previous chain in a degraded state (a total partition
-// leaves nothing better to stream over).
-func (s *Session) failover(cause error) (bool, error) {
-	fc := &s.cfg.Failover
-	m := fc.Metrics
+// failover re-composes once after a failure. Select is deterministic
+// over one network snapshot, so composing again before the next tick or
+// fault would return the same answer; those get their own reevaluation.
+// It never returns a hard error: it adopts a chain clearing the
+// satisfaction floor, else degrades gracefully to the best below-floor
+// chain, and as a last resort keeps the previous chain in a degraded
+// state (a total partition leaves nothing better to stream over).
+func (s *Session) failover() (bool, error) {
+	m := s.cfg.Failover.Metrics
 	m.Inc(metrics.CounterFailovers)
 	s.failovers++
 	if !s.degraded {
@@ -257,71 +211,33 @@ func (s *Session) failover(cause error) (bool, error) {
 		s.downSince = s.step
 		m.Inc(metrics.CounterDegraded)
 	}
-	s.lastErr = cause
 
-	sleep := fc.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	if s.jitter == nil {
-		seed := fc.JitterSeed
-		if seed == 0 {
-			seed = 1
-		}
-		s.jitter = rand.New(rand.NewSource(seed))
-	}
-
-	var best *core.Result // best below-floor candidate seen
-	backoff := fc.baseBackoff()
-	for attempt := 0; attempt <= fc.maxRetries(); attempt++ {
-		if attempt > 0 {
-			m.Inc(metrics.CounterRetries)
-			s.retries++
-			// Full jitter: sleep a uniform fraction of the current
-			// backoff, then double it.
-			d := time.Duration(s.jitter.Int63n(int64(backoff))) + backoff/2
-			sleep(d)
-			if backoff *= 2; backoff > fc.maxBackoff() {
-				backoff = fc.maxBackoff()
-			}
-		}
-		sp := s.tr.StartSpan("failover.attempt", trace.Int("attempt", attempt))
-		res, err := s.composeWith(s.liveServices(), fc.SatisfactionFloor)
-		if err == nil {
-			sp.End(trace.Str("outcome", "recovered"))
-			s.adoptFailover(res, "failover", attempt)
-			return true, nil
-		}
-		if errors.Is(err, core.ErrBelowFloor) && res != nil && res.Found {
-			sp.End(trace.Str("outcome", "below_floor"))
-			if best == nil || res.Satisfaction > best.Satisfaction {
-				best = res
-			}
-		} else {
-			sp.End(trace.Str("outcome", "error"))
-		}
-		s.lastErr = err
-	}
-
-	// Retry budget exhausted: graceful degradation. Adopt the best
-	// below-floor chain if any composition produced one — relaxing
-	// toward the minimum acceptable values rather than dying.
-	if best != nil {
-		s.recordChange("failover-degraded", best)
-		s.degraded = true
+	sp := s.tr.StartSpan("failover.attempt")
+	res, err := s.composeWith(s.liveServices(), s.cfg.Failover.SatisfactionFloor)
+	switch {
+	case err == nil:
+		sp.End(trace.Str("outcome", "recovered"))
+		s.adoptFailover(res, "failover")
 		return true, nil
+	case errors.Is(err, core.ErrBelowFloor) && res != nil && res.Found:
+		sp.End(trace.Str("outcome", "below_floor"))
+		s.lastErr = err
+		s.recordChange("failover-degraded", res)
+		return true, nil
+	default:
+		// Nothing composes at all (total partition): keep the last chain.
+		sp.End(trace.Str("outcome", "error"))
+		s.lastErr = err
+		return false, nil
 	}
-	// Nothing composes at all (total partition): keep the last chain.
-	return false, nil
 }
 
 // adoptFailover installs a recovered chain and closes out the outage
 // bookkeeping.
-func (s *Session) adoptFailover(res *core.Result, reason string, attempt int) {
+func (s *Session) adoptFailover(res *core.Result, reason string) {
 	m := s.cfg.Failover.Metrics
 	s.recordChange(reason, res)
 	m.Inc(metrics.CounterRecovered)
-	m.Observe(metrics.SampleRecoveryRetries, float64(attempt))
 	if s.degraded {
 		m.Observe(metrics.SampleRecoverySteps, float64(s.step-s.downSince))
 		s.degraded = false

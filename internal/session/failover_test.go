@@ -2,32 +2,26 @@ package session
 
 import (
 	"testing"
-	"time"
 
 	"qoschain/internal/core"
 	"qoschain/internal/fault"
 	"qoschain/internal/metrics"
 )
 
-// failoverBed extends the shared testbed with a live service pool and an
-// enabled failover loop whose sleeps are recorded, not slept.
-func failoverBed(t *testing.T, floor float64) (Config, *fault.ServiceSet, *metrics.Counters, *[]time.Duration) {
+// failoverBed extends the shared testbed with a live service pool and
+// failover enabled.
+func failoverBed(t *testing.T, floor float64) (Config, *fault.ServiceSet, *metrics.Counters) {
 	t.Helper()
 	cfg, _ := testbed(t)
 	pool := fault.NewServiceSet(cfg.Services)
 	m := metrics.NewCounters()
-	var slept []time.Duration
 	cfg.Pool = pool
 	cfg.Failover = FailoverConfig{
 		Enabled:           true,
-		MaxRetries:        3,
-		JitterSeed:        7,
-		Sleep:             func(d time.Duration) { slept = append(slept, d) },
-		QuarantineSteps:   4,
 		SatisfactionFloor: floor,
 		Metrics:           m,
 	}
-	return cfg, pool, m, &slept
+	return cfg, pool, m
 }
 
 // crash takes a host out of both the overlay and the live pool, the way
@@ -41,7 +35,7 @@ func crash(t *testing.T, cfg Config, pool *fault.ServiceSet, host string) {
 }
 
 func TestFailoverRecomposesAfterHostCrash(t *testing.T) {
-	cfg, pool, m, slept := failoverBed(t, 0.5)
+	cfg, pool, m := failoverBed(t, 0.5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,15 +53,12 @@ func TestFailoverRecomposesAfterHostCrash(t *testing.T) {
 		t.Fatalf("after crash: changed=%v path=%s", changed, core.PathString(s.Result().Path))
 	}
 	// conv-b delivers 20/30 fps = 0.667, above the 0.5 floor: a clean
-	// recovery on the first attempt, no backoff sleeps.
+	// recovery.
 	if s.Degraded() {
 		t.Error("recovered session must not be degraded")
 	}
 	if m.Get(metrics.CounterFailovers) != 1 || m.Get(metrics.CounterRecovered) != 1 {
 		t.Errorf("counters = %v", m.Snapshot())
-	}
-	if len(*slept) != 0 {
-		t.Errorf("first-attempt recovery slept %v", *slept)
 	}
 	if rs := m.Sample(metrics.SampleRecoverySteps); len(rs) != 1 {
 		t.Errorf("recovery steps sample = %v", rs)
@@ -79,7 +70,7 @@ func TestFailoverRecomposesAfterHostCrash(t *testing.T) {
 }
 
 func TestFailoverUnrecoverableEndsDegradedNotHung(t *testing.T) {
-	cfg, pool, m, slept := failoverBed(t, 0.5)
+	cfg, pool, m := failoverBed(t, 0.5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +93,7 @@ func TestFailoverUnrecoverableEndsDegradedNotHung(t *testing.T) {
 	if core.PathString(s.Result().Path) != before {
 		t.Errorf("chain after partition = %s", core.PathString(s.Result().Path))
 	}
-	// The retry budget was spent: MaxRetries backoff sleeps, all bounded.
-	if len(*slept) != 3 {
-		t.Errorf("slept %d times, want 3", len(*slept))
-	}
-	if m.Get(metrics.CounterDegraded) != 1 || m.Get(metrics.CounterRetries) != 3 {
+	if m.Get(metrics.CounterDegraded) != 1 || m.Get(metrics.CounterRecovered) != 0 {
 		t.Errorf("counters = %v", m.Snapshot())
 	}
 	if st := s.FailoverStatus(); st.LastError == "" {
@@ -117,7 +104,7 @@ func TestFailoverUnrecoverableEndsDegradedNotHung(t *testing.T) {
 func TestFailoverAdoptsBelowFloorChainGracefully(t *testing.T) {
 	// Floor 0.9: after pa dies only conv-b (satisfaction 0.667) exists.
 	// Graceful degradation must adopt it rather than keep a dead chain.
-	cfg, pool, _, _ := failoverBed(t, 0.9)
+	cfg, pool, _ := failoverBed(t, 0.9)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +127,7 @@ func TestFailoverAdoptsBelowFloorChainGracefully(t *testing.T) {
 }
 
 func TestDegradedSessionRecoversWhenHostReturns(t *testing.T) {
-	cfg, pool, m, _ := failoverBed(t, 0.9)
+	cfg, pool, m := failoverBed(t, 0.9)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +168,7 @@ func TestDegradedSessionRecoversWhenHostReturns(t *testing.T) {
 }
 
 func TestOnStageFailureQuarantinesAndFailsOver(t *testing.T) {
-	cfg, _, m, _ := failoverBed(t, 0.5)
+	cfg, _, m := failoverBed(t, 0.5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +191,7 @@ func TestOnStageFailureQuarantinesAndFailsOver(t *testing.T) {
 }
 
 func TestQuarantineExpiryReadmitsHost(t *testing.T) {
-	cfg, _, _, _ := failoverBed(t, 0.5)
+	cfg, _, _ := failoverBed(t, 0.5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,11 +204,16 @@ func TestQuarantineExpiryReadmitsHost(t *testing.T) {
 	if changed, _ := s.Reevaluate(); changed {
 		t.Fatal("quarantined host must stay excluded")
 	}
-	// After QuarantineSteps ticks the host is re-admitted and the better
-	// chain is picked back up.
-	for i := 0; i < 4; i++ {
+	// The quarantine holds one tick short of its sentence...
+	for i := 0; i < quarantineSteps-1; i++ {
 		s.Tick()
 	}
+	if changed, _ := s.Reevaluate(); changed || len(s.Quarantined()) != 2 {
+		t.Fatalf("quarantine ended early: changed=%v quarantine=%v", changed, s.Quarantined())
+	}
+	// ...and after quarantineSteps ticks the host is re-admitted and
+	// the better chain is picked back up.
+	s.Tick()
 	if len(s.Quarantined()) != 0 {
 		t.Fatalf("quarantine after expiry = %v", s.Quarantined())
 	}
@@ -236,10 +228,10 @@ func TestQuarantineExpiryReadmitsHost(t *testing.T) {
 
 // TestFailoverUnderSeededSchedule drives a session through a scripted
 // injector schedule — the acceptance scenario: the active chain's host
-// is killed mid-run, the session re-composes within its retry budget,
-// and after the bounded outage it returns to the better chain.
+// is killed mid-run, the session re-composes, and after the bounded
+// outage it returns to the better chain.
 func TestFailoverUnderSeededSchedule(t *testing.T) {
-	cfg, pool, m, _ := failoverBed(t, 0.5)
+	cfg, pool, m := failoverBed(t, 0.5)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

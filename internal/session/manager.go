@@ -60,9 +60,6 @@ type CreateSpec struct {
 	Set profile.Set `json:"set"`
 	// Floor is the class's QoS floor: below it the class is degraded.
 	Floor float64 `json:"floor,omitempty"`
-	// Seed is accepted for wire compatibility; managed sessions have no
-	// per-session retry jitter, so it influences nothing.
-	Seed int64 `json:"seed,omitempty"`
 	// Contact selects per-contact user preferences.
 	Contact string `json:"contact,omitempty"`
 	// Reserve holds the chain's bitrate on the region overlay's links.
@@ -218,7 +215,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	// The embedded controller journals its storm records through this
 	// manager's WAL (the sink) and is rebuilt from it on recovery.
 	ctrl, err := storm.Open(storm.Config{
-		Workers:          1,
 		Verify:           cfg.StormVerify,
 		HaltAfterFanouts: cfg.StormHaltAfterFanouts,
 		Counters:         cfg.Counters,
@@ -572,8 +568,8 @@ type State struct {
 // State snapshots the session from its class membership: the class
 // plan it rides, its own hold, and its region's down hosts and
 // services. History and the per-session failover internals (failovers,
-// retries, quarantine, last error) belong to the standalone Session's
-// failover loop and stay empty here.
+// quarantine, last error) belong to the standalone Session's failover
+// and stay empty here.
 func (ms *Managed) State() State {
 	v, _ := ms.m.storm.MemberState(ms.id)
 	ms.mu.Lock()

@@ -83,14 +83,14 @@ func TestManagerRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := newPersistent(t, dir, ManagerConfig{})
 
-	ms, err := m.Create(CreateSpec{Set: managerSet(), Floor: 0.3, Seed: 7, Reserve: true})
+	ms, err := m.Create(CreateSpec{Set: managerSet(), Floor: 0.3, Reserve: true})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	if ms.ID() != "s1" {
 		t.Fatalf("id = %q, want s1", ms.ID())
 	}
-	ms2, err := m.Create(CreateSpec{Set: managerSet(), Seed: 11})
+	ms2, err := m.Create(CreateSpec{Set: managerSet()})
 	if err != nil {
 		t.Fatalf("create 2: %v", err)
 	}
@@ -333,7 +333,7 @@ func TestManagerBadSpec(t *testing.T) {
 // recovery of zero sessions.
 func TestManagerRefusesRemovedModeSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	spec, err := json.Marshal(CreateSpec{Set: managerSet(), Floor: 0.3, Seed: 7, Reserve: true})
+	spec, err := json.Marshal(CreateSpec{Set: managerSet(), Floor: 0.3, Reserve: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,5 +359,52 @@ func TestManagerRefusesRemovedModeSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "removed per-session manager mode") {
 		t.Fatalf("error %q does not name the removed per-session mode", err)
+	}
+}
+
+// TestManagerReplaysCreateWithRetiredSeed replays a journal written
+// while CreateSpec still carried a seed field. The field influenced
+// nothing, so the recovered state must match a live create without it.
+func TestManagerReplaysCreateWithRetiredSeed(t *testing.T) {
+	spec := CreateSpec{Set: managerSet(), Floor: 0.3, Reserve: true}
+	live, err := NewManager(ManagerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if _, err := live.Create(spec); err != nil {
+		t.Fatalf("live create: %v", err)
+	}
+	want := fingerprints(t, live)
+	wantStorm, err := live.StormController().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	create, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := fmt.Sprintf(`{"op":"create","id":"s1","create":{"seed":1,%s}`, create[1:])
+	dir := t.TempDir()
+	log, _, err := journal.OpenLog(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]byte(record)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newPersistent(t, dir, ManagerConfig{})
+	defer m.Close()
+	got := fingerprints(t, m)
+	if len(got) != 1 || got["s1"] != want["s1"] {
+		t.Fatalf("replayed sessions diverged:\n got %v\nwant %v", got, want)
+	}
+	if gotStorm, _ := m.StormController().Fingerprint(); gotStorm != wantStorm {
+		t.Errorf("replayed controller diverged:\n got %s\nwant %s", gotStorm, wantStorm)
 	}
 }

@@ -16,7 +16,7 @@ func TestReevaluateReasonCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	ms, err := m.Create(CreateSpec{Set: managerSet(), Seed: 7})
+	ms, err := m.Create(CreateSpec{Set: managerSet()})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestReevaluateReasonReplaysIdentically(t *testing.T) {
 	dir := t.TempDir()
 	live := metrics.NewCounters()
 	m := newPersistent(t, dir, ManagerConfig{Counters: live})
-	ms, err := m.Create(CreateSpec{Set: managerSet(), Seed: 7})
+	ms, err := m.Create(CreateSpec{Set: managerSet()})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

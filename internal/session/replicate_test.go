@@ -43,14 +43,14 @@ func TestReplicatedApplyIsByteIdentical(t *testing.T) {
 	replica := newPersistent(t, t.TempDir(), ManagerConfig{IDPrefix: "n1-", SnapshotEvery: -1})
 	defer replica.Close()
 
-	ms, err := primary.Create(CreateSpec{Set: managerSet(), Floor: 0.3, Seed: 7, Reserve: true})
+	ms, err := primary.Create(CreateSpec{Set: managerSet(), Floor: 0.3, Reserve: true})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	if ms.ID() != "n1-s1" {
 		t.Fatalf("prefixed id = %q, want n1-s1", ms.ID())
 	}
-	ms2, err := primary.Create(CreateSpec{Set: managerSet(), Seed: 11, Reserve: true})
+	ms2, err := primary.Create(CreateSpec{Set: managerSet(), Reserve: true})
 	if err != nil {
 		t.Fatalf("create 2: %v", err)
 	}
@@ -98,10 +98,10 @@ func TestReplicatedApplyRejectsDiscontinuity(t *testing.T) {
 	replica := newPersistent(t, t.TempDir(), ManagerConfig{IDPrefix: "n1-", SnapshotEvery: -1})
 	defer replica.Close()
 
-	if _, err := primary.Create(CreateSpec{Set: managerSet(), Seed: 3}); err != nil {
+	if _, err := primary.Create(CreateSpec{Set: managerSet()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := primary.Create(CreateSpec{Set: managerSet(), Seed: 4}); err != nil {
+	if _, err := primary.Create(CreateSpec{Set: managerSet()}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := primary.ReadShip(0, 0)
@@ -131,7 +131,7 @@ func TestReadShipFallsBackToSnapshot(t *testing.T) {
 	// can never catch up incrementally from offset 0.
 	primary := newPersistent(t, dir, ManagerConfig{IDPrefix: "n1-", SnapshotEvery: 1})
 	defer primary.Close()
-	ms, err := primary.Create(CreateSpec{Set: managerSet(), Seed: 5, Reserve: true})
+	ms, err := primary.Create(CreateSpec{Set: managerSet(), Reserve: true})
 	if err != nil {
 		t.Fatal(err)
 	}

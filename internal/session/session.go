@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"qoschain/internal/core"
 	"qoschain/internal/graph"
@@ -75,9 +74,7 @@ type Session struct {
 	downSince  int
 	quarantine map[string]int // "host:x"/"svc:y" -> expiry step
 	failovers  int
-	retries    int
 	lastErr    error
-	jitter     *rand.Rand
 
 	// tr is the trace of the request currently driving the session, set
 	// transiently by the *Ctx entry points. It never influences session
@@ -183,21 +180,9 @@ func (s *Session) currentAchievable() (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	edges := make([]*graph.Edge, 0, len(s.current.Formats))
-	at := graph.SenderID
-	for i, to := range s.current.Path[1:] {
-		var found *graph.Edge
-		for _, e := range g.Out(at) {
-			if e.To == to && e.Format == s.current.Formats[i] {
-				found = e
-				break
-			}
-		}
-		if found == nil {
-			return 0, false
-		}
-		edges = append(edges, found)
-		at = to
+	edges, ok := core.PathEdges(g, s.current)
+	if !ok {
+		return 0, false
 	}
 	_, sat, _, ok := core.EvalPath(g, s.cfg.Select, edges)
 	return sat, ok
@@ -235,8 +220,8 @@ func (s *Session) reevaluate() (bool, error) {
 
 	if s.cfg.Failover.Enabled && !alive {
 		// The chain lost an edge (host crash, link failure, service
-		// gone): enter the failover loop instead of erroring out.
-		return s.failover(fmt.Errorf("session: current chain broken"))
+		// gone): fail over instead of erroring out.
+		return s.failover()
 	}
 
 	fresh, err := s.compose()
@@ -252,7 +237,7 @@ func (s *Session) reevaluate() (bool, error) {
 	if s.degraded {
 		// A healthy chain is available again — recover through the
 		// failover bookkeeping so the outage is accounted for.
-		s.adoptFailover(fresh, "recovered", 0)
+		s.adoptFailover(fresh, "recovered")
 		return true, nil
 	}
 

@@ -24,9 +24,9 @@ package session
 // the promoted follower finishes via ResumeOpenStorm — in the recorded
 // priority order, with byte-identical resulting fingerprints.
 //
-// Managed sessions need no per-session quarantine or retry backoff:
-// down hosts and links are marked on the region overlay itself, so
-// every re-plan already routes around them, and the clock is virtual.
+// Managed sessions need no per-session quarantine: down hosts and
+// links are marked on the region overlay itself, so every re-plan
+// already routes around them, and the clock is virtual.
 
 import (
 	"context"

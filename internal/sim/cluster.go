@@ -22,8 +22,8 @@ package sim
 //   - every adopted session remains reachable through the router, with
 //     the dead node's host marked down.
 //
-// Everything derives from the seed (victim choice, session jitter), so
-// a failing run reproduces exactly.
+// Everything random derives from the seed (the victim choice), so a
+// failing run reproduces exactly.
 
 import (
 	"bytes"
@@ -50,7 +50,7 @@ type ClusterSpec struct {
 	// StateRoot is the directory holding one journal tree per node (a
 	// fresh temp dir per scenario).
 	StateRoot string
-	// Seed derives the victim choice and per-session jitter.
+	// Seed derives the victim choice.
 	Seed int64
 	// Nodes is the cluster size (default 3).
 	Nodes int
@@ -288,7 +288,7 @@ func RunCluster(spec ClusterSpec) (*ClusterReport, error) {
 		return rep, err
 	}
 	for i := 0; i < spec.Sessions; i++ {
-		url := fmt.Sprintf("%s/v1/sessions?reserve=1&floor=0.3&seed=%d", base, spec.Seed+int64(i))
+		url := fmt.Sprintf("%s/v1/sessions?reserve=1&floor=0.3", base)
 		resp, err := http.Post(url, "application/json", bytes.NewReader(setBuf.Bytes()))
 		if err != nil {
 			return rep, fmt.Errorf("sim: creating session %d: %w", i, err)

@@ -21,8 +21,8 @@ package sim
 //     each region overlay's total reserved bandwidth equals exactly what
 //     its member sessions hold — zero leaked kbps.
 //
-// Everything derives from the seed: the schedule, the session jitter,
-// and the armed failpoint hit, so a failing run reproduces exactly.
+// Everything derives from the seed: the schedule and the armed
+// failpoint hit, so a failing run reproduces exactly.
 
 import (
 	"context"
@@ -88,8 +88,7 @@ func Figure6Set() profile.Set {
 type CrashSpec struct {
 	// StateDir is the journal directory (a fresh temp dir per scenario).
 	StateDir string
-	// Seed derives the command schedule, session jitter, and the armed
-	// failpoint hit.
+	// Seed derives the command schedule and the armed failpoint hit.
 	Seed int64
 	// Point is the journal failpoint the "kill" fires at.
 	Point journal.FailPoint
@@ -253,7 +252,7 @@ func RunCrash(spec CrashSpec) (*CrashReport, error) {
 		err := step(func() error {
 			return traced("crash.create", func(ctx context.Context) error {
 				_, err := m.CreateCtx(ctx, session.CreateSpec{
-					Set: set, Floor: 0.3, Seed: spec.Seed + int64(i), Reserve: true,
+					Set: set, Floor: 0.3, Reserve: true,
 				})
 				return err
 			})

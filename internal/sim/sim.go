@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"qoschain/internal/core"
 	"qoschain/internal/fault"
@@ -71,7 +70,7 @@ type Scenario struct {
 	Devices []profile.Device `json:"devices"`
 	// Reserve enables bandwidth reservation (admission control).
 	Reserve bool `json:"reserve,omitempty"`
-	// Failover enables the session failover loop: broken chains
+	// Failover enables session failover: broken chains
 	// re-compose with quarantine and graceful degradation instead of
 	// stalling on their last chain.
 	Failover bool `json:"failover,omitempty"`
@@ -347,9 +346,7 @@ func Run(sc *Scenario) (*Report, error) {
 					scfg.Failover = session.FailoverConfig{
 						Enabled:           true,
 						SatisfactionFloor: sc.SatisfactionFloor,
-						// Virtual time: retries must not wall-clock sleep.
-						Sleep:   func(time.Duration) {},
-						Metrics: counters,
+						Metrics:           counters,
 					}
 				}
 				sess, serr := session.New(scfg)

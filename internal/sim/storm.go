@@ -47,10 +47,6 @@ type StormSpec struct {
 	// Verify enables the naive per-session equivalence check (default
 	// off; the pinned run turns it on).
 	Verify bool
-	// LaneCapacity bounds concurrent class re-plans (default 2).
-	LaneCapacity int
-	// Workers drains the class queue (default 1 — deterministic).
-	Workers int
 	// Counters, when set, receives the storm.* metrics.
 	Counters *metrics.Counters
 }
@@ -177,11 +173,9 @@ func RunStorm(spec StormSpec) (*StormReport, error) {
 		regionSpecs[i] = reg.spec
 	}
 	ctrl, err := storm.Open(storm.Config{
-		LaneCapacity: spec.LaneCapacity,
-		Workers:      spec.Workers,
-		Verify:       spec.Verify,
-		Counters:     spec.Counters,
-		CacheSize:    2 * len(specs),
+		Verify:    spec.Verify,
+		Counters:  spec.Counters,
+		CacheSize: 2 * len(specs),
 	}, regionSpecs)
 	if err != nil {
 		return rep, fmt.Errorf("sim: storm controller: %w", err)

@@ -49,7 +49,8 @@ type StormClusterSpec struct {
 	// StateRoot holds the two nodes' journal trees (a fresh temp dir
 	// per scenario).
 	StateRoot string
-	// Seed derives the per-session create seeds.
+	// Seed labels the trial in the report; the scenario itself is
+	// fixed by Classes and PerClass.
 	Seed int64
 	// Classes is how many equivalence classes the sessions split into,
 	// via QoS-floor variation over the shared deployment (default 6).
@@ -155,15 +156,12 @@ func stormFloors(classes int) []float64 {
 // createStormSessions drives the creates through one round-trip
 // function (in-process or HTTP), PerClass sessions per floor, in
 // deterministic order.
-func createStormSessions(spec StormClusterSpec, create func(floor float64, seed int64) error) error {
-	floors := stormFloors(spec.Classes)
-	n := 0
-	for _, floor := range floors {
+func createStormSessions(spec StormClusterSpec, create func(floor float64) error) error {
+	for _, floor := range stormFloors(spec.Classes) {
 		for j := 0; j < spec.PerClass; j++ {
-			if err := create(floor, spec.Seed+int64(n)); err != nil {
+			if err := create(floor); err != nil {
 				return err
 			}
-			n++
 		}
 	}
 	return nil
@@ -279,8 +277,8 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("sim: reference manager: %w", err)
 	}
-	err = createStormSessions(spec, func(floor float64, seed int64) error {
-		_, err := ref.Create(session.CreateSpec{Set: set, Floor: floor, Seed: seed, Reserve: true})
+	err = createStormSessions(spec, func(floor float64) error {
+		_, err := ref.Create(session.CreateSpec{Set: set, Floor: floor, Reserve: true})
 		return err
 	})
 	if err != nil {
@@ -339,8 +337,8 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	base := "http://" + n1.ln.Addr().String()
 	shippedBase := spec.Counters.Get(metrics.CounterReplicationShippedRecords)
 	var firstID string
-	err = createStormSessions(spec, func(floor float64, seed int64) error {
-		url := fmt.Sprintf("%s/v1/sessions?reserve=1&floor=%g&seed=%d", base, floor, seed)
+	err = createStormSessions(spec, func(floor float64) error {
+		url := fmt.Sprintf("%s/v1/sessions?reserve=1&floor=%g", base, floor)
 		resp, err := http.Post(url, "application/json", bytes.NewReader(setBuf.Bytes()))
 		if err != nil {
 			return err

@@ -6,11 +6,9 @@ package storm
 // exactly once — Select per class, atomic hold swap per member.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"qoschain/internal/core"
 	"qoschain/internal/graph"
@@ -143,66 +141,27 @@ func (c *Controller) execute(seq, totalLinks int, items []planItem, resumed bool
 	for _, it := range items {
 		rep.AffectedSessions += len(it.cls.members)
 	}
-
-	var (
-		repMu    sync.Mutex
-		firstErr error
-	)
-	queues := c.partition(items)
-	var wg sync.WaitGroup
-	for _, q := range queues {
-		wg.Add(1)
-		go func(q []planItem) {
-			defer wg.Done()
-			for _, it := range q {
-				repMu.Lock()
-				dead := firstErr != nil
-				repMu.Unlock()
-				if dead {
-					return
-				}
-				out, err := c.planOne(seq, it)
-				repMu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if out != nil {
-					rep.Classes = append(rep.Classes, *out)
-					rep.SelectCalls++
-					rep.SwapFailed += out.SwapFailed
-					switch out.Outcome {
-					case OutcomeUnchanged:
-						rep.Unchanged++
-					case OutcomeReplanned:
-						rep.Replanned += out.Members - out.SwapFailed
-					case OutcomeDegraded:
-						rep.Replanned += out.Members - out.SwapFailed
-					}
-				}
-				repMu.Unlock()
-			}
-		}(q)
+	for _, it := range items {
+		out, err := c.planOne(seq, it)
+		if err != nil {
+			c.mu.Lock()
+			c.active = false
+			c.mu.Unlock()
+			return nil, err
+		}
+		rep.Classes = append(rep.Classes, *out)
+		rep.SelectCalls++
+		rep.SwapFailed += out.SwapFailed
+		switch out.Outcome {
+		case OutcomeUnchanged:
+			rep.Unchanged++
+		case OutcomeReplanned, OutcomeDegraded:
+			rep.Replanned += out.Members - out.SwapFailed
+		}
 	}
-	wg.Wait()
 
 	c.mu.Lock()
 	c.active = false
-	if firstErr != nil {
-		c.mu.Unlock()
-		return nil, firstErr
-	}
-	// Workers may interleave; re-impose the priority order on the
-	// report so it reads deterministically.
-	ordered := make([]ClassOutcome, 0, len(rep.Classes))
-	for _, it := range items {
-		for _, out := range rep.Classes {
-			if out.Key == it.cls.key {
-				ordered = append(ordered, out)
-				break
-			}
-		}
-	}
-	rep.Classes = ordered
 	for _, cls := range c.classes {
 		for _, s := range cls.members {
 			if s.degraded {
@@ -278,7 +237,7 @@ func (c *Controller) scoreLocked(affected []*Class) []planItem {
 	for _, cls := range affected {
 		postSat := -1.0 // broken or chain-less: ranks hardest-hit
 		if g, err := c.repairLocked(cls); err == nil && cls.current != nil && cls.current.Found {
-			if edges, ok := pathEdges(g, cls.current); ok {
+			if edges, ok := core.PathEdges(g, cls.current); ok {
 				if _, sat, _, ok := core.EvalPath(g, cls.selcfg, edges); ok {
 					postSat = sat
 				}
@@ -326,74 +285,14 @@ func (c *Controller) repairLocked(cls *Class) (*graph.Graph, error) {
 	return g, nil
 }
 
-// pathEdges resolves a planned chain back to the graph's edge objects
-// (the same walk session.currentAchievable does). ok is false when an
-// edge no longer exists.
-func pathEdges(g *graph.Graph, res *core.Result) ([]*graph.Edge, bool) {
-	edges := make([]*graph.Edge, 0, len(res.Formats))
-	at := graph.SenderID
-	for i, to := range res.Path[1:] {
-		var found *graph.Edge
-		for _, e := range g.Out(at) {
-			if e.To == to && e.Format == res.Formats[i] {
-				found = e
-				break
-			}
-		}
-		if found == nil {
-			return nil, false
-		}
-		edges = append(edges, found)
-		at = to
-	}
-	return edges, true
-}
-
-// partition splits the ordered items across workers with cache-entry
-// affinity: classes that share a graph cache entry (same region,
-// content and device — the cache fingerprint ignores user preferences
-// and floor) always land on the same worker, so no two goroutines ever
-// repair the same cached graph concurrently. With Workers=1 (the
-// default) the single queue preserves the priority order exactly —
-// that is also the deterministic mode.
-func (c *Controller) partition(items []planItem) [][]planItem {
-	workers := c.cfg.Workers
-	if workers <= 1 || len(items) <= 1 {
-		if len(items) == 0 {
-			return nil
-		}
-		return [][]planItem{items}
-	}
-	queues := make([][]planItem, workers)
-	slot := make(map[string]int)
-	next := 0
-	for _, it := range items {
-		gk := it.cls.spec.Region + "|" + it.cls.spec.Content.ID + "|" + it.cls.spec.Device.ID
-		w, ok := slot[gk]
-		if !ok {
-			w = next % workers
-			slot[gk] = w
-			next++
-		}
-		queues[w] = append(queues[w], it)
-	}
-	return queues
-}
-
-// planOne re-plans one class through the admission lane: repair the
-// class graph against everything dirtied since its last annotation
-// (including earlier classes' hold swaps in this same storm), run
-// Select once, fan the result out to every member with an atomic hold
-// swap, and journal the fan-out.
+// planOne re-plans one class: repair the class graph against
+// everything dirtied since its last annotation (including earlier
+// classes' hold swaps in this same storm), run Select once, fan the
+// result out to every member with an atomic hold swap, and journal the
+// fan-out.
 func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 	cls := it.cls
 	planStart := now()
-	c.cfg.Counters.Observe(metrics.SampleStormQueueDepth, float64(c.lane.Stats().QueueLen))
-	release, err := c.lane.Acquire(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("storm: admission lane: %w", err)
-	}
-	defer release()
 
 	// Annotate the class graph as if the class were absent: its own
 	// members' holds are what the re-plan will replace, so they must

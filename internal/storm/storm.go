@@ -13,9 +13,10 @@
 //
 // Robustness properties:
 //
-//   - Bounded concurrency: class re-plans pass through a dedicated
-//     admission lane (internal/admission.Limiter), so a storm never
-//     starves client traffic of planner capacity.
+//   - Serial re-planning: one loop walks the affected classes in
+//     priority order, one Select per class. Select is a deterministic
+//     pass over one network snapshot, so a storm replays identically
+//     and never needs more than one planner.
 //   - Priority ordering: classes furthest below their QoS floor after
 //     the event re-plan first.
 //   - Graceful degradation: when no above-floor chain exists for a
@@ -44,7 +45,6 @@ import (
 	"sync"
 	"time"
 
-	"qoschain/internal/admission"
 	"qoschain/internal/core"
 	"qoschain/internal/fault"
 	"qoschain/internal/graph"
@@ -70,14 +70,6 @@ type Region struct {
 
 // Config assembles a Controller.
 type Config struct {
-	// LaneCapacity bounds concurrently re-planning classes — the storm
-	// admission lane. Default 2.
-	LaneCapacity int
-	// Workers is how many goroutines drain the class queue during a
-	// storm. Default 1, which is also what makes storms deterministic;
-	// more workers keep every safety property but may order class plans
-	// differently between runs.
-	Workers int
 	// Verify runs the naive per-session equivalence check: after each
 	// class plan, Select is re-run for every member against the same
 	// repaired graph and the result compared with the class chain. The
@@ -86,8 +78,7 @@ type Config struct {
 	// CacheSize bounds the graph cache. Default max(64, 2×classes) is
 	// applied lazily; set explicitly to override.
 	CacheSize int
-	// Counters receives storm.* and admission metrics; nil is a no-op
-	// sink.
+	// Counters receives storm.* metrics; nil is a no-op sink.
 	Counters *metrics.Counters
 	// Sink, when set, journals the controller's storm fan-out records —
 	// storm-begin, storm-class, storm-end — in the embedding host's
@@ -222,7 +213,6 @@ type Controller struct {
 	mu      sync.Mutex
 	cfg     Config
 	cache   *graph.Cache
-	lane    *admission.Limiter
 	regions map[string]*region
 	classes map[string]*Class
 	order   []string // class keys in creation order (deterministic walks)
@@ -252,19 +242,12 @@ type Controller struct {
 // Open builds an in-memory controller over the given regions; more
 // regions may register later through EnsureRegion.
 func Open(cfg Config, regions []Region) (*Controller, error) {
-	if cfg.LaneCapacity <= 0 {
-		cfg.LaneCapacity = 2
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 64
 	}
 	c := &Controller{
 		cfg:       cfg,
 		cache:     graph.NewCache(cfg.CacheSize),
-		lane:      admission.NewLimiter(admission.LimiterConfig{Capacity: cfg.LaneCapacity, MaxQueue: 1 << 20, Metrics: cfg.Counters}),
 		regions:   make(map[string]*region),
 		classes:   make(map[string]*Class),
 		memberIdx: make(map[string]*Session),
@@ -826,8 +809,6 @@ type Status struct {
 	Active           bool    `json:"active"`
 	PendingLinks     int     `json:"pendingLinks"`
 	DegradedSessions int     `json:"degradedSessions"`
-	LaneInFlight     int     `json:"laneInFlight"`
-	LaneQueued       int     `json:"laneQueued"`
 	LastStorm        *Report `json:"lastStorm,omitempty"`
 	// LastFlight summarizes the newest flight-recorder timeline.
 	LastFlight *FlightSummary `json:"lastFlight,omitempty"`
@@ -835,19 +816,16 @@ type Status struct {
 
 // Status snapshots the controller for /healthz.
 func (c *Controller) Status() Status {
-	lane := c.lane.Stats()
 	flight := c.flightSummary()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Status{
-		LastFlight:   flight,
-		Regions:      len(c.regions),
-		Classes:      len(c.classes),
-		Storms:       c.stormSeq,
-		Active:       c.active,
-		LaneInFlight: lane.InFlight,
-		LaneQueued:   lane.QueueLen,
-		LastStorm:    c.lastReport,
+		LastFlight: flight,
+		Regions:    len(c.regions),
+		Classes:    len(c.classes),
+		Storms:     c.stormSeq,
+		Active:     c.active,
+		LastStorm:  c.lastReport,
 	}
 	for _, r := range c.regions {
 		st.PendingLinks += len(r.pending)

@@ -12,6 +12,7 @@ import (
 
 	"qoschain/internal/fault"
 	"qoschain/internal/media"
+	"qoschain/internal/metrics"
 	"qoschain/internal/overlay"
 	"qoschain/internal/paperexample"
 	"qoschain/internal/profile"
@@ -400,5 +401,45 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if st.LastStorm == nil || st.LastStorm.AffectedSessions != 7 {
 		t.Fatalf("Status.LastStorm = %+v, want 7 affected sessions", st.LastStorm)
+	}
+}
+
+// TestStormWritesNoAdmissionCounters: a storm's class re-plans are not
+// client requests. The controller shares its Counters with the HTTP
+// admission layer in the daemon, so it must leave admission.* alone —
+// otherwise every re-planned class reads as an admitted request.
+func TestStormWritesNoAdmissionCounters(t *testing.T) {
+	reg := buildRegion("r1", 80000)
+	r := metrics.NewRegistry()
+	metrics.RegisterWellKnown(r)
+	c, err := storm.Open(storm.Config{Counters: metrics.CountersOn(r)}, []storm.Region{reg})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	ideals := []float64{30, 26, 22}
+	for i, ideal := range ideals {
+		cls, err := c.AddClass(classSpec("r1", ideal, 0.6))
+		if err != nil {
+			t.Fatalf("AddClass %d: %v", i, err)
+		}
+		if _, err := c.Attach(cls.Key(), 4); err != nil {
+			t.Fatalf("Attach %d: %v", i, err)
+		}
+	}
+	collapse(t, c, reg, 0.5)
+	rep, err := c.Storm()
+	if err != nil {
+		t.Fatalf("Storm: %v", err)
+	}
+	if rep.SelectCalls != len(ideals) {
+		t.Fatalf("storm re-planned %d classes, want %d", rep.SelectCalls, len(ideals))
+	}
+	if got := r.CounterValue(metrics.CounterStormSelectCalls); got != int64(len(ideals)) {
+		t.Fatalf("storm.select_calls = %d, want %d", got, len(ideals))
+	}
+	for _, name := range []string{metrics.CounterAdmissionAdmitted, metrics.CounterAdmissionQueued} {
+		if got := r.CounterValue(name); got != 0 {
+			t.Errorf("%s = %d after a storm, want 0", name, got)
+		}
 	}
 }

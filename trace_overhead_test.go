@@ -162,7 +162,7 @@ func TestSLOOverheadGuard(t *testing.T) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ms, err := m.Create(session.CreateSpec{Set: set, Floor: 0.3, Seed: 11})
+			ms, err := m.Create(session.CreateSpec{Set: set, Floor: 0.3})
 			if err != nil {
 				b.Fatal(err)
 			}
