@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline pipeline-guard trace-overhead perfbench-check lint check ci
+.PHONY: all build test vet race race-all cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-snapshot pipeline-guard trace-overhead perfbench-check lint check ci
 
 all: check
 
@@ -73,6 +73,12 @@ bench-select:
 # benchstat-comparable output. Compare against BENCH_pipeline.json.
 bench-pipeline:
 	$(GO) test -run 'TestNone' -bench 'DataPlane' -benchmem -count=5 ./
+
+# bench-snapshot times one journal snapshot of a durable session
+# manager holding 1024 creates and 256 collapse/restore fault pairs,
+# with allocation reporting, repeated for benchstat-comparable output.
+bench-snapshot:
+	$(GO) test -run '^$$' -bench 'ManagerSnapshot' -benchmem -count=5 ./internal/session/
 
 # pipeline-guard runs the data-plane regression guard: the batched Run
 # must stay >= 9.9x faster than the seed-protocol reference (11x

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -422,5 +424,47 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("corrupt snapshot not reported skipped: %v", rec.Skipped)
+	}
+}
+
+// TestSnapshotFileLayout pins the on-disk snapshot bytes for a fixed
+// payload — magic | seq | chain | crc32c(len|data) | len | data, little
+// endian — and reads the file back through the recovery reader.
+func TestSnapshotFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	var chain Chain
+	for i := range chain {
+		chain[i] = byte(i)
+	}
+	data := []byte(`{"seq":3,"ordered":[{"op":"delete","id":"s1"}]}`)
+	path, err := WriteSnapshot(dir, 42, chain, data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lenData := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+	want := []byte(snapMagic)
+	want = binary.LittleEndian.AppendUint64(want, 42)
+	want = append(want, chain[:]...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(append(lenData, data...), castagnoli))
+	want = append(want, lenData...)
+	want = append(want, data...)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot file:\n got %x\nwant %x", got, want)
+	}
+	if crc := binary.LittleEndian.Uint32(got[48:52]); crc != 0xe42105f1 {
+		t.Errorf("crc = %#08x", crc)
+	}
+
+	s, err := readSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Seq != 42 || s.Chain != chain || !bytes.Equal(s.Data, data) {
+		t.Fatalf("read back seq %d chain %x data %q", s.Seq, s.Chain, s.Data)
 	}
 }

@@ -43,13 +43,15 @@ func parseSnapshotName(name string) (uint64, bool) {
 // WriteSnapshot durably publishes a snapshot of the state machine at the
 // given chain position and returns its path.
 func WriteSnapshot(dir string, seq uint64, chain Chain, data []byte, fp *FailPoints) (string, error) {
-	buf := make([]byte, snapHeader+len(data))
-	copy(buf, snapMagic)
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	copy(buf[16:48], chain[:])
-	binary.LittleEndian.PutUint32(buf[52:56], uint32(len(data)))
-	copy(buf[56:], data)
-	binary.LittleEndian.PutUint32(buf[48:52], crc32.Checksum(buf[52:], castagnoli))
+	// Header and payload are written separately so the payload is never
+	// copied; the CRC covers the length field followed by the payload.
+	var hdr [snapHeader]byte
+	copy(hdr[:], snapMagic)
+	binary.LittleEndian.PutUint64(hdr[8:16], seq)
+	copy(hdr[16:48], chain[:])
+	binary.LittleEndian.PutUint32(hdr[52:56], uint32(len(data)))
+	crc := crc32.Update(crc32.Checksum(hdr[52:56], castagnoli), castagnoli, data)
+	binary.LittleEndian.PutUint32(hdr[48:52], crc)
 
 	path := filepath.Join(dir, snapshotName(seq))
 	tmp := path + ".tmp"
@@ -57,7 +59,11 @@ func WriteSnapshot(dir string, seq uint64, chain Chain, data []byte, fp *FailPoi
 	if err != nil {
 		return "", fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if _, err := f.Write(buf); err == nil {
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {

@@ -16,7 +16,10 @@ package session
 // overlay.ReserveChain admissions the live path used. Snapshots carry
 // the full ordered command log (sessions in one region share overlay
 // state, so cross-session order is what makes replay deterministic),
-// and recovery is snapshot + journal-suffix replay.
+// and recovery is snapshot + journal-suffix replay. The manager keeps
+// each command as the bytes it journaled, so a snapshot splices those
+// bytes into its payload instead of re-encoding the history; recovery
+// decodes the snapshot once and keeps its command array as one entry.
 //
 // After replay, Reconcile finishes any storm the journal left open and
 // re-plans every class whose members hold bandwidth on links that died
@@ -117,13 +120,6 @@ type walEvent struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// snapshotDoc is the snapshot payload: the session ID counter and the
-// full ordered command log.
-type snapshotDoc struct {
-	Seq     int        `json:"seq"`
-	Ordered []walEvent `json:"ordered,omitempty"`
-}
-
 // RecoveryReport summarizes what a Manager rebuilt at startup; adaptd
 // exposes it on /healthz.
 type RecoveryReport struct {
@@ -170,14 +166,18 @@ type Manager struct {
 	recovery    *RecoveryReport
 
 	// storm is the embedded controller (its records journal through this
-	// manager's WAL via the sink); ordered is the full command log in
-	// journal order, the snapshot payload. attachMu serializes
+	// manager's WAL via the sink). ordered is the full command log in
+	// journal order, the snapshot payload: each entry is the encoded
+	// bytes of one command, except that after recovery from a snapshot
+	// the first entry is that snapshot's whole command array body
+	// (comma-joined commands), so entries joined by commas always form
+	// the array. attachMu serializes
 	// create/delete so attach order on the shared region overlays
 	// matches journal order; it is never taken by the controller's sink
 	// path, so it cannot deadlock against a storm fan-out (which holds
 	// the controller lock and then takes m.mu).
 	storm    *storm.Controller
-	ordered  []walEvent
+	ordered  []json.RawMessage
 	attachMu sync.Mutex
 }
 
@@ -247,7 +247,8 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		// removed per-session manager mode carried. Such a snapshot is
 		// refused rather than silently recovered to zero sessions.
 		var doc struct {
-			snapshotDoc
+			Seq      int                        `json:"seq"`
+			Ordered  []walEvent                 `json:"ordered"`
 			Sessions map[string]json.RawMessage `json:"sessions"`
 		}
 		if err := json.Unmarshal(rec.SnapshotData, &doc); err != nil {
@@ -259,12 +260,21 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			return nil, fmt.Errorf("session: snapshot seq %d in %s holds %d per-session histories written by the removed per-session manager mode; only storm-attached snapshots can be recovered",
 				rec.SnapshotSeq, cfg.StateDir, len(doc.Sessions))
 		}
+		body, ok := snapshotBody(rec.SnapshotData, doc.Seq)
+		if !ok {
+			log.Close()
+			return nil, fmt.Errorf("session: decoding snapshot seq %d in %s: payload is not in the snapshot writer's layout", rec.SnapshotSeq, cfg.StateDir)
+		}
 		m.seq = doc.Seq
 		// The snapshot is the ordered command log; replay it like a
 		// journal prefix (cross-session order matters on the shared
-		// region overlays).
+		// region overlays). Its array body, already encoded, becomes
+		// the log's first entry.
+		if body != nil {
+			m.ordered = append(m.ordered, body)
+		}
 		for _, ev := range doc.Ordered {
-			m.replayCommand(ev, 0)
+			m.replayCommand(ev, nil, 0)
 		}
 		m.recovery.SnapshotSessions = len(m.sessions)
 	}
@@ -274,7 +284,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			m.replayError(fmt.Sprintf("journal seq %d: %v", r.Seq, err))
 			continue
 		}
-		m.replayCommand(ev, r.Seq)
+		m.replayCommand(ev, r.Data, r.Seq)
 	}
 	// Changes made before the restart are not news to the next
 	// reevaluate.
@@ -295,11 +305,15 @@ func (m *Manager) replayError(msg string) {
 	m.cfg.Counters.Inc(metrics.CounterRecoveryErrors)
 }
 
-// replayCommand re-applies one journaled command during recovery.
-func (m *Manager) replayCommand(ev walEvent, seq uint64) {
+// replayCommand re-applies one journaled command during recovery. raw
+// is the command's journaled bytes; nil for a command the ordered log
+// already holds (one replayed from the snapshot).
+func (m *Manager) replayCommand(ev walEvent, raw json.RawMessage, seq uint64) {
 	// The ordered log must mirror the journal exactly so the next
 	// snapshot replays to the same state.
-	m.ordered = append(m.ordered, ev)
+	if raw != nil {
+		m.ordered = append(m.ordered, raw)
+	}
 	switch ev.Op {
 	case "create":
 		if ev.Create == nil {
@@ -360,7 +374,7 @@ func (m *Manager) journalCommand(ev walEvent) error {
 	if err != nil {
 		return fmt.Errorf("session: encoding command: %w", err)
 	}
-	m.ordered = append(m.ordered, ev)
+	m.ordered = append(m.ordered, data)
 	if _, err := m.log.Append(data); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
@@ -372,19 +386,59 @@ func (m *Manager) journalCommand(ev walEvent) error {
 }
 
 // snapshotLocked publishes a compacting snapshot. Callers hold m.mu.
+//
+// The payload is {"seq":N,"ordered":[...]} with the ordered entries
+// spliced in as journaled, or {"seq":N} when the log is empty: the
+// bytes json.Marshal writes for a {Seq int; Ordered []walEvent
+// `json:",omitempty"`} document of the same commands, without
+// re-encoding any of them. snapshotBody is the reader of this layout.
 func (m *Manager) snapshotLocked() error {
 	if m.log == nil {
 		return nil
 	}
-	data, err := json.Marshal(snapshotDoc{Seq: m.seq, Ordered: m.ordered})
-	if err != nil {
-		return fmt.Errorf("session: encoding snapshot: %w", err)
+	head := `{"seq":` + strconv.Itoa(m.seq)
+	var data []byte
+	if len(m.ordered) == 0 {
+		data = []byte(head + "}")
+	} else {
+		head += `,"ordered":[`
+		size := len(head) + len(m.ordered) + 1 // commas plus "]}"
+		for _, e := range m.ordered {
+			size += len(e)
+		}
+		data = append(make([]byte, 0, size), head...)
+		for i, e := range m.ordered {
+			if i > 0 {
+				data = append(data, ',')
+			}
+			data = append(data, e...)
+		}
+		data = append(data, "]}"...)
 	}
 	if err := m.log.Snapshot(data); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	m.eventsSince = 0
 	return nil
+}
+
+// snapshotBody returns the command array body of a snapshot payload
+// whose seq field decoded to seq: the bytes between the brackets of
+// {"seq":N,"ordered":[...]}, as a sub-slice of data, or nil for
+// {"seq":N}. ok is false for any other layout — snapshotLocked writes
+// only these two, and the body is kept verbatim as the ordered log's
+// first entry, so a payload it cannot splice back must be refused.
+func snapshotBody(data []byte, seq int) (body json.RawMessage, ok bool) {
+	head := `{"seq":` + strconv.Itoa(seq)
+	if string(data) == head+"}" {
+		return nil, true
+	}
+	head += `,"ordered":[`
+	const tail = "]}"
+	if len(data) <= len(head)+len(tail) || string(data[:len(head)]) != head || string(data[len(data)-len(tail):]) != tail {
+		return nil, false
+	}
+	return data[len(head) : len(data)-len(tail)], true
 }
 
 // Recovery returns the startup recovery report (empty for an in-memory

@@ -55,6 +55,15 @@ func managerSet() profile.Set {
 	}
 }
 
+// snapshotDoc is the reference encoding of a snapshot payload: the
+// session ID counter and the full ordered command log, re-encoded from
+// decoded commands. The manager splices its journaled bytes instead;
+// TestSnapshotPayloadMatchesMarshal pins the two to the same bytes.
+type snapshotDoc struct {
+	Seq     int        `json:"seq"`
+	Ordered []walEvent `json:"ordered,omitempty"`
+}
+
 func newPersistent(t *testing.T, dir string, opts ManagerConfig) *Manager {
 	t.Helper()
 	opts.StateDir = dir
@@ -398,13 +407,213 @@ func TestManagerReplaysCreateWithRetiredSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newPersistent(t, dir, ManagerConfig{})
-	defer m.Close()
-	got := fingerprints(t, m)
-	if len(got) != 1 || got["s1"] != want["s1"] {
-		t.Fatalf("replayed sessions diverged:\n got %v\nwant %v", got, want)
+	// The first open replays the record from the journal; Close then
+	// snapshots it with its original bytes, seed and all, and the second
+	// open replays it from that snapshot.
+	for round := 0; round < 2; round++ {
+		m := newPersistent(t, dir, ManagerConfig{})
+		if errs := m.Recovery().ReplayErrors; len(errs) != 0 {
+			t.Fatalf("round %d: replay errors: %v", round, errs)
+		}
+		got := fingerprints(t, m)
+		if len(got) != 1 || got["s1"] != want["s1"] {
+			t.Fatalf("round %d: replayed sessions diverged:\n got %v\nwant %v", round, got, want)
+		}
+		if gotStorm, _ := m.StormController().Fingerprint(); gotStorm != wantStorm {
+			t.Errorf("round %d: replayed controller diverged:\n got %s\nwant %s", round, gotStorm, wantStorm)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		snap := latestSnapshot(t, dir)
+		if wantSnap := `{"seq":1,"ordered":[` + record + `]}`; string(snap.Data) != wantSnap {
+			t.Fatalf("round %d: snapshot payload\n got %s\nwant %s", round, snap.Data, wantSnap)
+		}
 	}
-	if gotStorm, _ := m.StormController().Fingerprint(); gotStorm != wantStorm {
-		t.Errorf("replayed controller diverged:\n got %s\nwant %s", gotStorm, wantStorm)
+}
+
+// latestSnapshot loads the newest snapshot in dir, failing without one.
+func latestSnapshot(t *testing.T, dir string) *journal.Snapshot {
+	t.Helper()
+	snap, _, err := journal.LatestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatalf("no snapshot in %s", dir)
+	}
+	return snap
+}
+
+// TestManagerRefusesSnapshotOutOfLayout feeds the manager CRC-valid
+// snapshots that decode as JSON but are not in the layout the manager
+// writes. Recovery keeps the snapshot's command array verbatim for the
+// next snapshot, so anything it could not splice back is refused rather
+// than recovered and then lost at the next compaction.
+func TestManagerRefusesSnapshotOutOfLayout(t *testing.T) {
+	for _, doc := range []string{
+		`{"ordered":[],"seq":1}`,
+		`{"seq":1,"ordered":[]}`,
+		`{"seq":1,"ordered":null}`,
+		`{"seq":1 }`,
+		`{"ordered":[{"op":"delete","id":"s1"}],"seq":1}`,
+		`{"seq":1,"ordered":[{"op":"delete","id":"s1"}] }`,
+	} {
+		dir := t.TempDir()
+		log, _, err := journal.OpenLog(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append([]byte(`{"op":"delete","id":"s1"}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Snapshot([]byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(ManagerConfig{StateDir: dir})
+		if err == nil {
+			m.Close()
+			t.Fatalf("NewManager recovered snapshot %s", doc)
+		}
+		if !strings.Contains(err.Error(), "session: decoding snapshot") {
+			t.Fatalf("snapshot %s: error %q is not a decoding error", doc, err)
+		}
+	}
+}
+
+// TestSnapshotPayloadMatchesMarshal pins the spliced snapshot payload
+// to the reference encoding: json.Marshal of a snapshotDoc holding the
+// payload's own decoded commands. Three rounds of reopen → mutate →
+// Close cover the path where the recovered snapshot's command array is
+// kept as one entry and spliced into the next snapshot.
+func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
+	dir := t.TempDir()
+	m := newPersistent(t, dir, ManagerConfig{})
+	var want map[string]string
+	var wantCtrl string
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			m = newPersistent(t, dir, ManagerConfig{})
+			if errs := m.Recovery().ReplayErrors; len(errs) != 0 {
+				t.Fatalf("round %d: replay errors: %v", round, errs)
+			}
+			got := fingerprints(t, m)
+			if len(got) != len(want) {
+				t.Fatalf("round %d: recovered %d sessions, want %d", round, len(got), len(want))
+			}
+			for id, fp := range want {
+				if got[id] != fp {
+					t.Errorf("round %d: session %s diverged:\n got %s\nwant %s", round, id, got[id], fp)
+				}
+			}
+			if gotCtrl, _ := m.StormController().Fingerprint(); gotCtrl != wantCtrl {
+				t.Errorf("round %d: controller diverged:\n got %s\nwant %s", round, gotCtrl, wantCtrl)
+			}
+		}
+		mutateForSnapshot(t, m)
+		want = fingerprints(t, m)
+		var err error
+		if wantCtrl, err = m.StormController().Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+
+		snap := latestSnapshot(t, dir)
+		var doc snapshotDoc
+		if err := json.Unmarshal(snap.Data, &doc); err != nil {
+			t.Fatalf("round %d: decoding snapshot: %v", round, err)
+		}
+		ref, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(snap.Data) != string(ref) {
+			t.Fatalf("round %d: snapshot payload differs from the reference encoding:\n got %s\nwant %s", round, snap.Data, ref)
+		}
+		ops := make(map[string]int)
+		for _, ev := range doc.Ordered {
+			ops[ev.Op]++
+		}
+		if want := 4 * (round + 1); ops["create"] != want {
+			t.Fatalf("round %d: snapshot holds %d creates, want %d (ops %v)", round, ops["create"], want, ops)
+		}
+		for _, op := range []string{"fault", "storm", "reevaluate", "delete"} {
+			if ops[op] == 0 {
+				t.Fatalf("round %d: snapshot holds no %s command (ops %v)", round, op, ops)
+			}
+		}
+	}
+}
+
+// mutateForSnapshot drives every command kind through m: creates with
+// and without a reservation, a bandwidth collapse and its restore on a
+// live chain's downlink (each storms the classes crossing it), a
+// reevaluate and a delete.
+func mutateForSnapshot(t *testing.T, m *Manager) {
+	t.Helper()
+	var created []*Managed
+	for i := 0; i < 4; i++ {
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: i%2 == 0})
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		created = append(created, ms)
+	}
+	host, _ := chainProxy(t, created[0])
+	for _, factor := range []float64{1e-4, 1e4} {
+		f := fault.Fault{Kind: fault.BandwidthCollapse, From: host, To: "d", Factor: factor}
+		if err := created[0].ApplyFault(f); err != nil {
+			t.Fatalf("fault x%g: %v", factor, err)
+		}
+	}
+	if _, evalErr, logErr := created[1].ReevaluateReason(ReevalManual); evalErr != nil || logErr != nil {
+		t.Fatalf("reevaluate: eval=%v log=%v", evalErr, logErr)
+	}
+	if ok, err := m.Delete(created[3].ID()); !ok || err != nil {
+		t.Fatalf("delete: ok=%v err=%v", ok, err)
+	}
+}
+
+// BenchmarkManagerSnapshot times one compacting snapshot of a durable
+// manager holding 1024 creates and 256 collapse/restore fault pairs
+// with their storm records — the command log a busy fault-storm daemon
+// carries. Each iteration writes, fsyncs and publishes the full
+// snapshot file.
+func BenchmarkManagerSnapshot(b *testing.B) {
+	m, err := NewManager(ManagerConfig{StateDir: b.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	var all []*Managed
+	for i := 0; i < 1024; i++ {
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.05 * float64(1+i%8), Reserve: true})
+		if err != nil {
+			b.Fatalf("create: %v", err)
+		}
+		all = append(all, ms)
+	}
+	for i := 0; i < 256; i++ {
+		ms := all[(i*37)%len(all)]
+		host, _ := chainProxy(b, ms)
+		for _, factor := range []float64{1e-4, 1e4} {
+			if err := ms.ApplyFault(fault.Fault{Kind: fault.BandwidthCollapse, From: host, To: "d", Factor: factor}); err != nil {
+				b.Fatalf("fault: %v", err)
+			}
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.snapshotLocked(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -99,7 +99,7 @@ func (m *Manager) ApplyReplicated(recs []journal.Record) (uint64, error) {
 			m.replayError(fmt.Sprintf("replicated seq %d: %v", r.Seq, err))
 			continue
 		}
-		m.replayCommand(ev, r.Seq)
+		m.replayCommand(ev, r.Data, r.Seq)
 		m.cfg.Counters.Inc(metrics.CounterReplicationApplied)
 	}
 	return m.log.LastSeq(), nil

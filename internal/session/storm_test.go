@@ -45,7 +45,7 @@ func newStormManager(t *testing.T) (*Manager, *metrics.Counters) {
 
 // chainProxy resolves which proxy host a session's chain routes
 // through, so tests can kill the link the chain actually uses.
-func chainProxy(t *testing.T, ms *Managed) (host, conv string) {
+func chainProxy(t testing.TB, ms *Managed) (host, conv string) {
 	t.Helper()
 	for _, hop := range ms.State().Path {
 		switch hop {
