@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-snapshot pipeline-guard trace-overhead perfbench-check lint check ci
+.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-snapshot pipeline-guard trace-overhead perfbench-check lint check ci
 
 all: check
 
@@ -30,6 +30,15 @@ race-all:
 		./internal/pipeline/ ./internal/transcode/ \
 		./internal/journal/ ./internal/session/ ./internal/sim/
 
+# fuzz-smoke runs every fuzz target for a short, fixed time: format
+# parsing, profile-set decoding, format interning and storm record
+# replay, 10s each. go test fuzzes one target per package per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFormat$$' -fuzztime 10s ./internal/media/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 10s ./internal/profile/
+	$(GO) test -run '^$$' -fuzz '^FuzzFormatInterning$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime 10s ./internal/storm/
+
 # cluster-smoke runs seeded node-kill scenarios against a 3-replica
 # Figure 6 deployment: WAL shipping over real sockets, lease-expiry
 # death detection, follower promotion. Fails unless every adopted
@@ -48,9 +57,10 @@ storm-smoke:
 
 # storm-cluster-smoke runs the storm-safe live path end to end: live
 # /v1/sessions creates attach to equivalence classes on a replicated
-# pair, a backbone loss spike storms the classes, the primary is
-# killed after one fan-out, and the promoted follower must resume the
-# open storm to the byte-identical controller fingerprint with zero
+# pair, a backbone loss spike storms the classes, the primary's journal
+# dies after the fault's record and before its storm's, and the
+# follower — holding the fault without the storm — must re-plan on
+# promotion to the byte-identical controller fingerprint with zero
 # leaked bandwidth (EXPERIMENTS.md EXT-P).
 storm-cluster-smoke:
 	$(GO) run ./cmd/adaptsim -storm-cluster -trials 2 -seed 7

@@ -100,7 +100,7 @@ func main() {
 	stormRegions := flag.Int("storm-regions", 4, "with -storm: number of network regions")
 	stormClasses := flag.Int("storm-classes", 8, "with -storm: equivalence classes per region")
 	stormVerify := flag.Bool("storm-verify", true, "with -storm: run the naive per-session Select equivalence check")
-	stormCluster := flag.Bool("storm-cluster", false, "drive live /v1/sessions against a storm-attached replicated pair, kill the primary mid-storm, and verify the promoted follower resumes the open storm to the byte-identical fingerprint with zero leaked bandwidth")
+	stormCluster := flag.Bool("storm-cluster", false, "drive live /v1/sessions against a storm-attached replicated pair, kill the primary between a fault's commit and its storm's, and verify the promoted follower re-plans to the byte-identical fingerprint with zero leaked bandwidth")
 	metricsOut := flag.String("metrics-out", "", "dump the final metrics registry snapshot as JSON to this file (tables stay on stdout)")
 	flag.Parse()
 	metricsOutPath = *metricsOut
@@ -692,9 +692,10 @@ func runCrash(seed int64) {
 // runStormCluster drives the storm-safe live-path scenario under
 // several seeds: live /v1/sessions creates against a storm-attached
 // primary whose WAL ships to a follower, a correlated backbone fault
-// that kills the primary after its first class fan-out, and a
-// promotion that must resume the open storm to the reference run's
-// byte-identical fingerprint with zero leaked bandwidth. Any violation
+// whose batch kills the primary's journal after the fault record and
+// before the storm record, and a promotion whose Reconcile storm must
+// re-plan to the reference run's byte-identical fingerprint with zero
+// leaked bandwidth. Any violation
 // exits nonzero, so the run doubles as the CI storm-cluster smoke
 // check.
 func runStormCluster(seed int64, trials int) {
@@ -705,7 +706,7 @@ func runStormCluster(seed int64, trials int) {
 		trials, seed, seed+int64(trials)-1)
 	counters := metrics.NewCounters()
 	tb := metrics.NewTable("seed", "classes", "sessions", "selects", "mismatches",
-		"shipped", "halted", "resumed", "identical", "leak kbps", "recovery ms",
+		"shipped", "killed", "pending", "replanned", "identical", "leak kbps", "recovery ms",
 		"trace nodes", "1 storm id", "fed series")
 	failed := false
 	for i := 0; i < trials; i++ {
@@ -723,7 +724,7 @@ func runStormCluster(seed int64, trials int) {
 			os.Exit(1)
 		}
 		tb.AddRow(rep.Seed, rep.Classes, rep.Sessions, rep.RefSelectCalls,
-			rep.RefMismatches, rep.ShippedRecords, rep.Halted, rep.ResumedClasses,
+			rep.RefMismatches, rep.ShippedRecords, rep.Killed, rep.PendingLinks, rep.ReplannedClasses,
 			rep.FingerprintsIdentical, fmt.Sprintf("%.3f", rep.LeakKbps),
 			fmt.Sprintf("%.2f", rep.RecoveryMs),
 			rep.TraceNodes, rep.FlightSingleID, rep.FederatedSeries)
@@ -740,7 +741,7 @@ func runStormCluster(seed int64, trials int) {
 		fmt.Println("\nstorm-safe live path: FAIL")
 		os.Exit(1)
 	}
-	fmt.Println("\nstorm-safe live path: mid-storm failover resumed byte-identical, zero leaked kbps")
+	fmt.Println("\nstorm-safe live path: fault committed without its storm, promoted follower re-planned byte-identical, zero leaked kbps")
 }
 
 // runStorm injects a seeded correlated backbone event over a scaled

@@ -85,9 +85,9 @@ type NodeConfig struct {
 	// StormVerify arms the primary's naive-equivalence check (harness
 	// use only; replicas replay recorded plans and never Select).
 	StormVerify bool
-	// StormHaltAfterFanouts arms the primary's deterministic mid-storm
-	// crash site (harness use only).
-	StormHaltAfterFanouts int
+	// FailPoints injects deterministic crash sites into the primary's
+	// journal (harness use only; see session.ManagerConfig).
+	FailPoints *journal.FailPoints
 }
 
 // replica is one followed node's mirrored state.
@@ -123,12 +123,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	primary, err := session.NewManager(session.ManagerConfig{
-		StateDir:              filepath.Join(cfg.StateDir, "primary"),
-		IDPrefix:              cfg.ID + "-",
-		SnapshotEvery:         cfg.SnapshotEvery,
-		Counters:              cfg.Counters,
-		StormVerify:           cfg.StormVerify,
-		StormHaltAfterFanouts: cfg.StormHaltAfterFanouts,
+		StateDir:      filepath.Join(cfg.StateDir, "primary"),
+		IDPrefix:      cfg.ID + "-",
+		SnapshotEvery: cfg.SnapshotEvery,
+		Counters:      cfg.Counters,
+		StormVerify:   cfg.StormVerify,
+		FailPoints:    cfg.FailPoints,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening primary state: %w", err)

@@ -76,9 +76,6 @@ type Config struct {
 	// are identical (same tie-breaking); the ablation benchmark
 	// compares the two on large graphs.
 	Scan bool
-	// UseHeap is deprecated: the priority queue is now the default, so
-	// the field is ignored. Set Scan to force the linear scan.
-	UseHeap bool
 }
 
 // Result reports the selected chain.

@@ -207,9 +207,8 @@ func handleHealth(w http.ResponseWriter, r *http.Request, sessions SessionBacken
 
 // handleStorms serves the storm flight recorder: the retained storm
 // timelines, newest first, each with its begin/class/end events and
-// per-class latencies. A storm resumed after a primary kill appears as
-// ONE flight whose replayed prefix came off the WAL and whose live
-// suffix was planned post-promotion.
+// per-class latencies. A storm rebuilt from the WAL appears as one
+// flight whose events are all marked replayed.
 func handleStorms(w http.ResponseWriter, r *http.Request, fr FlightReporter) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")

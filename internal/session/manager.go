@@ -5,8 +5,10 @@ package session
 // class on a shared region overlay (see storm.go) — and, when given a
 // state directory, journals every state-changing command through a
 // checksummed, hash-chained write-ahead log (internal/journal): session
-// create, fault injection, reevaluate and delete, interleaved in true
-// order with the embedded storm controller's fan-out records.
+// create, fault injection, reevaluate and delete. A command that
+// triggers a storm (a fault or a reevaluate) is appended in one batch
+// with the embedded storm controller's record of that storm — one
+// Log.Append, one fsync — so the journal never holds part of a storm.
 //
 // The state machine is deterministic: the clock is virtual (one tick
 // per reevaluate), faults mutate only the region overlays, and storm
@@ -21,9 +23,12 @@ package session
 // bytes into its payload instead of re-encoding the history; recovery
 // decodes the snapshot once and keeps its command array as one entry.
 //
-// After replay, Reconcile finishes any storm the journal left open and
-// re-plans every class whose members hold bandwidth on links that died
-// (a fault committed before its storm ran).
+// One mutex orders commands: each runs apply → storm → journal under
+// it, so journal order is application order and no other command's
+// record lands between a command and its storm. A crash between a
+// command's record and its storm record leaves the command without its
+// storm; after replay, Reconcile re-plans what that left pending, along
+// with every class whose members hold bandwidth on links that died.
 
 import (
 	"context"
@@ -95,9 +100,6 @@ type ManagerConfig struct {
 	// StormVerify arms the controller's naive per-session equivalence
 	// check (harness use only).
 	StormVerify bool
-	// StormHaltAfterFanouts arms the controller's deterministic
-	// mid-storm crash site (see storm.Config.HaltAfterFanouts).
-	StormHaltAfterFanouts int
 }
 
 // walEvent is the journaled wire form of one command.
@@ -113,9 +115,10 @@ type walEvent struct {
 	// before the field existed; replay treats empty as unattributed.
 	Reason string `json:"reason,omitempty"`
 	// Kind/Data carry a storm controller record when Op is "storm":
-	// Kind is the controller's record kind (storm-begin, storm-class,
-	// storm-end) and Data its payload, replayed back through
-	// storm.Controller.ReplayRecord.
+	// Kind is the controller's record kind (storm.RecordKind; journals
+	// written before a storm was one record also hold storm-begin,
+	// storm-class and storm-end) and Data its payload, replayed back
+	// through storm.Controller.ReplayRecord.
 	Kind string          `json:"kind,omitempty"`
 	Data json.RawMessage `json:"data,omitempty"`
 }
@@ -147,7 +150,7 @@ type ReconcileReport struct {
 	// Checked counts sessions inspected.
 	Checked int `json:"checked"`
 	// Recomposed counts sessions re-planned because their holds sat on
-	// dead links, plus the members an open storm's resume re-planned.
+	// dead links.
 	Recomposed int `json:"recomposed"`
 	// ReleasedKbps is the bandwidth freed from holds on dead links.
 	ReleasedKbps float64 `json:"releasedKbps"`
@@ -165,20 +168,19 @@ type Manager struct {
 	eventsSince int // commands since the last snapshot
 	recovery    *RecoveryReport
 
-	// storm is the embedded controller (its records journal through this
-	// manager's WAL via the sink). ordered is the full command log in
-	// journal order, the snapshot payload: each entry is the encoded
-	// bytes of one command, except that after recovery from a snapshot
-	// the first entry is that snapshot's whole command array body
-	// (comma-joined commands), so entries joined by commas always form
-	// the array. attachMu serializes
-	// create/delete so attach order on the shared region overlays
-	// matches journal order; it is never taken by the controller's sink
-	// path, so it cannot deadlock against a storm fan-out (which holds
-	// the controller lock and then takes m.mu).
-	storm    *storm.Controller
-	ordered  []json.RawMessage
-	attachMu sync.Mutex
+	// storm is the embedded controller (its storm records journal in
+	// this manager's WAL). ordered is the full command log in journal
+	// order, the snapshot payload: each entry is the encoded bytes of
+	// one record, except that after recovery from a snapshot the first
+	// entry is that snapshot's whole command array body (comma-joined
+	// records), so entries joined by commas always form the array.
+	// cmdMu orders commands: create, delete, fault, reevaluate and
+	// Reconcile each hold it across apply → storm → journal, so journal
+	// order is the order commands changed the shared region overlays.
+	// Lock order is cmdMu, then the controller or m.mu.
+	storm   *storm.Controller
+	ordered []json.RawMessage
+	cmdMu   sync.Mutex
 }
 
 // Managed is one manager-owned session: a member of a storm equivalence
@@ -212,13 +214,11 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		sessions: make(map[string]*Managed),
 		recovery: &RecoveryReport{},
 	}
-	// The embedded controller journals its storm records through this
-	// manager's WAL (the sink) and is rebuilt from it on recovery.
+	// The embedded controller's storm records journal in this
+	// manager's WAL; it is rebuilt from them on recovery.
 	ctrl, err := storm.Open(storm.Config{
-		Verify:           cfg.StormVerify,
-		HaltAfterFanouts: cfg.StormHaltAfterFanouts,
-		Counters:         cfg.Counters,
-		Sink:             m.stormSink,
+		Verify:   cfg.StormVerify,
+		Counters: cfg.Counters,
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -344,9 +344,8 @@ func (m *Manager) replayCommand(ev walEvent, raw json.RawMessage, seq uint64) {
 		}
 		delete(m.sessions, ev.ID)
 	case "storm":
-		// A storm controller record that journaled through the sink;
-		// hand it back for replay (fan-outs re-apply their recorded
-		// plans — no Select).
+		// A storm controller record; hand it back for replay (plans
+		// re-apply as recorded — no Select).
 		if err := m.storm.ReplayRecord(ev.Kind, ev.Data); err != nil {
 			m.replayError(fmt.Sprintf("journal seq %d: storm %s: %v", seq, ev.Kind, err))
 		}
@@ -363,22 +362,31 @@ func (m *Manager) bumpSeq(id string) {
 	}
 }
 
-// journalCommand appends one command to the WAL and fsyncs (callers
-// batching multiple commands rely on Log.Append's group commit), then
-// compacts when due. Callers hold m.mu. A nil log is a no-op.
-func (m *Manager) journalCommand(ev walEvent) error {
+// journalCommand appends one command and, when rec is non-nil, the
+// record of the storm the command caused, with one Log.Append — one
+// fsync — then compacts when due. Callers hold m.mu. A nil log is a
+// no-op.
+func (m *Manager) journalCommand(ev walEvent, rec json.RawMessage) error {
 	if m.log == nil {
 		return nil
 	}
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("session: encoding command: %w", err)
+	evs := []walEvent{ev}
+	if rec != nil {
+		evs = append(evs, walEvent{Op: "storm", Kind: storm.RecordKind, Data: rec})
 	}
-	m.ordered = append(m.ordered, data)
-	if _, err := m.log.Append(data); err != nil {
+	datas := make([][]byte, len(evs))
+	for i, ev := range evs {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return fmt.Errorf("session: encoding command: %w", err)
+		}
+		datas[i] = data
+		m.ordered = append(m.ordered, data)
+	}
+	if _, err := m.log.Append(datas...); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
-	m.eventsSince++
+	m.eventsSince += len(evs)
 	if m.cfg.SnapshotEvery > 0 && m.eventsSince >= m.cfg.SnapshotEvery {
 		return m.snapshotLocked()
 	}
@@ -472,12 +480,9 @@ func (m *Manager) Create(spec CreateSpec) (*Managed, error) {
 
 // CreateCtx is Create under a context: a trace carried by the context
 // records the composition and journal-append spans of the creation.
-// attachMu serializes attach order with journal order across concurrent
-// creates and deletes, so replay reserves against the shared region
-// overlays in the same sequence the live path did.
 func (m *Manager) CreateCtx(ctx context.Context, spec CreateSpec) (*Managed, error) {
-	m.attachMu.Lock()
-	defer m.attachMu.Unlock()
+	m.cmdMu.Lock()
+	defer m.cmdMu.Unlock()
 	m.mu.Lock()
 	m.seq++
 	id := fmt.Sprintf("%ss%d", m.cfg.IDPrefix, m.seq)
@@ -489,14 +494,14 @@ func (m *Manager) CreateCtx(ctx context.Context, spec CreateSpec) (*Managed, err
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sessions[id] = ms
-	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec})
+	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec}, nil)
 }
 
 // journalTraced wraps journalCommand in a "journal.append" span when the
 // context carries a trace. Callers hold m.mu.
-func (m *Manager) journalTraced(ctx context.Context, ev walEvent) error {
+func (m *Manager) journalTraced(ctx context.Context, ev walEvent, rec json.RawMessage) error {
 	sp := trace.FromContext(ctx).StartSpan("journal.append", trace.Str("op", ev.Op))
-	err := m.journalCommand(ev)
+	err := m.journalCommand(ev, rec)
 	if err != nil {
 		sp.End(trace.Str("outcome", "error"))
 		return err
@@ -529,8 +534,8 @@ func (m *Manager) List() []*Managed {
 // releases its hold on the shared overlay — and journals the deletion.
 // It reports whether the session existed.
 func (m *Manager) Delete(id string) (bool, error) {
-	m.attachMu.Lock()
-	defer m.attachMu.Unlock()
+	m.cmdMu.Lock()
+	defer m.cmdMu.Unlock()
 	m.mu.Lock()
 	_, ok := m.sessions[id]
 	if !ok {
@@ -541,7 +546,7 @@ func (m *Manager) Delete(id string) (bool, error) {
 	m.mu.Unlock()
 	detachErr := m.storm.DetachSession(id)
 	m.mu.Lock()
-	err := m.journalCommand(walEvent{Op: "delete", ID: id})
+	err := m.journalCommand(walEvent{Op: "delete", ID: id}, nil)
 	m.mu.Unlock()
 	if err == nil {
 		err = detachErr

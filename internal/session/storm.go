@@ -12,17 +12,19 @@ package session
 // SwapChain per reserving member, one reservation ledger (the region
 // overlay).
 //
-// The controller journals nothing itself. Its storm fan-out records
-// flow through the manager's WAL (Config.Sink → walEvent{Op: "storm"}),
-// interleaved in true order with the create/fault/reevaluate/delete
-// commands, and class membership is derived state — replaying the
+// The controller journals nothing itself. Storm returns each storm as
+// one record, which the manager appends as a
+// walEvent{Op: "storm"} in the same batch as the fault or reevaluate
+// that caused it. Class membership is derived state — replaying the
 // manager's commands re-attaches every session and re-marks every
-// pending link, while the storm records replay their recorded plans
+// pending link — while the storm records replay their recorded plans
 // verbatim (no Select). That one WAL is exactly what the cluster tier
 // ships, so a follower's replica manager rebuilds the full class state
-// for free, and a primary that dies mid-storm leaves a begin-without-end
-// the promoted follower finishes via ResumeOpenStorm — in the recorded
-// priority order, with byte-identical resulting fingerprints.
+// for free. A primary that dies between a command's record and its
+// storm record leaves the follower the command without its storm; the
+// promoted follower's Reconcile re-plans what it left pending, and
+// because the priority order is a function of state it reaches the
+// fingerprints the dead primary had.
 //
 // Managed sessions need no per-session quarantine: down hosts and
 // links are marked on the region overlay itself, so every re-plan
@@ -31,7 +33,6 @@ package session
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -47,17 +48,6 @@ import (
 // StormController exposes the embedded controller — the daemon mounts
 // its Status on /healthz and the harnesses read fingerprints off it.
 func (m *Manager) StormController() *storm.Controller { return m.storm }
-
-// stormSink is the controller's journal: storm records append to the
-// manager's WAL as Op "storm" commands, in true order relative to the
-// session commands around them. Called with the controller's lock held;
-// takes only m.mu (never attachMu), so it cannot deadlock against
-// creates, which take the controller's lock without holding m.mu.
-func (m *Manager) stormSink(kind string, data json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.journalCommand(walEvent{Op: "storm", Kind: kind, Data: data})
-}
 
 // stormRegionName fingerprints the infrastructure half of a profile set
 // — the network topology and deployed intermediaries — into a region
@@ -211,25 +201,23 @@ func (ms *Managed) ApplyFault(f fault.Fault) error {
 }
 
 // ApplyFaultCtx is ApplyFault under a context carrying the request
-// trace: mutate the shared overlay, journal the command, then absorb
-// the changed-link set with a storm — O(affected classes) Selects, not
-// O(sessions). A storm already in flight keeps the links pending; they
-// are absorbed by the next one.
+// trace: mutate the shared overlay, absorb the changed-link set with a
+// storm — O(affected classes) Selects, not O(sessions) — then journal
+// the fault and the storm's record in one batch.
 func (ms *Managed) ApplyFaultCtx(ctx context.Context, f fault.Fault) error {
 	m := ms.m
+	m.cmdMu.Lock()
+	defer m.cmdMu.Unlock()
 	if err := m.applyRegionFault(ms.region, f); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	err := m.journalTraced(ctx, walEvent{Op: "fault", ID: ms.id, Fault: &f})
-	m.mu.Unlock()
+	_, rec, err := m.storm.Storm()
 	if err != nil {
 		return err
 	}
-	if _, err := m.storm.Storm(); err != nil && !errors.Is(err, storm.ErrStormActive) {
-		return err
-	}
-	return nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.journalTraced(ctx, walEvent{Op: "fault", ID: ms.id, Fault: &f}, rec)
 }
 
 // noteReason records a reevaluate attribution on both the session's
@@ -243,25 +231,28 @@ func (ms *Managed) noteReason(reason string) {
 	ms.m.cfg.Counters.Inc(metrics.CounterReevalPrefix + reason)
 }
 
-// ReevaluateReasonCtx is ReevaluateReason under a context: a
-// single-class storm over the session's equivalence class. Every class
+// ReevaluateReasonCtx is ReevaluateReason under a context: the
+// session's equivalence class is marked for re-planning and a storm
+// runs, journaled in one batch with the reevaluate command. Every class
 // member gets the refreshed plan — re-evaluating one session of a class
-// and not its twins would be a contradiction in terms. changed reports
-// whether the session's chain was swapped since its previous
-// reevaluate, by this re-plan or by a fault's storm in between.
+// and not its twins would be a contradiction in terms. changed reports whether the
+// session's chain was swapped since its previous reevaluate, by this
+// re-plan or by a fault's storm in between.
 func (ms *Managed) ReevaluateReasonCtx(ctx context.Context, reason string) (changed bool, evalErr, logErr error) {
 	m := ms.m
+	m.cmdMu.Lock()
+	defer m.cmdMu.Unlock()
 	ms.mu.Lock()
 	ms.step++
 	ms.noteReason(reason)
 	ms.mu.Unlock()
-	m.mu.Lock()
-	logErr = m.journalTraced(ctx, walEvent{Op: "reevaluate", ID: ms.id, Reason: reason})
-	m.mu.Unlock()
-	// A storm in flight (ErrStormActive) re-plans the class anyway.
-	if _, err := m.storm.ReplanClass(ms.classKey); err != nil && !errors.Is(err, storm.ErrStormActive) {
-		evalErr = err
+	var rec json.RawMessage
+	if evalErr = m.storm.NoteReplan(ms.classKey); evalErr == nil {
+		_, rec, evalErr = m.storm.Storm()
 	}
+	m.mu.Lock()
+	logErr = m.journalTraced(ctx, walEvent{Op: "reevaluate", ID: ms.id, Reason: reason}, rec)
+	m.mu.Unlock()
 	v, _ := m.storm.MemberState(ms.id)
 	ms.mu.Lock()
 	changed = v.Swaps != ms.seenSwaps
@@ -271,10 +262,12 @@ func (ms *Managed) ReevaluateReasonCtx(ctx context.Context, reason string) (chan
 }
 
 // replay re-applies one command against a session being rebuilt during
-// recovery. Faults re-mutate the shared overlay and re-mark
-// pending links but never trigger a storm — the journaled storm records
-// replay the fan-outs exactly as they happened. Reevaluates restore the
-// virtual clock and counters only, for the same reason.
+// recovery. Faults re-mutate the shared overlay and re-mark pending
+// links but never trigger a storm — the journaled storm records replay
+// the fan-outs exactly as they happened. Reevaluates restore the
+// virtual clock and counters and mark the class for re-planning as the
+// live path does; the storm record that follows replays the re-plan and
+// clears the mark.
 func (ms *Managed) replay(ev walEvent) error {
 	switch ev.Op {
 	case "fault":
@@ -285,28 +278,23 @@ func (ms *Managed) replay(ev walEvent) error {
 	case "reevaluate":
 		ms.step++
 		ms.noteReason(ev.Reason)
-		return nil
+		return ms.m.storm.NoteReplan(ms.classKey)
 	default:
 		return fmt.Errorf("unknown session op %q", ev.Op)
 	}
 }
 
-// Reconcile is the post-recovery sweep. First any storm the journal
-// left open (begin without end — the previous primary died mid-fan-out)
-// is finished in its recorded priority order; the resumed fan-outs
-// journal live through the sink like any other. Then every member's
-// holds are audited against the region overlay: holds sitting on dead
-// links mark those links pending, and one storm absorbs the whole batch
-// — class-at-a-time, never per-session. The report is also recorded on
-// the recovery report.
+// Reconcile is the post-recovery sweep. Every member's holds are
+// audited against the region overlay: holds sitting on dead links mark
+// those links pending. Then one storm absorbs everything pending —
+// those links, and whatever a command whose storm record did not
+// survive the crash left pending — class-at-a-time, never
+// per-session, and its record is journaled on its own. The report is
+// also recorded on the recovery report.
 func (m *Manager) Reconcile() *ReconcileReport {
+	m.cmdMu.Lock()
+	defer m.cmdMu.Unlock()
 	rep := &ReconcileReport{}
-	resumed, err := m.storm.ResumeOpenStorm()
-	if err != nil {
-		m.mu.Lock()
-		m.replayError(fmt.Sprintf("storm resume: %v", err))
-		m.mu.Unlock()
-	}
 	for _, ms := range m.List() {
 		rep.Checked++
 		v, ok := m.storm.MemberState(ms.id)
@@ -339,17 +327,16 @@ func (m *Manager) Reconcile() *ReconcileReport {
 			m.cfg.Counters.Observe(metrics.SampleRecoveryReleasedKbps, stale)
 		}
 	}
-	if _, err := m.storm.Storm(); err != nil && !errors.Is(err, storm.ErrStormActive) {
-		m.mu.Lock()
-		m.replayError(fmt.Sprintf("storm reconcile: %v", err))
-		m.mu.Unlock()
-	}
-	if resumed != nil {
-		rep.Recomposed += resumed.Replanned
-	}
 	sort.Strings(rep.Sessions)
+	_, rec, err := m.storm.Storm()
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err == nil && rec != nil {
+		err = m.journalCommand(walEvent{Op: "storm", Kind: storm.RecordKind, Data: rec}, nil)
+	}
+	if err != nil {
+		m.replayError(fmt.Sprintf("storm reconcile: %v", err))
+	}
 	m.recovery.Reconcile = rep
-	m.mu.Unlock()
 	return rep
 }

@@ -4,19 +4,22 @@ package session
 // sessions created through the ordinary CreateSpec path fold into storm
 // equivalence classes, faults fan out through the controller one Select
 // per class, and the whole construction — class membership, region
-// overlays, open storms — replays byte-identically from the manager's
-// single WAL.
+// overlays, storm records — replays byte-identically from the manager's
+// single WAL, including journals in the old three-record storm layout.
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"qoschain/internal/fault"
+	"qoschain/internal/journal"
 	"qoschain/internal/metrics"
 	"qoschain/internal/profile"
-	"qoschain/internal/storm"
 )
 
 // stormSet is managerSet with every link scaled to hold a whole class
@@ -261,15 +264,17 @@ func TestStormRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStormCrashMidStormResumes kills the manager after the first class
-// fan-out of a two-class storm (the begin and one class record are
-// journaled, the end is not) and proves a reopened manager's Reconcile
-// finishes the storm to the exact state a crash-free run reaches.
+// TestStormCrashMidStormResumes kills the manager inside the journal
+// batch of a two-class fault storm — before the storm record, halfway
+// through it, or at the batch's fsync — and proves that a reopened
+// manager's Reconcile reaches the exact controller and session state a
+// crash-free run reaches, with zero leaked kbps. A crash can leave the
+// fault without its storm, never part of a storm.
 func TestStormCrashMidStormResumes(t *testing.T) {
-	run := func(t *testing.T, dir string, halt int) (map[string]string, string) {
-		m := newPersistent(t, dir, ManagerConfig{
-			Counters: metrics.NewCounters(), StormHaltAfterFanouts: halt,
-		})
+	run := func(t *testing.T, point journal.FailPoint) (map[string]string, string) {
+		dir := t.TempDir()
+		fp := journal.NewFailPoints()
+		m := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters(), FailPoints: fp})
 		for i := 0; i < 2; i++ {
 			if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true}); err != nil {
 				t.Fatalf("create: %v", err)
@@ -280,50 +285,237 @@ func TestStormCrashMidStormResumes(t *testing.T) {
 		}
 		ms := m.List()[0]
 		host, _ := chainProxy(t, ms)
+		switch point {
+		case "":
+		case journal.FPSync:
+			fp.Arm(point, fp.Hits(point)+1)
+		default: // the batch's second record: the storm's
+			fp.Arm(point, fp.Hits(point)+2)
+		}
 		err := ms.ApplyFault(fault.Fault{Kind: fault.LinkDown, From: host, To: "d"})
-		if halt > 0 {
-			if !errors.Is(err, storm.ErrHalted) {
-				t.Fatalf("halted fault error = %v, want ErrHalted", err)
+		if point == "" {
+			if err != nil {
+				t.Fatalf("fault: %v", err)
 			}
-			// Crash: close the WAL with the storm still open.
-			if cerr := m.Close(); cerr != nil {
-				t.Fatalf("close: %v", cerr)
-			}
-			m2 := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
-			defer m2.Close()
-			rep := m2.Reconcile()
-			if rep.Recomposed == 0 {
-				t.Fatalf("reconcile resumed nothing: %+v", rep)
-			}
-			if leak := stormLeak(m2); leak != 0 {
-				t.Fatalf("post-resume leak of %v kbps", leak)
-			}
-			fp, ferr := m2.StormController().Fingerprint()
-			if ferr != nil {
-				t.Fatalf("fingerprint: %v", ferr)
-			}
-			return fingerprints(t, m2), fp
+			defer m.Close()
+			return fingerprints(t, m), stormFingerprint(t, m)
 		}
-		if err != nil {
-			t.Fatalf("fault: %v", err)
+		if !journal.IsCrash(err) {
+			t.Fatalf("fault error = %v, want a journal crash", err)
 		}
-		defer m.Close()
-		fp, ferr := m.StormController().Fingerprint()
-		if ferr != nil {
-			t.Fatalf("fingerprint: %v", ferr)
+		m.Close() //nolint:errcheck // the journal is dead; this only drops the descriptor
+		m2 := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
+		defer m2.Close()
+		if errs := m2.Recovery().ReplayErrors; len(errs) != 0 {
+			t.Fatalf("replay errors: %v", errs)
 		}
-		return fingerprints(t, m), fp
+		lost := point != journal.FPSync
+		if pending := m2.StormController().Status().PendingLinks; (pending > 0) != lost {
+			t.Fatalf("recovered with %d pending links; storm record lost = %v", pending, lost)
+		}
+		rep := m2.Reconcile()
+		if lost && rep.Recomposed == 0 {
+			t.Fatalf("reconcile re-planned nothing after losing the storm record: %+v", rep)
+		}
+		if leak := stormLeak(m2); leak != 0 {
+			t.Fatalf("post-recovery leak of %v kbps", leak)
+		}
+		return fingerprints(t, m2), stormFingerprint(t, m2)
 	}
 
-	wantSess, wantCtrl := run(t, t.TempDir(), 0)
-	gotSess, gotCtrl := run(t, t.TempDir(), 1)
+	wantSess, wantCtrl := run(t, "")
+	for _, point := range []journal.FailPoint{journal.FPAppend, journal.FPTornAppend, journal.FPSync} {
+		t.Run(string(point), func(t *testing.T) {
+			gotSess, gotCtrl := run(t, point)
+			if gotCtrl != wantCtrl {
+				t.Errorf("recovered controller diverged from crash-free run:\n got %s\nwant %s", gotCtrl, wantCtrl)
+			}
+			for id, fp := range wantSess {
+				if gotSess[id] != fp {
+					t.Errorf("recovered session %s diverged:\n got %s\nwant %s", id, gotSess[id], fp)
+				}
+			}
+		})
+	}
+}
+
+// TestStormCrashLosesReevaluateStorm kills the manager on the storm
+// record of a reevaluate whose re-plan moves its class: replay marks
+// the class for re-planning, and Reconcile's storm reaches the
+// crash-free state.
+func TestStormCrashLosesReevaluateStorm(t *testing.T) {
+	run := func(t *testing.T, crash bool) (map[string]string, string) {
+		dir := t.TempDir()
+		fp := journal.NewFailPoints()
+		m := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters(), FailPoints: fp})
+		for i := 0; i < 2; i++ {
+			if _, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true}); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+		}
+		ms := m.List()[0]
+		host, _ := chainProxy(t, ms)
+		// Down and back up: the class moves off host and stays off, so
+		// the next reevaluate moves it back.
+		for _, kind := range []fault.Kind{fault.LinkDown, fault.LinkUp} {
+			if err := ms.ApplyFault(fault.Fault{Kind: kind, From: host, To: "d"}); err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+		}
+		if crash {
+			fp.Arm(journal.FPAppend, fp.Hits(journal.FPAppend)+2)
+		}
+		changed, evalErr, logErr := ms.ReevaluateReason(ReevalManual)
+		if evalErr != nil || !changed {
+			t.Fatalf("reevaluate: changed=%v eval=%v", changed, evalErr)
+		}
+		if !crash {
+			if logErr != nil {
+				t.Fatalf("reevaluate: %v", logErr)
+			}
+			defer m.Close()
+			return fingerprints(t, m), stormFingerprint(t, m)
+		}
+		if !journal.IsCrash(logErr) {
+			t.Fatalf("reevaluate journal error = %v, want a journal crash", logErr)
+		}
+		m.Close() //nolint:errcheck // the journal is dead; this only drops the descriptor
+		m2 := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
+		defer m2.Close()
+		if errs := m2.Recovery().ReplayErrors; len(errs) != 0 {
+			t.Fatalf("replay errors: %v", errs)
+		}
+		m2.Reconcile()
+		if leak := stormLeak(m2); leak != 0 {
+			t.Fatalf("post-recovery leak of %v kbps", leak)
+		}
+		return fingerprints(t, m2), stormFingerprint(t, m2)
+	}
+	wantSess, wantCtrl := run(t, false)
+	gotSess, gotCtrl := run(t, true)
 	if gotCtrl != wantCtrl {
-		t.Errorf("resumed controller diverged from crash-free run:\n got %s\nwant %s", gotCtrl, wantCtrl)
+		t.Errorf("recovered controller diverged from crash-free run:\n got %s\nwant %s", gotCtrl, wantCtrl)
 	}
 	for id, fp := range wantSess {
 		if gotSess[id] != fp {
-			t.Errorf("resumed session %s diverged:\n got %s\nwant %s", id, gotSess[id], fp)
+			t.Errorf("recovered session %s diverged:\n got %s\nwant %s", id, gotSess[id], fp)
 		}
+	}
+}
+
+// stormFingerprint is the manager's controller fingerprint.
+func stormFingerprint(t *testing.T, m *Manager) string {
+	t.Helper()
+	fp, err := m.StormController().Fingerprint()
+	if err != nil {
+		t.Fatalf("controller fingerprint: %v", err)
+	}
+	return fp
+}
+
+// TestStormFaultJournalsOneBatch pins the journal shape of a storm: a
+// fault that storms appends the fault and the storm's one record with
+// a single Log.Append (one fsync), as does a reevaluate.
+func TestStormFaultJournalsOneBatch(t *testing.T) {
+	counters := metrics.NewCounters()
+	m := newPersistent(t, t.TempDir(), ManagerConfig{Counters: counters, SnapshotEvery: -1})
+	defer m.Close()
+	var all []*Managed
+	for _, floor := range []float64{0.3, 0.5} {
+		ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: floor, Reserve: true})
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		all = append(all, ms)
+	}
+	host, _ := chainProxy(t, all[0])
+	for _, tc := range []struct {
+		name string
+		do   func() error
+	}{
+		{"fault", func() error {
+			return all[0].ApplyFault(fault.Fault{Kind: fault.LinkDown, From: host, To: "d"})
+		}},
+		{"reevaluate", func() error {
+			_, evalErr, logErr := all[1].ReevaluateReason(ReevalManual)
+			return errors.Join(evalErr, logErr)
+		}},
+	} {
+		appends, syncs := counters.Get(metrics.CounterJournalAppends), counters.Get(metrics.CounterJournalSyncs)
+		if err := tc.do(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := counters.Get(metrics.CounterJournalAppends) - appends; d != 2 {
+			t.Errorf("%s journaled %d records, want the command and its storm", tc.name, d)
+		}
+		if d := counters.Get(metrics.CounterJournalSyncs) - syncs; d != 1 {
+			t.Errorf("%s took %d fsyncs, want 1", tc.name, d)
+		}
+	}
+}
+
+// TestStormLegacyJournalsReplay recovers state directories written
+// before a storm was one journal record (internal/session/testdata/
+// legacy-storms, see its README): a snapshot holding complete
+// storm-begin/storm-class/storm-end storms recovers to the fingerprints
+// that code recorded, and a journal whose last storm halted after one
+// class fan-out reaches that code's crash-free fingerprints after
+// Reconcile.
+func TestStormLegacyJournalsReplay(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-storms", "want.json"))
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	var want map[string]struct {
+		Controller string            `json:"controller"`
+		Sessions   map[string]string `json:"sessions"`
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("decoding fixture: %v", err)
+	}
+	for _, name := range []string{"complete", "halted"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := filepath.Join("testdata", "legacy-storms", name)
+			entries, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatalf("reading fixture: %v", err)
+			}
+			for _, e := range entries {
+				b, err := os.ReadFile(filepath.Join(src, e.Name()))
+				if err != nil {
+					t.Fatalf("reading fixture: %v", err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+					t.Fatalf("copying fixture: %v", err)
+				}
+			}
+			m := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
+			defer m.Close()
+			if errs := m.Recovery().ReplayErrors; len(errs) != 0 {
+				t.Fatalf("replay errors: %v", errs)
+			}
+			storms := m.StormController().Status().Storms
+			rep := m.Reconcile()
+			if name == "complete" && (rep.Recomposed != 0 || m.StormController().Status().Storms != storms) {
+				t.Fatalf("a complete legacy journal left work for Reconcile: %+v", rep)
+			}
+			if got := stormFingerprint(t, m); got != want[name].Controller {
+				t.Errorf("controller diverged:\n got %s\nwant %s", got, want[name].Controller)
+			}
+			got := fingerprints(t, m)
+			if len(got) != len(want[name].Sessions) {
+				t.Fatalf("recovered %d sessions, want %d", len(got), len(want[name].Sessions))
+			}
+			for id, fp := range want[name].Sessions {
+				if got[id] != fp {
+					t.Errorf("session %s diverged:\n got %s\nwant %s", id, got[id], fp)
+				}
+			}
+			if leak := stormLeak(m); leak != 0 {
+				t.Fatalf("leak of %v kbps", leak)
+			}
+		})
 	}
 }
 
@@ -333,6 +525,53 @@ func TestStormCrashMidStormResumes(t *testing.T) {
 // leaked kbps, every member still accounted for.
 func TestStormConcurrentReevaluateAndFault(t *testing.T) {
 	m, _ := newStormManager(t)
+	raceReevaluateAndFault(t, m)
+}
+
+// TestStormConcurrentCommandsReplay runs the same race on a durable
+// manager, then reopens its state directory: one command order means
+// the journal replays to the live controller and session state, with
+// nothing left for Reconcile to re-plan.
+func TestStormConcurrentCommandsReplay(t *testing.T) {
+	dir := t.TempDir()
+	m := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters(), SnapshotEvery: 7})
+	raceReevaluateAndFault(t, m)
+	want, wantCtrl := fingerprints(t, m), stormFingerprint(t, m)
+	if err := m.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	m2 := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
+	defer m2.Close()
+	if errs := m2.Recovery().ReplayErrors; len(errs) != 0 {
+		t.Fatalf("replay errors: %v", errs)
+	}
+	if got := stormFingerprint(t, m2); got != wantCtrl {
+		t.Fatalf("replayed controller diverged:\n got %s\nwant %s", got, wantCtrl)
+	}
+	got := fingerprints(t, m2)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d sessions, want %d", len(got), len(want))
+	}
+	for id, fp := range want {
+		if got[id] != fp {
+			t.Errorf("session %s diverged:\n got %s\nwant %s", id, got[id], fp)
+		}
+	}
+	storms := m2.StormController().Status().Storms
+	if rep := m2.Reconcile(); rep.Recomposed != 0 {
+		t.Fatalf("reconcile re-planned %d sessions after a clean replay", rep.Recomposed)
+	}
+	if n := m2.StormController().Status().Storms; n != storms {
+		t.Fatalf("reconcile ran a storm after a clean replay (storms %d -> %d)", storms, n)
+	}
+}
+
+// raceReevaluateAndFault races manual replans of one class against
+// loss-spike faults of varying rates on the link the other class
+// rides, then audits the shared ledger.
+func raceReevaluateAndFault(t *testing.T, m *Manager) {
+	t.Helper()
 
 	var all []*Managed
 	for i := 0; i < 3; i++ {
@@ -355,8 +594,6 @@ func TestStormConcurrentReevaluateAndFault(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
-			// ErrStormActive collapses to changed=false — a storm in
-			// flight replans the class anyway.
 			if _, evalErr, logErr := all[0].ReevaluateReason(ReevalManual); evalErr != nil || logErr != nil {
 				t.Errorf("reevaluate: eval=%v log=%v", evalErr, logErr)
 				return

@@ -16,7 +16,11 @@ package sim
 //     sequence (when its record reached the file before the "kill") —
 //     never anywhere else;
 //   - the recovered session state is byte-identical to the fingerprint
-//     recorded at that sequence;
+//     recorded at that sequence; a recovery that lands between a
+//     command's record and its storm record (both go in one batch) holds
+//     the command without its storm, so it is compared after Reconcile
+//     has re-run that storm, with the fingerprint recorded once the
+//     command completed;
 //   - after Reconcile, every bandwidth hold sits on a usable link and
 //     each region overlay's total reserved bandwidth equals exactly what
 //     its member sessions hold — zero leaked kbps.
@@ -328,6 +332,7 @@ func RunCrash(spec CrashSpec) (*CrashReport, error) {
 	}
 	rep.Crashed = true
 	rep.AppliedSeq = m.LastSeq()
+	ranStorms := m.StormController().Status().Storms
 	// When the crashed command's record reached the file (the journal
 	// sequence advanced), recovery may legitimately land on it — record
 	// the applied in-memory state under that sequence. When it did not,
@@ -360,6 +365,12 @@ func RunCrash(spec CrashSpec) (*CrashReport, error) {
 			rep.RecoveredSeq, rep.CommittedSeq, rep.AppliedSeq)
 		return rep, nil
 	}
+	// The crashed command's storm ran in memory but its record did not
+	// survive: Reconcile re-plans what the command left pending first.
+	var sweep *session.ReconcileReport
+	if rep.RecoveredSeq > rep.CommittedSeq && m2.StormController().Status().Storms < ranStorms {
+		sweep = m2.Reconcile()
+	}
 	got, err := managerFingerprint(m2)
 	if err != nil {
 		return rep, err
@@ -375,7 +386,9 @@ func RunCrash(spec CrashSpec) (*CrashReport, error) {
 	// Reconcile, then audit the holds: every hold sits on a live link,
 	// and every reservation a region overlay carries is accounted for by
 	// its members.
-	sweep := m2.Reconcile()
+	if sweep == nil {
+		sweep = m2.Reconcile()
+	}
 	rep.Reconciled = sweep.Recomposed
 	rep.ReleasedKbps = sweep.ReleasedKbps
 	for _, ms := range m2.List() {

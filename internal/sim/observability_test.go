@@ -6,11 +6,11 @@ import (
 )
 
 // TestStormClusterObservability pins the cluster-observability contract
-// across a mid-storm primary kill: the WAL-ship trace stitches into one
-// ordered timeline spanning both nodes, the resumed storm's flight
-// recorder carries a single storm ID across the kill (replayed pre-kill
-// segment plus live post-promotion remainder in one flight), and the
-// router's /cluster/metrics federates both members' registries.
+// across a primary kill between a fault's commit and its storm's: the
+// WAL-ship trace stitches into one ordered timeline spanning both
+// nodes, the follower's flight recorder re-runs the lost storm under
+// the killed storm's ID (one closed, live flight), and the router's
+// /cluster/metrics federates both members' registries.
 func TestStormClusterObservability(t *testing.T) {
 	rep, err := RunStormCluster(StormClusterSpec{
 		StateRoot: t.TempDir(),
@@ -30,7 +30,7 @@ func TestStormClusterObservability(t *testing.T) {
 		t.Error("stitched trace timeline is not in non-decreasing offset order")
 	}
 	if !rep.FlightSingleID {
-		t.Error("resumed storm did not keep one storm ID across the kill")
+		t.Error("re-run storm did not keep the killed storm's ID")
 	}
 	if rep.FederatedSeries == 0 {
 		t.Error("/cluster/metrics federated no series")

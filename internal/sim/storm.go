@@ -235,7 +235,7 @@ func RunStorm(spec StormSpec) (*StormReport, error) {
 		return rep, nil
 	}
 
-	stormRep, err := ctrl.Storm()
+	stormRep, _, err := ctrl.Storm()
 	if err != nil {
 		return rep, fmt.Errorf("sim: storm: %w", err)
 	}

@@ -2,7 +2,8 @@ package sim
 
 // stormcluster.go is the storm-safe live-path harness (EXPERIMENTS.md
 // EXT-P): the daemon-path unification of /v1/sessions with the storm
-// controller, replicated across the cluster tier, killed mid-storm.
+// controller, replicated across the cluster tier, with the primary
+// killed between a fault's commit and its storm's.
 //
 // Two runs share one scaled Figure 6 deployment and one correlated
 // backbone fault (a loss spike on the link every class chain crosses):
@@ -14,13 +15,13 @@ package sim
 //     (Mismatches == 0), then records the controller fingerprint.
 //
 //   - the KILL run drives the same creates over live HTTP against a
-//     cluster primary whose controller is armed to halt after its first
-//     storm fan-out. The WAL — session commands and storm records
-//     interleaved — ships to a follower; the primary dies mid-storm
-//     with a begin-without-end journaled. Promoting the follower
-//     resumes the open storm in its recorded priority order. The
-//     promoted controller's fingerprint must equal the reference run's
-//     byte-for-byte, with zero leaked kbps on the shared region ledger.
+//     cluster primary whose journal is armed (journal.FPAppend) to die
+//     on the storm record of the fault's batch. The WAL ships to a
+//     follower, which ends up holding the fault and not its storm.
+//     Promoting the follower runs Reconcile, whose storm re-plans the
+//     fault's pending links from state. The promoted controller's
+//     fingerprint must equal the reference run's byte-for-byte, with
+//     zero leaked kbps on the shared region ledger.
 
 import (
 	"bytes"
@@ -36,6 +37,7 @@ import (
 	"qoschain/internal/cluster"
 	"qoschain/internal/fault"
 	"qoschain/internal/httpapi"
+	"qoschain/internal/journal"
 	"qoschain/internal/metrics"
 	"qoschain/internal/profile"
 	"qoschain/internal/registry"
@@ -44,7 +46,8 @@ import (
 	"qoschain/internal/trace"
 )
 
-// StormClusterSpec configures one mid-storm failover scenario.
+// StormClusterSpec configures one kill-before-the-storm failover
+// scenario.
 type StormClusterSpec struct {
 	// StateRoot holds the two nodes' journal trees (a fresh temp dir
 	// per scenario).
@@ -57,10 +60,6 @@ type StormClusterSpec struct {
 	Classes int
 	// PerClass is how many sessions attach to each class (default 4).
 	PerClass int
-	// HaltAfterFanouts arms the primary's mid-storm crash: the
-	// controller dies after journaling this many class fan-outs
-	// (default 1 — the storm is barely started).
-	HaltAfterFanouts int
 	// SnapshotEvery compacts the primary journal this often (default 8,
 	// small enough that the follower exercises the manager snapshot
 	// bootstrap).
@@ -83,12 +82,15 @@ type StormClusterReport struct {
 	RefMismatches       int `json:"refMismatches"`
 	// Kill-run numbers.
 	ShippedRecords int64 `json:"shippedRecords"`
-	// Halted reports the primary actually died mid-storm (the fault
-	// request surfaced the halt instead of finishing the fan-out).
-	Halted bool `json:"halted"`
-	// ResumedClasses is how many fan-outs the promoted follower had to
-	// finish (affected minus the pre-crash fan-outs).
-	ResumedClasses int `json:"resumedClasses"`
+	// Killed reports the primary's journal died on the fault's batch
+	// (the fault request surfaced the crash).
+	Killed bool `json:"killed"`
+	// PendingLinks is how many changed links the follower held pending
+	// at promotion: the committed fault, without its storm.
+	PendingLinks int `json:"pendingLinks"`
+	// ReplannedClasses is how many classes the promoted follower's
+	// Reconcile storm re-planned.
+	ReplannedClasses int `json:"replannedClasses"`
 	// FingerprintsIdentical is the headline check: the promoted
 	// follower's controller fingerprint equals the reference run's
 	// byte-for-byte.
@@ -96,7 +98,7 @@ type StormClusterReport struct {
 	// LeakKbps is reserved bandwidth no member accounts for on the
 	// promoted follower (must be 0).
 	LeakKbps float64 `json:"leakKbps"`
-	// RecoveryMs is the promotion latency including the resumed storm.
+	// RecoveryMs is the promotion latency including the re-run storm.
 	RecoveryMs float64 `json:"recoveryMs"`
 	// Cluster-observability checks (the tentpole's acceptance gates).
 	// TraceNodes is how many distinct nodes contributed spans to the
@@ -105,11 +107,11 @@ type StormClusterReport struct {
 	// TraceOrdered reports the stitched timeline came back in
 	// non-decreasing offset order.
 	TraceOrdered bool `json:"traceOrdered"`
-	// FlightSingleID reports the resumed storm kept ONE storm ID across
-	// the kill: the dead primary's recorder and the promoted follower's
-	// /debug/storms both carry the same storm sequence, and the
-	// follower's single flight spans the replayed prefix and the live
-	// post-promotion remainder.
+	// FlightSingleID reports the re-run storm kept the killed storm's
+	// ID: the dead primary's recorder and the promoted follower's
+	// /debug/storms carry the same storm sequence, and the follower's
+	// one flight under it is closed and wholly live (no storm record
+	// reached the follower to replay).
 	FlightSingleID bool `json:"flightSingleId"`
 	// FederatedSeries counts series lines in the router's
 	// /cluster/metrics merge (per-node and aggregated).
@@ -122,12 +124,13 @@ type StormClusterReport struct {
 // OK reports whether the scenario upheld the storm-safe live-path
 // contract: the fault was absorbed class-at-a-time (Selects bounded by
 // the class count, chains verified against the naive baseline), the
-// primary died mid-storm, and the promoted follower resumed to the
-// reference state exactly, leaking nothing.
+// primary died with the fault committed and its storm not, and the
+// promoted follower re-planned to the reference state exactly, leaking
+// nothing.
 func (r *StormClusterReport) OK() bool {
-	return r.Err == "" && r.Halted && r.FingerprintsIdentical &&
+	return r.Err == "" && r.Killed && r.PendingLinks > 0 && r.FingerprintsIdentical &&
 		r.LeakKbps == 0 && r.RefMismatches == 0 &&
-		r.RefSelectCalls <= r.Classes && r.ResumedClasses > 0 &&
+		r.RefSelectCalls <= r.Classes && r.ReplannedClasses > 0 &&
 		r.TraceNodes >= 2 && r.TraceOrdered && r.FlightSingleID &&
 		r.FederatedSeries > 0
 }
@@ -194,15 +197,15 @@ func backboneLink(m *session.Manager, set *profile.Set) (from, to string, err er
 // request's hops stitch cluster-wide), and the node-level /debug/storms
 // flight recorder. The node's counters fan out to both the caller's
 // shared sink and the node's own registry.
-func startStormNode(id, dir string, halt, snapshotEvery int, counters *metrics.Counters) (*clusterNode, error) {
+func startStormNode(id, dir string, fp *journal.FailPoints, snapshotEvery int, counters *metrics.Counters) (*clusterNode, error) {
 	reg := metrics.NewRegistry()
 	metrics.RegisterWellKnown(reg)
 	tracer := trace.NewTracer(256)
 	n, err := cluster.NewNode(cluster.NodeConfig{
 		ID: id, StateDir: dir, Host: "node-" + id,
-		SnapshotEvery:         snapshotEvery,
-		Counters:              metrics.Fanout(counters, metrics.CountersOn(reg)),
-		StormHaltAfterFanouts: halt,
+		SnapshotEvery: snapshotEvery,
+		Counters:      metrics.Fanout(counters, metrics.CountersOn(reg)),
+		FailPoints:    fp,
 	})
 	if err != nil {
 		return nil, err
@@ -245,16 +248,14 @@ func getJSON(url string, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-// RunStormCluster executes one mid-storm failover scenario end to end.
+// RunStormCluster executes one kill-before-the-storm failover scenario
+// end to end.
 func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	if spec.Classes <= 0 {
 		spec.Classes = 6
 	}
 	if spec.PerClass <= 0 {
 		spec.PerClass = 4
-	}
-	if spec.HaltAfterFanouts <= 0 {
-		spec.HaltAfterFanouts = 1
 	}
 	if spec.SnapshotEvery == 0 {
 		spec.SnapshotEvery = 8
@@ -306,9 +307,8 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	rep.RefAffectedSessions = refStorm.AffectedSessions
 	rep.RefNaiveChecks = refStorm.NaiveChecks
 	rep.RefMismatches = refStorm.Mismatches
-	if rep.RefAffectedClasses <= spec.HaltAfterFanouts {
-		rep.Err = fmt.Sprintf("fault affected %d classes; need more than the %d pre-crash fan-outs for a mid-storm kill",
-			rep.RefAffectedClasses, spec.HaltAfterFanouts)
+	if rep.RefAffectedClasses == 0 {
+		rep.Err = "reference fault affected no class"
 		return rep, nil
 	}
 	refFP, err := ref.StormController().Fingerprint()
@@ -316,14 +316,15 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 		return rep, fmt.Errorf("sim: reference fingerprint: %w", err)
 	}
 
-	// ---- Kill run: live HTTP, halt-armed primary, one follower. ------
-	n1, err := startStormNode("n1", spec.StateRoot+"/n1", spec.HaltAfterFanouts,
+	// ---- Kill run: live HTTP, kill-armed primary, one follower. ------
+	fp := journal.NewFailPoints()
+	n1, err := startStormNode("n1", spec.StateRoot+"/n1", fp,
 		spec.SnapshotEvery, spec.Counters)
 	if err != nil {
 		return rep, fmt.Errorf("sim: starting n1: %w", err)
 	}
 	defer n1.close()
-	n2, err := startStormNode("n2", spec.StateRoot+"/n2", 0, spec.SnapshotEvery, spec.Counters)
+	n2, err := startStormNode("n2", spec.StateRoot+"/n2", nil, spec.SnapshotEvery, spec.Counters)
 	if err != nil {
 		return rep, fmt.Errorf("sim: starting n2: %w", err)
 	}
@@ -448,8 +449,11 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	}
 
 	// The backbone event, through the live fault endpoint of ONE
-	// session. The primary fans out the first class, journals it, and
-	// dies: the request surfaces the halt as an error.
+	// session. The primary runs the storm, then appends the fault and
+	// the storm's record in one batch; the journal dies on the second
+	// record, so the fault reaches the file and its storm does not. The
+	// request surfaces the crash as an error.
+	fp.Arm(journal.FPAppend, fp.Hits(journal.FPAppend)+2)
 	faultBody, _ := json.Marshal(map[string]any{
 		"kind": "loss", "from": from, "to": to, "lossRate": lossRate,
 	})
@@ -460,51 +464,55 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close() //nolint:errcheck
-	rep.Halted = resp.StatusCode != http.StatusOK && strings.Contains(string(body), "halted")
-	if !rep.Halted {
-		rep.Err = fmt.Sprintf("primary did not halt mid-storm: %s: %s", resp.Status, body)
+	rep.Killed = resp.StatusCode != http.StatusOK && strings.Contains(string(body), "crashed at failpoint")
+	if !rep.Killed {
+		rep.Err = fmt.Sprintf("primary journal did not die on the storm record: %s: %s", resp.Status, body)
 		return rep, nil
 	}
 
-	// The dying primary's last ship carries the fault command, the
-	// storm begin and the pre-crash fan-outs — and no end record.
+	// The dying primary's last ship carries the fault command and no
+	// storm record.
 	if _, err := n1.node.Shipper().Ship(ctx); err != nil {
 		return rep, fmt.Errorf("sim: final ship: %w", err)
 	}
 	rep.ShippedRecords = spec.Counters.Get(metrics.CounterReplicationShippedRecords) - shippedBase
 	n1.srv.Close() //nolint:errcheck
 
-	// Promote: the follower adopts the replica, and its
-	// Reconcile finds the begin-without-end and finishes the storm in
-	// the recorded priority order. No host fault is injected — the dead
-	// node is not part of the content overlay.
+	// The follower holds the fault — its links pending — and not the
+	// storm: no storm record ever reached it.
+	rm, ok := n2.node.ReplicaManager("n1")
+	if !ok {
+		return rep, fmt.Errorf("sim: n2 holds no replica of n1")
+	}
+	rctrl := rm.StormController()
+	held := rctrl.Status()
+	rep.PendingLinks = held.PendingLinks
+	if held.PendingLinks == 0 || held.Storms != 0 {
+		rep.Err = fmt.Sprintf("follower holds %d pending links and %d storms; want the fault without its storm",
+			held.PendingLinks, held.Storms)
+		return rep, nil
+	}
+
+	// Promote: the follower adopts the replica, and its Reconcile storm
+	// re-plans the fault's pending links. No host fault is injected —
+	// the dead node is not part of the content overlay.
 	promo, err := n2.node.Promote("n1", "")
 	if err != nil {
 		return rep, fmt.Errorf("sim: promote: %w", err)
 	}
 	rep.RecoveryMs = promo.TookMs
-
-	// The resume must be real: the promoted controller's last storm is
-	// the finished open storm, covering exactly the fan-outs the dead
-	// primary never ran.
-	rm, ok := n2.node.ReplicaManager("n1")
-	if !ok {
-		return rep, fmt.Errorf("sim: n2 lost its replica of n1 after promotion")
-	}
-	rctrl := rm.StormController()
 	last := rctrl.Status().LastStorm
-	if last == nil || !last.Resumed {
-		rep.Err = "promoted follower did not resume the open storm"
+	if last == nil {
+		rep.Err = "promoted follower ran no storm"
 		return rep, nil
 	}
-	rep.ResumedClasses = last.AffectedClasses
+	rep.ReplannedClasses = last.AffectedClasses
 
-	// Flight recorder: ONE storm ID across the kill. The dead primary's
-	// in-process recorder holds the live pre-kill segment; the promoted
-	// follower's /debug/storms must show exactly one flight under the
-	// same storm sequence — resumed, closed, and spanning both the
-	// replayed (pre-kill, off the shipped WAL) and the live
-	// (post-promotion) events.
+	// Flight recorder: the killed storm's ID survives. The dead
+	// primary's in-process recorder holds the storm it ran but never
+	// committed; the promoted follower's /debug/storms must show exactly
+	// one flight under the same storm sequence — closed, and wholly live
+	// (re-run by Reconcile, nothing replayed).
 	killSeq := -1
 	if fs := n1.node.Manager().StormController().Flights(); len(fs) > 0 {
 		killSeq = fs[0].Storm
@@ -529,11 +537,11 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 				live = true
 			}
 		}
-		rep.FlightSingleID = f.Resumed && !f.Open && replayed && live
+		rep.FlightSingleID = !f.Open && !replayed && live
 	}
 	if matches != 1 || !rep.FlightSingleID {
 		rep.FlightSingleID = false
-		rep.Err = fmt.Sprintf("flight recorder did not keep one storm ID across the kill (storm %d, %d matching flights)",
+		rep.Err = fmt.Sprintf("flight recorder did not keep the killed storm's ID (storm %d, %d matching flights)",
 			killSeq, matches)
 		return rep, nil
 	}

@@ -7,9 +7,10 @@ import (
 
 // TestRunStormCluster pins EXPERIMENTS.md EXT-P: a correlated backbone
 // fault over live /v1/sessions is absorbed class-at-a-time with
-// naive-equivalent chains, and a primary killed mid-storm yields a
-// promoted follower that finishes the storm to the byte-identical
-// fingerprint with zero leaked kbps.
+// naive-equivalent chains, and a primary killed between the fault's
+// commit and its storm's yields a follower holding the fault without
+// the storm, whose promotion re-plans to the byte-identical fingerprint
+// with zero leaked kbps.
 func TestRunStormCluster(t *testing.T) {
 	rep, err := RunStormCluster(StormClusterSpec{
 		StateRoot: t.TempDir(),
@@ -28,9 +29,9 @@ func TestRunStormCluster(t *testing.T) {
 	if rep.RefNaiveChecks == 0 {
 		t.Error("reference run verified nothing — naive equivalence not exercised")
 	}
-	if rep.ResumedClasses < rep.RefAffectedClasses-1 {
-		t.Errorf("follower resumed %d classes, want at least %d",
-			rep.ResumedClasses, rep.RefAffectedClasses-1)
+	if rep.ReplannedClasses != rep.RefAffectedClasses {
+		t.Errorf("promoted follower re-planned %d classes, want the reference storm's %d",
+			rep.ReplannedClasses, rep.RefAffectedClasses)
 	}
 	if rep.ShippedRecords == 0 {
 		t.Error("nothing replicated before the kill")

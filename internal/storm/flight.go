@@ -10,12 +10,12 @@ package storm
 // Select calls).
 //
 // The recorder survives promotion because it is journal-backed by
-// construction: every event it records corresponds to a storm-begin /
-// storm-class / storm-end WAL record, and replaying those records on a
-// follower rebuilds the same timeline (marked Replayed). A storm
-// interrupted by a primary kill therefore stitches into ONE flight: the
-// replayed pre-kill segment and the live post-promotion remainder
-// append under the same storm sequence number.
+// construction: every flight corresponds to one storm record in the
+// WAL, and replaying that record on a follower rebuilds the same
+// timeline — begin, its class events, end — marked Replayed. A storm
+// whose record never became durable (the primary died between the
+// command's commit and the storm's) has no replayed flight; the
+// follower's Reconcile re-runs it live under the same storm sequence.
 
 import (
 	"sync"
@@ -50,8 +50,7 @@ type FlightEvent struct {
 
 // Flight is one storm's recorded timeline.
 type Flight struct {
-	// Storm is the storm sequence number — the single ID a resumed
-	// storm keeps across a primary kill and promotion.
+	// Storm is the storm sequence number.
 	Storm int `json:"storm"`
 	// Begin is when the recorder first saw the storm (live begin, or
 	// replay time for a rebuilt segment).
@@ -59,9 +58,6 @@ type Flight struct {
 	// Links and Classes are the storm's scope as journaled.
 	Links   int `json:"links"`
 	Classes int `json:"classes"`
-	// Resumed marks a storm finished by ResumeOpenStorm after a crash
-	// or failover interrupted it.
-	Resumed bool `json:"resumed,omitempty"`
 	// Open is true until the end event lands.
 	Open bool `json:"open,omitempty"`
 	// Source names the node whose controller recorded this flight —
@@ -80,7 +76,7 @@ type flightRecorder struct {
 	flights []*Flight // oldest first, bounded by flightKeep
 }
 
-// get finds the open flight for a storm sequence (newest match).
+// getLocked finds the flight for a storm sequence (newest match).
 func (fr *flightRecorder) getLocked(seq int) *Flight {
 	for i := len(fr.flights) - 1; i >= 0; i-- {
 		if fr.flights[i].Storm == seq {
@@ -90,19 +86,13 @@ func (fr *flightRecorder) getLocked(seq int) *Flight {
 	return nil
 }
 
-// begin opens a flight for a storm. Seeing the same storm sequence
-// again (a replayed begin already rebuilt it) reuses the existing
-// flight so live continuation appends to the replayed segment.
+// begin opens a flight for a storm.
 func (fr *flightRecorder) begin(seq, links, classes int, replayed bool) {
 	if fr == nil {
 		return
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	if f := fr.getLocked(seq); f != nil {
-		f.Open = true
-		return
-	}
 	f := &Flight{
 		Storm: seq, Begin: now(), Links: links, Classes: classes, Open: true,
 		Events: []FlightEvent{{Kind: "begin", Replayed: replayed}},
@@ -153,19 +143,6 @@ func (fr *flightRecorder) end(seq int, replayed bool) {
 	})
 }
 
-// resume marks a flight as continued past a crash/failover.
-func (fr *flightRecorder) resume(seq int) {
-	if fr == nil {
-		return
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if f := fr.getLocked(seq); f != nil {
-		f.Resumed = true
-		f.Open = true
-	}
-}
-
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Flights snapshots the recorded storms, newest first. The copies are
@@ -185,10 +162,9 @@ func (c *Controller) Flights() []Flight {
 
 // FlightSummary condenses the newest flight for /healthz.
 type FlightSummary struct {
-	Storm   int  `json:"storm"`
-	Events  int  `json:"events"`
-	Open    bool `json:"open,omitempty"`
-	Resumed bool `json:"resumed,omitempty"`
+	Storm  int  `json:"storm"`
+	Events int  `json:"events"`
+	Open   bool `json:"open,omitempty"`
 }
 
 func (c *Controller) flightSummary() *FlightSummary {
@@ -198,5 +174,5 @@ func (c *Controller) flightSummary() *FlightSummary {
 		return nil
 	}
 	f := c.flights.flights[len(c.flights.flights)-1]
-	return &FlightSummary{Storm: f.Storm, Events: len(f.Events), Open: f.Open, Resumed: f.Resumed}
+	return &FlightSummary{Storm: f.Storm, Events: len(f.Events), Open: f.Open}
 }

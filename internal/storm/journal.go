@@ -1,18 +1,28 @@
 package storm
 
 // journal.go makes storms crash-safe through the embedding host's
-// write-ahead log. The controller owns no log of its own: each storm
-// fan-out — storm-begin, one storm-class per re-planned class,
-// storm-end — is handed to Config.Sink, which journals it in true order
-// with the host's own commands. Everything else (regions, classes,
-// attachments, link changes) is derived state the host rebuilds by
-// replaying its own create/fault/delete commands. During that replay
-// the host hands the storm records back through ReplayRecord: fan-outs
-// re-apply their recorded plans verbatim (no Select), and a storm that
-// began but never ended — the host died mid-fan-out — is finished by
-// ResumeOpenStorm in the recorded priority order, so the resulting
-// state is byte-identical to what the interrupted process would have
-// produced.
+// write-ahead log. The controller owns no log of its own: Storm returns
+// each storm as ONE encoded record (RecordKind) — the storm sequence,
+// the absorbed changed links per region and every class plan in
+// priority order — and the host journals it in the same batch as the
+// command that caused it, so a storm is durable whole or not at all. Everything else (regions, classes, attachments, link
+// changes) is derived state the host rebuilds by replaying its own
+// create/fault/reevaluate/delete commands. During that replay the host
+// hands each storm record back through ReplayRecord, which re-applies
+// the recorded plans verbatim (no Select).
+//
+// A crash between a command's record and its storm record leaves the
+// command without its storm: a fault's links stay pending, and so does
+// a reevaluate's class mark (NoteReplan). The host's next Storm
+// re-plans them from state, and the priority order is a function of
+// state, so the re-run reaches the state the uninterrupted run reached.
+//
+// Journals written before storms were single records carry each storm
+// as storm-begin, one storm-class per re-planned class and storm-end.
+// ReplayRecord still reads them: it collects a storm's begin and class
+// records and applies them as one storm at its end. A begin that never
+// got its end applies nothing, so its links stay pending for the next
+// Storm.
 
 import (
 	"encoding/json"
@@ -24,29 +34,32 @@ import (
 	"qoschain/internal/overlay"
 )
 
-// Storm record kinds forwarded to Config.Sink.
+// RecordKind names the storm record Storm returns.
+const RecordKind = "storm"
+
+// The record kinds of journals written before a storm was one record.
 const (
-	kindStormBegin = "storm-begin"
-	kindStormClass = "storm-class"
-	kindStormEnd   = "storm-end"
+	legacyBegin = "storm-begin"
+	legacyClass = "storm-class"
+	legacyEnd   = "storm-end"
 )
 
-// beginRecord opens a storm: the absorbed changed-link set and the
-// affected classes in their decided priority order, so a crash-resume
-// re-plans the remainder in exactly the order the live storm would
-// have used.
-type beginRecord struct {
-	Storm   int                          `json:"storm"`
-	Links   map[string][]overlay.LinkRef `json:"links"`
-	Classes []string                     `json:"classes"`
+// record is one whole storm: what replay needs to re-apply it without
+// Select. A legacy storm-begin decodes into it too (its class list is
+// implied by the class records that follow).
+type record struct {
+	Storm int                          `json:"storm"`
+	Links map[string][]overlay.LinkRef `json:"links,omitempty"`
+	Plans []classPlan                  `json:"plans,omitempty"`
 }
 
-// classRecord is one class's completed fan-out: the plan result to
+// classPlan is one class's completed fan-out: the plan result to
 // re-apply verbatim on replay (replay re-runs the member swaps, never
 // Select), plus the members whose holds the event invalidated before
-// the plan (see restoreMembersLocked).
-type classRecord struct {
-	Storm        int            `json:"storm"`
+// the plan (see restoreMembersLocked). A legacy storm-class record is
+// the same object with its storm sequence set.
+type classPlan struct {
+	Storm        int            `json:"storm,omitempty"`
 	Key          string         `json:"key"`
 	Outcome      string         `json:"outcome"`
 	Found        bool           `json:"found"`
@@ -60,133 +73,130 @@ type classRecord struct {
 	Dropped      []string       `json:"dropped,omitempty"`
 }
 
-type endRecord struct {
-	Storm int `json:"storm"`
-}
-
-// journalLocked hands one storm record to the sink. A controller
-// without a sink (in-memory use, the harnesses) and replay are no-ops.
-func (c *Controller) journalLocked(kind string, payload any) error {
-	if c.replaying || c.cfg.Sink == nil {
+// result rebuilds the plan's Select result; nil when nothing composed.
+func (p *classPlan) result() *core.Result {
+	if !p.Found {
 		return nil
 	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
+	return &core.Result{
+		Found: true, Path: p.Path, Formats: p.Formats,
+		Params: p.Params, Satisfaction: p.Satisfaction, Cost: p.Cost,
 	}
-	return c.cfg.Sink(kind, data)
 }
 
-// ResumeOpenStorm finishes a storm whose begin record was replayed
-// without a matching end — a crash (or failover) mid-fan-out. Classes
-// with a journaled fan-out were restored verbatim during replay; the
-// remainder re-plan live here, in the recorded priority order, so the
-// resulting state is byte-identical to what the interrupted process
-// would have produced. The host calls it after its own replay completes
-// (the promoted follower's Reconcile). Returns (nil, nil) when no storm
-// was open.
-func (c *Controller) ResumeOpenStorm() (*Report, error) {
+// NoteReplan marks a class for re-planning by the next Storm, like a
+// changed link marks the classes that cross it — the host's reevaluate,
+// live or replayed. Replaying a storm record clears every mark: the
+// reevaluate's own storm record follows it in the same journal batch,
+// so a mark that outlives replay means that record was lost, and the
+// next Storm re-plans the class.
+func (c *Controller) NoteReplan(key string) error {
 	c.mu.Lock()
-	open := c.openStorm
-	c.openStorm = nil
-	done := c.replayDone
-	c.replayDone = nil
-	if open == nil {
-		c.mu.Unlock()
-		return nil, nil
+	defer c.mu.Unlock()
+	if _, ok := c.classes[key]; !ok {
+		return fmt.Errorf("storm: unknown class %s", key)
 	}
-	c.active = true
-	c.fanouts = 0
-	var items []planItem
-	for _, key := range open.Classes {
-		if done[key] {
-			continue
-		}
-		if cls, ok := c.classes[key]; ok {
-			items = append(items, planItem{cls: cls})
-		}
-	}
-	total := 0
-	for _, links := range open.Links {
-		total += len(links)
-	}
-	c.mu.Unlock()
-	// The replayed begin already opened this storm's flight; mark it
-	// resumed so the pre-kill and post-promotion segments read as one
-	// storm ID with a failover in the middle.
-	c.flights.resume(open.Storm)
-	stormRep, err := c.execute(open.Storm, total, items, true)
-	if err != nil {
-		return nil, fmt.Errorf("storm: resume storm %d: %w", open.Storm, err)
-	}
-	c.mu.Lock()
-	c.lastReport = stormRep
-	c.mu.Unlock()
-	return stormRep, nil
+	c.replan[key] = true
+	return nil
 }
 
-// ReplayRecord applies one sink record by kind. The host replays its
-// WAL and hands the storm records back in order; after the last one it
-// calls ResumeOpenStorm.
+// ReplayRecord applies one journaled storm record by kind. A record
+// that fails validation is rejected whole and leaves the controller
+// unchanged.
 func (c *Controller) ReplayRecord(kind string, data json.RawMessage) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.replaying = true
-	defer func() { c.replaying = false }()
 	switch kind {
-	case kindStormBegin:
-		var rec beginRecord
+	case RecordKind:
+		var rec record
 		if err := json.Unmarshal(data, &rec); err != nil {
 			return err
 		}
-		c.stormSeq = rec.Storm
-		c.openStorm = &rec
-		c.replayDone = make(map[string]bool)
-		// The live storm absorbed these links out of pending.
-		total := 0
-		for name, links := range rec.Links {
-			total += len(links)
-			if r, ok := c.regions[name]; ok {
-				for _, l := range links {
-					delete(r.pending, l)
-				}
-			}
-		}
-		c.flights.begin(rec.Storm, total, len(rec.Classes), true)
-		return nil
-	case kindStormClass:
-		var rec classRecord
+		return c.applyRecordLocked(&rec)
+	case legacyBegin:
+		var rec record
 		if err := json.Unmarshal(data, &rec); err != nil {
 			return err
 		}
-		cls, ok := c.classes[rec.Key]
-		if !ok {
-			return fmt.Errorf("storm-class for unknown class %s", rec.Key)
-		}
-		var res *core.Result
-		if rec.Found {
-			res = &core.Result{
-				Found: true, Path: rec.Path, Formats: rec.Formats,
-				Params: rec.Params, Satisfaction: rec.Satisfaction, Cost: rec.Cost,
-			}
-		}
-		c.dropHoldsLocked(cls, rec.Dropped)
-		c.applyPlanLocked(cls, res, rec.Degraded)
-		c.flights.class(rec.Storm, rec.Key, rec.Outcome, rec.Satisfaction, 0, true)
-		if c.replayDone != nil {
-			c.replayDone[rec.Key] = true
-		}
+		rec.Plans = nil
+		c.legacy = &rec
 		return nil
-	case kindStormEnd:
-		var rec endRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
+	case legacyClass:
+		var plan classPlan
+		if err := json.Unmarshal(data, &plan); err != nil {
 			return err
 		}
-		c.flights.end(rec.Storm, true)
-		c.openStorm = nil
-		c.replayDone = nil
+		if c.legacy == nil || plan.Storm != c.legacy.Storm {
+			return fmt.Errorf("storm-class for storm %d outside its storm", plan.Storm)
+		}
+		if err := c.validPlanLocked(&plan); err != nil {
+			return err
+		}
+		plan.Storm = 0
+		c.legacy.Plans = append(c.legacy.Plans, plan)
 		return nil
+	case legacyEnd:
+		var end struct {
+			Storm int `json:"storm"`
+		}
+		if err := json.Unmarshal(data, &end); err != nil {
+			return err
+		}
+		rec := c.legacy
+		if rec == nil || rec.Storm != end.Storm {
+			return fmt.Errorf("storm-end for storm %d without its begin", end.Storm)
+		}
+		c.legacy = nil
+		return c.applyRecordLocked(rec)
 	default:
 		return fmt.Errorf("unknown storm record kind %q", kind)
 	}
+}
+
+// validPlanLocked checks one plan against the controller: its class
+// must be registered, and a found plan must be a chain the fan-out can
+// render — at least sender and receiver, one format per hop.
+func (c *Controller) validPlanLocked(p *classPlan) error {
+	if _, ok := c.classes[p.Key]; !ok {
+		return fmt.Errorf("storm plan for unknown class %s", p.Key)
+	}
+	if p.Found && (len(p.Path) < 2 || len(p.Formats) != len(p.Path)-1) {
+		return fmt.Errorf("storm plan for class %s: found chain of %d nodes and %d formats", p.Key, len(p.Path), len(p.Formats))
+	}
+	return nil
+}
+
+// applyRecordLocked validates every plan of a storm record, then
+// re-applies the storm: the absorbed links leave the pending set, each
+// plan fans out exactly as it did live, and the flight recorder gets
+// one closed, replayed flight.
+func (c *Controller) applyRecordLocked(rec *record) error {
+	for i := range rec.Plans {
+		if err := c.validPlanLocked(&rec.Plans[i]); err != nil {
+			return err
+		}
+	}
+	c.replaying = true
+	defer func() { c.replaying = false }()
+	c.stormSeq = rec.Storm
+	clear(c.replan)
+	total := 0
+	for name, links := range rec.Links {
+		total += len(links)
+		if r, ok := c.regions[name]; ok {
+			for _, l := range links {
+				delete(r.pending, l)
+			}
+		}
+	}
+	c.flights.begin(rec.Storm, total, len(rec.Plans), true)
+	for i := range rec.Plans {
+		p := &rec.Plans[i]
+		cls := c.classes[p.Key]
+		c.dropHoldsLocked(cls, p.Dropped)
+		c.applyPlanLocked(cls, p.result(), p.Degraded)
+		c.flights.class(rec.Storm, p.Key, p.Outcome, p.Satisfaction, 0, true)
+	}
+	c.flights.end(rec.Storm, true)
+	return nil
 }

@@ -6,8 +6,8 @@ package storm
 // exactly once — Select per class, atomic hold swap per member.
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 
 	"qoschain/internal/core"
@@ -58,7 +58,6 @@ type Report struct {
 	NaiveChecks      int            `json:"naiveChecks,omitempty"`
 	Mismatches       int            `json:"mismatches,omitempty"`
 	RecoveryMs       float64        `json:"recoveryMs"`
-	Resumed          bool           `json:"resumed,omitempty"`
 	Classes          []ClassOutcome `json:"classes,omitempty"`
 }
 
@@ -68,28 +67,24 @@ type planItem struct {
 	gap float64
 }
 
-// ErrStormActive rejects overlapping Storm calls, and any Storm while a
-// replayed begin-without-end is still waiting on ResumeOpenStorm —
-// starting a fresh storm there would orphan the open storm's remainder.
+// ErrStormActive rejects a Storm while another storm runs on the same
+// controller.
 var ErrStormActive = errors.New("storm: a storm is already running")
-
-// ErrHalted reports that Config.HaltAfterFanouts aborted the storm —
-// the deterministic stand-in for a process death mid-fan-out.
-var ErrHalted = errors.New("storm: halted mid-storm by HaltAfterFanouts")
 
 // Storm absorbs the pending changed-link set and re-plans every
 // affected class — once per class, not once per session. Affected means
 // the class's chain crosses a changed link, the class was already
-// degraded (a recovery chance), or it has no chain at all. Classes
-// re-plan in priority order: furthest below their QoS floor first.
-// Returns the report; a nil report with nil error means nothing was
-// pending.
-func (c *Controller) Storm() (*Report, error) {
+// degraded (a recovery chance), it has no chain at all, or NoteReplan
+// marked it. Classes re-plan in priority order: furthest below their
+// QoS floor first. Returns the report and the storm's journal record
+// (RecordKind), which the host appends in the same batch as the command
+// that caused the storm; a nil report means nothing was pending.
+func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	start := now()
 	c.mu.Lock()
-	if c.active || c.openStorm != nil {
+	if c.active {
 		c.mu.Unlock()
-		return nil, ErrStormActive
+		return nil, nil, ErrStormActive
 	}
 	changed := make(map[string][]overlay.LinkRef)
 	totalLinks := 0
@@ -100,57 +95,32 @@ func (c *Controller) Storm() (*Report, error) {
 			r.pending = make(map[overlay.LinkRef]bool)
 		}
 	}
-	if totalLinks == 0 {
+	if totalLinks == 0 && len(c.replan) == 0 {
 		c.mu.Unlock()
-		return nil, nil
+		return nil, nil, nil
 	}
+	items := c.scoreLocked(c.affectedLocked(changed))
+	clear(c.replan)
 	c.stormSeq++
 	c.active = true
-	c.fanouts = 0
 	seq := c.stormSeq
-
-	items := c.scoreLocked(c.affectedLocked(changed))
-	keys := make([]string, len(items))
-	for i, it := range items {
-		keys[i] = it.cls.key
-	}
-	if err := c.journalLocked(kindStormBegin, beginRecord{Storm: seq, Links: changed, Classes: keys}); err != nil {
-		c.active = false
-		c.mu.Unlock()
-		return nil, err
-	}
 	c.mu.Unlock()
+
+	// The plan phase: every item gets a plan — a class that cannot be
+	// planned is recorded no-chain — so a storm never stops part-way.
 	c.flights.begin(seq, totalLinks, len(items), false)
-
-	rep, err := c.execute(seq, totalLinks, items, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.RecoveryMs = float64(now().Sub(start).Microseconds()) / 1000.0
-	c.mu.Lock()
-	c.lastReport = rep
-	c.mu.Unlock()
-	c.cfg.Counters.Observe(metrics.SampleStormRecoveryMs, rep.RecoveryMs)
-	return rep, nil
-}
-
-// execute runs the plan phase over an already-ordered item list and
-// closes the storm out. Shared by Storm and crash-resume.
-func (c *Controller) execute(seq, totalLinks int, items []planItem, resumed bool) (*Report, error) {
-	rep := &Report{Storm: seq, ChangedLinks: totalLinks, AffectedClasses: len(items), Resumed: resumed}
+	rep := &Report{Storm: seq, ChangedLinks: totalLinks, AffectedClasses: len(items)}
+	rec := record{Storm: seq, Links: changed, Plans: make([]classPlan, 0, len(items))}
 	for _, it := range items {
 		rep.AffectedSessions += len(it.cls.members)
 	}
 	for _, it := range items {
-		out, err := c.planOne(seq, it)
-		if err != nil {
-			c.mu.Lock()
-			c.active = false
-			c.mu.Unlock()
-			return nil, err
-		}
+		out, plan, selected := c.planOne(seq, it)
+		rec.Plans = append(rec.Plans, plan)
 		rep.Classes = append(rep.Classes, *out)
-		rep.SelectCalls++
+		if selected {
+			rep.SelectCalls++
+		}
 		rep.SwapFailed += out.SwapFailed
 		switch out.Outcome {
 		case OutcomeUnchanged:
@@ -174,18 +144,19 @@ func (c *Controller) execute(seq, totalLinks int, items []planItem, resumed bool
 	}
 	rep.NaiveChecks, rep.Mismatches = c.naiveChecks, c.naiveMismatches
 	c.naiveChecks, c.naiveMismatches = 0, 0
-	err := c.journalLocked(kindStormEnd, endRecord{Storm: seq})
+	rep.RecoveryMs = float64(now().Sub(start).Microseconds()) / 1000.0
+	c.lastReport = rep
 	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	c.flights.end(seq, false)
 	c.cfg.Counters.Inc(metrics.CounterStormEvents)
 	c.cfg.Counters.Add(metrics.CounterStormClasses, int64(rep.AffectedClasses))
-	return rep, nil
+	c.cfg.Counters.Observe(metrics.SampleStormRecoveryMs, rep.RecoveryMs)
+	data, err := json.Marshal(rec)
+	return rep, data, err
 }
 
-// affectedLocked selects the classes a changed-link set touches.
+// affectedLocked selects the classes a changed-link set touches, plus
+// the classes NoteReplan marked.
 func (c *Controller) affectedLocked(changed map[string][]overlay.LinkRef) []*Class {
 	sets := make(map[string]map[overlay.LinkRef]bool, len(changed))
 	for name, links := range changed {
@@ -198,6 +169,10 @@ func (c *Controller) affectedLocked(changed map[string][]overlay.LinkRef) []*Cla
 	var out []*Class
 	for _, key := range c.order {
 		cls := c.classes[key]
+		if c.replan[key] {
+			out = append(out, cls)
+			continue
+		}
 		set, ok := sets[cls.spec.Region]
 		if !ok {
 			continue
@@ -287,10 +262,11 @@ func (c *Controller) repairLocked(cls *Class) (*graph.Graph, error) {
 
 // planOne re-plans one class: repair the class graph against
 // everything dirtied since its last annotation (including earlier
-// classes' hold swaps in this same storm), run Select once, fan the
-// result out to every member with an atomic hold swap, and journal the
-// fan-out.
-func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
+// classes' hold swaps in this same storm), run Select once, and fan the
+// result out to every member with an atomic hold swap. A class whose
+// graph repair fails gets no Select and is recorded no-chain. Returns
+// the outcome, the plan for the storm record, and whether Select ran.
+func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bool) {
 	cls := it.cls
 	planStart := now()
 
@@ -304,92 +280,43 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, error) {
 	g, err := c.repairLocked(cls)
 	dropped := c.restoreMembersLocked(cls, saved)
 	c.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("storm: class %s: %w", cls.key, err)
-	}
 
-	res, selErr := core.Select(g, cls.selcfg)
-	c.cfg.Counters.Inc(metrics.CounterStormSelectCalls)
+	var res *core.Result
 	degraded := false
-	switch {
-	case selErr == nil:
-	case errors.Is(selErr, core.ErrBelowFloor) && res != nil && res.Found:
-		degraded = true
-	default:
-		res = nil // nothing composes; keep the old chain
-	}
-
-	if c.cfg.Verify && res != nil {
-		c.verifyClass(g, cls, res)
+	if err == nil {
+		var selErr error
+		res, selErr = core.Select(g, cls.selcfg)
+		c.cfg.Counters.Inc(metrics.CounterStormSelectCalls)
+		switch {
+		case selErr == nil:
+		case errors.Is(selErr, core.ErrBelowFloor) && res != nil && res.Found:
+			degraded = true
+		default:
+			res = nil // nothing composes; keep the old chain
+		}
+		if c.cfg.Verify && res != nil {
+			c.verifyClass(g, cls, res)
+		}
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.applyPlanLocked(cls, res, degraded)
 	out.Gap = it.gap
-	rec := classRecord{
-		Storm: seq, Key: cls.key, Outcome: out.Outcome,
+	plan := classPlan{
+		Key: cls.key, Outcome: out.Outcome,
 		Degraded: cls.degraded, Kbps: cls.kbps, Dropped: dropped,
 	}
 	if res != nil {
-		rec.Found = res.Found
-		rec.Path = res.Path
-		rec.Formats = res.Formats
-		rec.Params = res.Params
-		rec.Satisfaction = res.Satisfaction
-		rec.Cost = res.Cost
-	}
-	if err := c.journalLocked(kindStormClass, rec); err != nil {
-		return nil, err
+		plan.Found = res.Found
+		plan.Path = res.Path
+		plan.Formats = res.Formats
+		plan.Params = res.Params
+		plan.Satisfaction = res.Satisfaction
+		plan.Cost = res.Cost
 	}
 	c.flights.class(seq, cls.key, out.Outcome, out.Satisfaction, ms(now().Sub(planStart)), false)
-	c.fanouts++
-	if c.cfg.HaltAfterFanouts > 0 && c.fanouts >= c.cfg.HaltAfterFanouts {
-		// The fan-out above is journaled; dying here leaves begin + the
-		// completed class records and no end — the mid-storm crash state.
-		return nil, ErrHalted
-	}
-	return out, nil
-}
-
-// ReplanClass runs a single-class storm outside a fault event — the
-// session manager's manual re-evaluation path. The class re-plans against
-// its repaired graph and fans out exactly like a storm of one, sharing
-// the journal format so a crash mid-replan resumes identically.
-func (c *Controller) ReplanClass(key string) (*Report, error) {
-	start := now()
-	c.mu.Lock()
-	if c.active || c.openStorm != nil {
-		c.mu.Unlock()
-		return nil, ErrStormActive
-	}
-	cls, ok := c.classes[key]
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("storm: unknown class %s", key)
-	}
-	c.stormSeq++
-	c.active = true
-	c.fanouts = 0
-	seq := c.stormSeq
-	items := c.scoreLocked([]*Class{cls})
-	if err := c.journalLocked(kindStormBegin, beginRecord{Storm: seq, Classes: []string{key}}); err != nil {
-		c.active = false
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.mu.Unlock()
-	c.flights.begin(seq, 0, 1, false)
-
-	rep, err := c.execute(seq, 0, items, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.RecoveryMs = float64(now().Sub(start).Microseconds()) / 1000.0
-	c.mu.Lock()
-	c.lastReport = rep
-	c.mu.Unlock()
-	return rep, nil
+	return out, plan, err == nil
 }
 
 // releaseMembersLocked lifts every member's hold off the overlay,
@@ -412,7 +339,8 @@ func (c *Controller) releaseMembersLocked(cls *Class) [][]overlay.Reservation {
 // shrank it below the standing holds; such a member loses its hold (it
 // was dead bandwidth) and is marked degraded — the accounting stays
 // exact either way. It returns the members that lost their hold, which
-// the class's fan-out record carries so replay drops the same holds.
+// the class's plan in the storm record carries so replay drops the
+// same holds.
 func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservation) []string {
 	r := c.regions[cls.spec.Region]
 	var dropped []string

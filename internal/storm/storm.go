@@ -23,11 +23,11 @@
 //     class the best below-floor chain is adopted (core.ErrBelowFloor);
 //     when no chain exists at all, members keep their old holds rather
 //     than being dropped.
-//   - Crash safety: every per-class fan-out is journaled through the
-//     embedding host's WAL (Config.Sink, see journal.go). A crash
-//     mid-storm replays to a consistent state and finishes the
-//     interrupted storm: fanned-out classes are restored from their
-//     records, the remainder re-planned in the recorded priority order.
+//   - Crash safety: each storm is one record the embedding host
+//     journals in the same batch as the command that caused it (see
+//     journal.go), so the journal never holds part of a storm. A crash
+//     before that record is durable leaves the command's changes
+//     pending, and the next Storm re-plans them from state.
 //
 // The controller owns every reservation it manages: all mutations of a
 // region's overlay must either go through the controller or be reported
@@ -80,20 +80,6 @@ type Config struct {
 	CacheSize int
 	// Counters receives storm.* metrics; nil is a no-op sink.
 	Counters *metrics.Counters
-	// Sink, when set, journals the controller's storm fan-out records —
-	// storm-begin, storm-class, storm-end — in the embedding host's
-	// write-ahead log (the session manager); the host replays them back
-	// through ReplayRecord on recovery. Classes, attachments and link
-	// changes are derived state the host reconstructs by replaying its
-	// own create/fault/delete commands. Nil keeps the controller
-	// in-memory.
-	Sink func(kind string, data json.RawMessage) error
-	// HaltAfterFanouts, when > 0, aborts a storm with ErrHalted after
-	// that many class fan-outs have been journaled — a deterministic
-	// crash site for mid-storm failover tests. The journal is left with
-	// a storm-begin and the completed class records but no storm-end,
-	// exactly the state a process death mid-fan-out leaves behind.
-	HaltAfterFanouts int
 }
 
 // ClassSpec is the equivalence-class fingerprint: everything the
@@ -229,14 +215,16 @@ type Controller struct {
 	qos qosState
 
 	stormSeq        int
-	fanouts         int // class fan-outs journaled in the current storm
 	active          bool
 	naiveChecks     int
 	naiveMismatches int
 	lastReport      *Report
 	replaying       bool
-	openStorm       *beginRecord // begin seen without end during replay
-	replayDone      map[string]bool
+	// replan holds the classes NoteReplan marked for the next Storm.
+	replan map[string]bool
+	// legacy collects a pre-single-record storm between its begin and
+	// end records during replay (see journal.go).
+	legacy *record
 }
 
 // Open builds an in-memory controller over the given regions; more
@@ -251,6 +239,7 @@ func Open(cfg Config, regions []Region) (*Controller, error) {
 		regions:   make(map[string]*region),
 		classes:   make(map[string]*Class),
 		memberIdx: make(map[string]*Session),
+		replan:    make(map[string]bool),
 	}
 	for _, r := range regions {
 		if err := c.addRegionLocked(r); err != nil {

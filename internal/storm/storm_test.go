@@ -2,8 +2,8 @@ package storm_test
 
 // Tests for the storm controller's live behavior: class identity,
 // reservation accounting, plan-once-per-class storms, priority
-// ordering, and graceful degradation. Durability (sink replay and
-// crash-resume) is covered in journal_test.go.
+// ordering, and graceful degradation. Durability (storm record replay,
+// lost records and legacy records) is covered in journal_test.go.
 
 import (
 	"math"
@@ -58,7 +58,7 @@ func classSpec(region string, ideal, floor float64) storm.ClassSpec {
 // collapse multiplies every sender access link's capacity by factor and
 // reports the changed links to the controller — a correlated backbone
 // event in miniature.
-func collapse(t *testing.T, c *storm.Controller, reg storm.Region, factor float64) []overlay.LinkRef {
+func collapse(t testing.TB, c *storm.Controller, reg storm.Region, factor float64) []overlay.LinkRef {
 	t.Helper()
 	links := reg.Net.LinksOf(reg.SenderHost)
 	for _, l := range links {
@@ -171,12 +171,12 @@ func TestStormPlansOncePerClass(t *testing.T) {
 	}
 
 	// Nothing pending → no storm.
-	if rep, err := c.Storm(); err != nil || rep != nil {
+	if rep, _, err := c.Storm(); err != nil || rep != nil {
 		t.Fatalf("idle Storm() = (%v, %v), want (nil, nil)", rep, err)
 	}
 
 	collapse(t, c, reg, 0.5)
-	rep, err := c.Storm()
+	rep, _, err := c.Storm()
 	if err != nil {
 		t.Fatalf("Storm: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestStormPlansOncePerClass(t *testing.T) {
 		t.Fatalf("post-storm leak: %.3f kbps", d)
 	}
 	// Pending set was consumed; an immediate second storm is a no-op.
-	if rep2, err := c.Storm(); err != nil || rep2 != nil {
+	if rep2, _, err := c.Storm(); err != nil || rep2 != nil {
 		t.Fatalf("second Storm() = (%v, %v), want (nil, nil)", rep2, err)
 	}
 }
@@ -225,7 +225,7 @@ func TestStormPriorityOrder(t *testing.T) {
 		}
 	}
 	collapse(t, c, reg, 0.4)
-	rep, err := c.Storm()
+	rep, _, err := c.Storm()
 	if err != nil {
 		t.Fatalf("Storm: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestStormGracefulDegradation(t *testing.T) {
 	// Collapse so hard no chain can reach the floor: the class must
 	// degrade, never strand its members without accounting.
 	collapse(t, c, reg, 0.02)
-	rep, err := c.Storm()
+	rep, _, err := c.Storm()
 	if err != nil {
 		t.Fatalf("Storm: %v", err)
 	}
@@ -310,7 +310,7 @@ func TestServiceDownReplansThroughHost(t *testing.T) {
 	if err := c.SetServiceDown("r1", service.ID(victim), true); err != nil {
 		t.Fatalf("SetServiceDown: %v", err)
 	}
-	rep, err := c.Storm()
+	rep, _, err := c.Storm()
 	if err != nil || rep == nil || rep.AffectedClasses != 1 {
 		t.Fatalf("Storm = %+v, %v; want the class re-planned", rep, err)
 	}
@@ -386,7 +386,7 @@ func TestStatusSnapshot(t *testing.T) {
 		t.Fatalf("Attach: %v", err)
 	}
 	collapse(t, c, reg, 0.5)
-	if _, err := c.Storm(); err != nil {
+	if _, _, err := c.Storm(); err != nil {
 		t.Fatalf("Storm: %v", err)
 	}
 	st := c.Status()
@@ -427,7 +427,7 @@ func TestStormWritesNoAdmissionCounters(t *testing.T) {
 		}
 	}
 	collapse(t, c, reg, 0.5)
-	rep, err := c.Storm()
+	rep, _, err := c.Storm()
 	if err != nil {
 		t.Fatalf("Storm: %v", err)
 	}
