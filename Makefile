@@ -31,13 +31,15 @@ race-all:
 		./internal/journal/ ./internal/session/ ./internal/sim/
 
 # fuzz-smoke runs every fuzz target for a short, fixed time: format
-# parsing, profile-set decoding, format interning and storm record
-# replay, 10s each. go test fuzzes one target per package per run.
+# parsing, profile-set decoding, format interning, storm record replay
+# and the session fault command, 10s each. go test fuzzes one target
+# per package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFormat$$' -fuzztime 10s ./internal/media/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 10s ./internal/profile/
 	$(GO) test -run '^$$' -fuzz '^FuzzFormatInterning$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime 10s ./internal/storm/
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyFault$$' -fuzztime 10s ./internal/session/
 
 # cluster-smoke runs seeded node-kill scenarios against a 3-replica
 # Figure 6 deployment: WAL shipping over real sockets, lease-expiry

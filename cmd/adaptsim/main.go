@@ -15,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"qoschain/internal/core"
-	"qoschain/internal/fault"
 	"qoschain/internal/journal"
 	"qoschain/internal/media"
 	"qoschain/internal/metrics"
@@ -66,7 +64,7 @@ func dumpMetrics(c *metrics.Counters) {
 }
 
 // renderSpanStats prints the tracer's per-span aggregate — the trace
-// summary the failure harnesses end their reports with.
+// summary the crash harness ends its report with.
 func renderSpanStats(tracer *trace.Tracer) {
 	stats := tracer.SpanStats()
 	if len(stats) == 0 {
@@ -90,7 +88,7 @@ func main() {
 	scenarioFile := flag.String("scenario", "", "run a declarative JSON scenario instead")
 	markdown := flag.Bool("markdown", false, "with -scenario: emit the report as Markdown")
 	batch := flag.Int("batch", 0, "plan this many receiver profiles against one shared graph and exit")
-	chaos := flag.Bool("chaos", false, "inject a seeded fault schedule against the Figure 6 deployment and report availability")
+	chaos := flag.Bool("chaos", false, "inject a seeded fault schedule against a managed Figure 6 session, report availability, and fail on a refused fault, leaked bandwidth or a plan mismatch")
 	crash := flag.Bool("crash", false, "kill a durable Figure 6 deployment at every journal failpoint under the seed and verify byte-identical recovery with zero leaked bandwidth")
 	overload := flag.Bool("overload", false, "drive a seeded 10x burst through the admission layers under a virtual clock and report the admitted/queued/shed breakdown")
 	clusterFlag := flag.Bool("cluster", false, "run a 3-replica Figure 6 deployment with WAL shipping, kill a node mid-run, and verify byte-identical failover with zero leaked bandwidth")
@@ -110,7 +108,7 @@ func main() {
 		return
 	}
 	if *chaos {
-		runChaos(*seed, *steps, *frames)
+		runChaos(*seed, *steps)
 		return
 	}
 	if *crash {
@@ -232,120 +230,56 @@ func main() {
 	dumpMetrics(counters)
 }
 
-// runChaos drives one failover session over the paper's Figure 6
-// deployment while a seeded fault schedule crashes hosts, flaps links,
-// collapses bandwidth, and churns services. Everything is derived from
-// the seed, so a run is exactly reproducible; the summary reports the
-// availability (steps with a healthy chain), failover and recovery
-// counts, and the mean time to recover.
-func runChaos(seed int64, steps, frames int) {
-	net := paperexample.Table1Network()
-	svcs := paperexample.Table1Services(true)
-	pool := fault.NewServiceSet(svcs)
-	counters := metrics.NewCounters()
-	tracer := trace.NewTracer(steps + 1)
-
-	setupTr := tracer.Start("chaos.setup")
-	sess, err := session.NewCtx(trace.NewContext(context.Background(), setupTr), session.Config{
-		Content:      paperexample.Table1Content(),
-		Device:       paperexample.Table1Device(),
-		Services:     svcs,
-		Net:          net,
-		SenderHost:   "sender",
-		ReceiverHost: "receiver",
-		Select:       paperexample.Table1Config(),
-		Pool:         pool,
-		Failover: session.FailoverConfig{
-			Enabled:           true,
-			SatisfactionFloor: 0.3,
-			Metrics:           counters,
-		},
-	})
-	setupTr.Finish()
+// runChaos prints one sim.RunChaos run: a reserving Figure 6 session
+// on an in-memory session.Manager under a seeded fault schedule of host
+// crashes, link flaps, bandwidth collapses, service churn and loss
+// spikes. Everything derives from the seed, so a run is exactly
+// reproducible. It exits non-zero when the chaos contract breaks: a
+// fault the manager refuses, leaked bandwidth, or a plan that differs
+// from the naive per-session Select.
+func runChaos(seed int64, steps int) {
+	rep, err := sim.RunChaos(sim.ChaosSpec{Seed: seed, Steps: steps})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos session:", err)
+		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
 	}
-
-	schedule := fault.RandomSchedule(fault.ChaosSpec{
-		Seed:                  seed,
-		Steps:                 steps,
-		HostCrashRate:         0.15,
-		LinkFlapRate:          0.10,
-		BandwidthCollapseRate: 0.10,
-		ServiceChurnRate:      0.10,
-		LossSpikeRate:         0.05,
-		Protected:             []string{"sender", "receiver"},
-	}, net, svcs)
-	inj, err := fault.NewInjector(net, pool, schedule)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos schedule:", err)
-		os.Exit(1)
-	}
-
 	fmt.Printf("adaptsim: chaos over Figure 6 — %d steps, %d scheduled faults (seed %d)\n\n",
-		steps, len(schedule), seed)
-	fmt.Printf("t=0   chain=%s sat=%s\n",
-		core.PathString(sess.Result().Path), core.DisplaySat(sess.Result().Satisfaction))
-
-	healthy := 0
-	for t := 1; t <= steps; t++ {
-		fired := inj.Step()
-		sess.Tick()
-		stepTr := tracer.Start(fmt.Sprintf("chaos.step-%d", t))
-		changed, rerr := sess.ReevaluateCtx(trace.NewContext(context.Background(), stepTr))
-		stepTr.Finish()
-		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "reevaluate:", rerr)
-			os.Exit(1)
+		rep.Steps, rep.ScheduledFaults, seed)
+	fmt.Printf("t=0   chain=%s sat=%s\n", rep.Initial.Chain, core.DisplaySat(rep.Initial.Satisfaction))
+	final := rep.Initial
+	for _, st := range rep.Timeline {
+		final = st
+		if len(st.Faults) == 0 && !st.Recomposed {
+			continue
 		}
-		if !sess.Degraded() {
-			healthy++
+		marker := ""
+		if st.Recomposed {
+			marker = "  <- recomposed"
 		}
-		if len(fired) > 0 || changed {
-			marker := ""
-			if changed {
-				marker = "  <- recomposed"
-			}
-			if sess.Degraded() {
-				marker += "  [degraded]"
-			}
-			faults := ""
-			for _, f := range fired {
-				faults += " " + f.String()
-			}
-			fmt.Printf("t=%-3d chain=%s sat=%s%s%s\n", t,
-				core.PathString(sess.Result().Path),
-				core.DisplaySat(sess.Result().Satisfaction), marker, faults)
+		if st.Degraded {
+			marker += "  [degraded]"
 		}
+		faults := ""
+		for _, f := range st.Faults {
+			faults += " " + f.String()
+		}
+		fmt.Printf("t=%-3d chain=%s sat=%s%s%s\n", st.Step, st.Chain,
+			core.DisplaySat(st.Satisfaction), marker, faults)
 	}
 
 	fmt.Printf("\navailability: %d/%d steps healthy (%.1f%%)\n",
-		healthy, steps, 100*float64(healthy)/float64(steps))
-	fmt.Printf("recompositions: %d, final chain: %s\n",
-		sess.Recompositions(), core.PathString(sess.Result().Path))
-
-	// Data plane: push frames through the surviving chain on the shared
-	// batched executor, folding pipeline.* series into the chaos report.
-	if !sess.Degraded() {
-		ex := pipeline.NewExecutor(0)
-		streamTr := tracer.Start("chaos.stream")
-		stats, serr := sess.StreamOn(ex, frames, pipeline.Options{Metrics: counters})
-		streamTr.Finish()
-		ex.Close()
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "stream:", serr)
-			os.Exit(1)
-		}
-		fmt.Printf("data plane: %d/%d frames delivered at %.1f fps over the final chain\n",
-			stats.FramesOut, stats.FramesIn, stats.DeliveredFPS)
-	}
+		rep.Healthy, rep.Steps, 100*float64(rep.Healthy)/float64(rep.Steps))
+	fmt.Printf("outages: %d, longest %d steps\n", rep.Outages, rep.LongestOutage)
+	fmt.Printf("recompositions: %d, final chain: %s\n", rep.Recompositions, final.Chain)
+	fmt.Printf("storms: %d, naive checks: %d, mismatches: %d, leaked: %.0f kbps\n",
+		rep.Storms, rep.NaiveChecks, rep.Mismatches, rep.LeakKbps)
 	fmt.Println()
-	counters.Render(os.Stdout)
-	renderSpanStats(tracer)
-	dumpMetrics(counters)
-	if st := sess.FailoverStatus(); st.Degraded {
-		fmt.Printf("\nsession ended DEGRADED: %s\n", st.LastError)
+	rep.Counters.Render(os.Stdout)
+	dumpMetrics(rep.Counters)
+	if !rep.OK() {
+		fmt.Fprintf(os.Stderr, "\nchaos: contract broken: err=%q leaked=%v kbps mismatches=%d\n",
+			rep.Err, rep.LeakKbps, rep.Mismatches)
+		os.Exit(1)
 	}
 }
 

@@ -36,8 +36,11 @@ const (
 	// LinkUp reverses a LinkDown.
 	LinkUp Kind = "linkup"
 	// BandwidthCollapse multiplies a link's capacity by Factor (< 1 for
-	// a collapse; the inverse restores the original capacity).
+	// a collapse; the inverse is a BandwidthRestore).
 	BandwidthCollapse Kind = "bandwidth"
+	// BandwidthRestore sets a link's capacity back to an absolute value,
+	// carried in Factor (kbps) — the inverse of a BandwidthCollapse.
+	BandwidthRestore Kind = "restore-bandwidth"
 	// LossSpike sets a link's loss rate to LossRate (inverse restores
 	// the previous rate).
 	LossSpike Kind = "loss"
@@ -63,7 +66,8 @@ type Fault struct {
 	To   string `json:"to,omitempty"`
 	// Service names the target of ServiceDown/ServiceUp.
 	Service service.ID `json:"service,omitempty"`
-	// Factor is BandwidthCollapse's capacity multiplier.
+	// Factor is BandwidthCollapse's capacity multiplier, or
+	// BandwidthRestore's absolute capacity in kbps.
 	Factor float64 `json:"factor,omitempty"`
 	// LossRate is LossSpike's new loss rate.
 	LossRate float64 `json:"lossRate,omitempty"`
@@ -107,12 +111,12 @@ func (f Fault) Validate() error {
 		if f.Host == "" {
 			return fmt.Errorf("fault: %s needs a host", f.Kind)
 		}
-	case LinkDown, LinkUp, BandwidthCollapse, LossSpike, DelaySpike:
+	case LinkDown, LinkUp, BandwidthCollapse, BandwidthRestore, LossSpike, DelaySpike:
 		if f.From == "" || f.To == "" {
 			return fmt.Errorf("fault: %s needs from/to", f.Kind)
 		}
-		if f.Kind == BandwidthCollapse && f.Factor <= 0 {
-			return fmt.Errorf("fault: bandwidth collapse needs a positive factor")
+		if (f.Kind == BandwidthCollapse || f.Kind == BandwidthRestore) && f.Factor <= 0 {
+			return fmt.Errorf("fault: %s needs a positive factor", f.Kind)
 		}
 		if f.Kind == LossSpike && (f.LossRate < 0 || f.LossRate > 1) {
 			return fmt.Errorf("fault: loss rate %v outside [0,1]", f.LossRate)
@@ -319,8 +323,7 @@ func (inj *Injector) apply(f Fault) []Fault {
 		if err := inj.net.SetBandwidth(f.From, f.To, capacity*f.Factor); err != nil {
 			return nil
 		}
-	case restoreBandwidth:
-		// Factor carries the absolute capacity to restore.
+	case BandwidthRestore:
 		if err := inj.net.SetBandwidth(f.From, f.To, f.Factor); err != nil {
 			return nil
 		}
@@ -381,7 +384,7 @@ func (inj *Injector) inverse(f Fault) (Fault, bool) {
 			return Fault{}, false
 		}
 		delete(inj.savedBandwidth, key)
-		return Fault{AtStep: at, Kind: restoreBandwidth, From: f.From, To: f.To, Factor: orig, Group: f.Group}, true
+		return Fault{AtStep: at, Kind: BandwidthRestore, From: f.From, To: f.To, Factor: orig, Group: f.Group}, true
 	case LossSpike:
 		orig, ok := inj.savedLoss[key]
 		if !ok {
@@ -401,10 +404,6 @@ func (inj *Injector) inverse(f Fault) (Fault, bool) {
 	}
 	return Fault{}, false
 }
-
-// restoreBandwidth is the internal inverse of BandwidthCollapse: Factor
-// carries the absolute capacity to restore.
-const restoreBandwidth Kind = "restore-bandwidth"
 
 // CurrentStep returns the injector's virtual time.
 func (inj *Injector) CurrentStep() int { return inj.step }

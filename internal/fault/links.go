@@ -17,7 +17,7 @@ func ChangedLinks(fired []Fault, net *overlay.Network) []overlay.LinkRef {
 	seen := make(map[overlay.LinkRef]bool)
 	for _, f := range fired {
 		switch f.Kind {
-		case LinkDown, LinkUp, BandwidthCollapse, restoreBandwidth, LossSpike, DelaySpike:
+		case LinkDown, LinkUp, BandwidthCollapse, BandwidthRestore, LossSpike, DelaySpike:
 			seen[overlay.LinkRef{From: f.From, To: f.To}] = true
 		case HostCrash, HostRecover:
 			for _, l := range net.LinksOf(f.Host) {

@@ -149,8 +149,8 @@ func HandlerWithOptions(opts Options) http.Handler {
 	cache := graph.NewCache(0)
 	sessions := opts.Sessions
 	if sessions == nil {
-		// In-memory never errors. Wire the registry through so failover.*
-		// counters (entered, recovered, reevaluate.<reason>, ...) reach
+		// In-memory never errors. Wire the registry through so the
+		// failover.reevaluate_<reason> and storm.* counters reach
 		// /metrics even without a caller-supplied manager.
 		m, _ := session.NewManager(session.ManagerConfig{
 			Counters: metrics.CountersOn(opts.Metrics),

@@ -260,8 +260,9 @@ func TestComposeTraceRetrievable(t *testing.T) {
 }
 
 // TestMetricsNameCoverage pins the acceptance list: a fresh registry
-// with RegisterWellKnown already exposes every failover.*, admission.*,
-// journal.* series plus the new compose.* and trace.* families.
+// with RegisterWellKnown already exposes every failover.reevaluate_*,
+// storm.sessions_degraded, admission.* and journal.* series plus the
+// compose.* and trace.* families.
 func TestMetricsNameCoverage(t *testing.T) {
 	srv, _, _, _, _ := obsServer(t)
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -278,8 +279,8 @@ func TestMetricsNameCoverage(t *testing.T) {
 	}
 	text := string(body)
 	for _, name := range []string{
-		metrics.CounterFailovers, metrics.CounterRecovered,
-		metrics.CounterDegraded, metrics.CounterQuarantined,
+		metrics.CounterReevalManual, metrics.CounterReevalFault,
+		metrics.CounterReevalStorm, metrics.CounterStormDegraded,
 		metrics.CounterAdmissionAdmitted, metrics.CounterAdmissionQueued,
 		metrics.CounterAdmissionShedQueueFull, metrics.CounterAdmissionShedExpired,
 		metrics.CounterAdmissionRateLimited,

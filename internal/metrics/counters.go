@@ -6,7 +6,7 @@ import (
 )
 
 // Counters is the concurrency-safe sink instrumented code reports
-// through — the reliability bookkeeping of the failover, admission,
+// through — the reliability bookkeeping of the re-composition, admission,
 // and durability paths. It is a thin facade over a Registry: counts
 // go to counter series and Observe feeds bounded histogram series, so
 // a long-lived daemon's metric memory stays constant (the old
@@ -21,25 +21,13 @@ type Counters struct {
 	mirror *Counters
 }
 
-// Well-known counter and sample names recorded by the session failover
-// path. Samples (Observe) use the same namespace as counters (Inc/Add).
+// Well-known counter names recorded per session re-evaluation.
+// Samples (Observe) use the same namespace as counters (Inc/Add).
 const (
-	// CounterFailovers counts failovers entered.
-	CounterFailovers = "failover.entered"
-	// CounterRecovered counts failovers that ended on a live chain.
-	CounterRecovered = "failover.recovered"
-	// CounterDegraded counts sessions that entered the degraded state
-	// (no chain cleared the satisfaction floor, or none existed at all).
-	CounterDegraded = "failover.degraded"
-	// CounterQuarantined counts host/service quarantine admissions.
-	CounterQuarantined = "failover.quarantined"
-	// SampleRecoverySteps observes the virtual-time steps a session spent
-	// without a healthy chain before recovering.
-	SampleRecoverySteps = "failover.recovery_steps"
 	// CounterReevalPrefix prefixes the per-reason re-evaluation counters
 	// below; the reason token ("manual", "fault", "storm") is appended,
-	// so storm-driven re-plans are distinguishable from per-session
-	// failover in traces and dashboards.
+	// so storm-driven re-plans are distinguishable from client requests
+	// in traces and dashboards.
 	CounterReevalPrefix = "failover.reevaluate_"
 	// CounterReevalManual counts client- or driver-requested
 	// re-evaluations.

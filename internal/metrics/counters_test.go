@@ -8,17 +8,17 @@ import (
 
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
-	c.Inc(CounterFailovers)
-	c.Add(CounterQuarantined, 3)
-	if c.Get(CounterFailovers) != 1 || c.Get(CounterQuarantined) != 3 {
+	c.Inc(CounterReevalManual)
+	c.Add(CounterCapacityRejected, 3)
+	if c.Get(CounterReevalManual) != 1 || c.Get(CounterCapacityRejected) != 3 {
 		t.Errorf("counts = %v", c.Snapshot())
 	}
 	if c.Get("unknown") != 0 {
 		t.Error("unknown counter must read 0")
 	}
-	c.Observe(SampleRecoverySteps, 2)
-	c.Observe(SampleRecoverySteps, 4)
-	s := c.SampleSummary(SampleRecoverySteps)
+	c.Observe(SampleReservedKbps, 2)
+	c.Observe(SampleReservedKbps, 4)
+	s := c.SampleSummary(SampleReservedKbps)
 	if s.Count != 2 || s.Mean != 3 {
 		t.Errorf("summary = %+v", s)
 	}
@@ -62,12 +62,12 @@ func TestCountersConcurrent(t *testing.T) {
 
 func TestCountersRender(t *testing.T) {
 	c := NewCounters()
-	c.Inc(CounterDegraded)
-	c.Observe(SampleRecoverySteps, 5)
+	c.Inc(CounterStormDegraded)
+	c.Observe(SampleReservedKbps, 5)
 	var sb strings.Builder
 	c.Render(&sb)
 	out := sb.String()
-	if !strings.Contains(out, CounterDegraded) || !strings.Contains(out, "n=1") {
+	if !strings.Contains(out, CounterStormDegraded) || !strings.Contains(out, "n=1") {
 		t.Errorf("render output:\n%s", out)
 	}
 }

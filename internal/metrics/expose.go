@@ -48,8 +48,6 @@ func RegisterWellKnown(r *Registry) {
 		return
 	}
 	for _, name := range []string{
-		CounterFailovers, CounterRecovered,
-		CounterDegraded, CounterQuarantined,
 		CounterAdmissionAdmitted, CounterAdmissionQueued,
 		CounterAdmissionShedQueueFull, CounterAdmissionShedExpired,
 		CounterAdmissionRateLimited, CounterCapacityRejected,
@@ -82,7 +80,7 @@ func RegisterWellKnown(r *Registry) {
 	}
 	for _, name := range []string{
 		SampleQoSSatisfaction,
-		SampleRecoverySteps, SampleReservedKbps,
+		SampleReservedKbps,
 		SampleRecoveryReleasedKbps,
 		SampleReplicationLag, SampleClusterRecoveryMs,
 		HistComposeLatencyMs, HistHTTPLatencyMs, HistQueueWaitMs,

@@ -188,7 +188,7 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestPrometheusOutputStable(t *testing.T) {
 	r := NewRegistry()
 	RegisterWellKnown(r)
-	r.Inc(CounterFailovers)
+	r.Inc(CounterReevalManual)
 	r.Add(CounterHTTPRequests, 3, L("code", "200"))
 	r.Observe(HistComposeLatencyMs, 1.5, L("outcome", "ok"))
 	r.SetGauge("sessions.live", 2)
@@ -245,7 +245,7 @@ func TestPrometheusOutputStable(t *testing.T) {
 		t.Fatal("no output")
 	}
 	for _, want := range []string{
-		"failover_entered 1",
+		"failover_reevaluate_manual 1",
 		`http_requests{code="200"} 3`,
 		`compose_latency_ms_bucket{outcome="ok",le="2.5"} 1`,
 		`compose_latency_ms_count{outcome="ok"} 1`,
@@ -262,17 +262,17 @@ func TestCountersFanout(t *testing.T) {
 	private := NewCounters()
 	global := NewCounters()
 	c := Fanout(private, global)
-	c.Inc(CounterFailovers)
-	c.Observe(SampleRecoverySteps, 3)
-	if private.Get(CounterFailovers) != 1 || global.Get(CounterFailovers) != 1 {
+	c.Inc(CounterReevalManual)
+	c.Observe(SampleReservedKbps, 3)
+	if private.Get(CounterReevalManual) != 1 || global.Get(CounterReevalManual) != 1 {
 		t.Error("writes must reach both sinks")
 	}
 	// Reads come from the primary only.
-	global.Inc(CounterFailovers)
-	if c.Get(CounterFailovers) != 1 {
-		t.Errorf("fanout read = %d, want primary value 1", c.Get(CounterFailovers))
+	global.Inc(CounterReevalManual)
+	if c.Get(CounterReevalManual) != 1 {
+		t.Errorf("fanout read = %d, want primary value 1", c.Get(CounterReevalManual))
 	}
-	if len(c.Sample(SampleRecoverySteps)) != 1 {
+	if len(c.Sample(SampleReservedKbps)) != 1 {
 		t.Error("fanout sample must read primary")
 	}
 	// Degenerate fanouts collapse to the non-nil side.

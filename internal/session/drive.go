@@ -12,8 +12,10 @@ type Sample struct {
 	Satisfaction float64
 	// Recomposed reports whether this step switched chains.
 	Recomposed bool
-	// Degraded reports whether the session ran this step below its
-	// satisfaction floor (failover sessions only).
+	// Degraded reports whether the step's re-evaluation failed: the
+	// chain broke, nothing replaced it, and the session kept its last
+	// chain. Drive stops at such a step; the simulator records it and
+	// carries on.
 	Degraded bool
 }
 
@@ -27,7 +29,6 @@ func (s *Session) Drive(advance func(), steps int) ([]Sample, error) {
 		if advance != nil {
 			advance()
 		}
-		s.Tick()
 		s.NoteReevaluateReason(ReevalManual)
 		changed, err := s.Reevaluate()
 		if err != nil {
@@ -38,7 +39,6 @@ func (s *Session) Drive(advance func(), steps int) ([]Sample, error) {
 			Path:         core.PathString(s.current.Path),
 			Satisfaction: s.current.Satisfaction,
 			Recomposed:   changed,
-			Degraded:     s.degraded,
 		})
 	}
 	return samples, nil

@@ -111,7 +111,7 @@ type walEvent struct {
 	// Reason attributes a reevaluate command to its driver — "manual"
 	// (client request), "fault" (post-recovery reconciliation) or
 	// "storm" (mass re-composition) — so traces can tell storm-driven
-	// re-plans from per-session failover. Empty on journals written
+	// re-plans from client requests. Empty on journals written
 	// before the field existed; replay treats empty as unattributed.
 	Reason string `json:"reason,omitempty"`
 	// Kind/Data carry a storm controller record when Op is "storm":
@@ -591,9 +591,9 @@ func (ms *Managed) Reevaluate() (changed bool, evalErr, logErr error) {
 }
 
 // ReevaluateCtx is Reevaluate under a context: a trace carried by the
-// context records the re-composition's selection, failover and journal
-// spans. The command is attributed to the "manual" reason; fault
-// handling and the storm controller use ReevaluateReasonCtx.
+// context records the command's journal span. The command is
+// attributed to the "manual" reason; fault handling and the storm
+// controller use ReevaluateReasonCtx.
 func (ms *Managed) ReevaluateCtx(ctx context.Context) (changed bool, evalErr, logErr error) {
 	return ms.ReevaluateReasonCtx(ctx, ReevalManual)
 }
@@ -603,6 +603,19 @@ func (ms *Managed) ReevaluateCtx(ctx context.Context) (changed bool, evalErr, lo
 // command and surfaced in the failover.reevaluate_* counters.
 func (ms *Managed) ReevaluateReason(reason string) (changed bool, evalErr, logErr error) {
 	return ms.ReevaluateReasonCtx(context.Background(), reason)
+}
+
+// FailoverStatus is a managed session's degradation state, as its
+// storm class reports it.
+type FailoverStatus struct {
+	// Enabled is always true: every managed session degrades gracefully.
+	Enabled bool `json:"enabled"`
+	// Degraded is true while the session's class runs below its QoS
+	// floor, or keeps its last chain because nothing composes.
+	Degraded bool `json:"degraded"`
+	// Failovers stays 0; the field keeps the session state's JSON
+	// layout, which crash fingerprints pin.
+	Failovers int `json:"failovers"`
 }
 
 // State is the externally visible, deterministic state of one managed
@@ -626,9 +639,8 @@ type State struct {
 
 // State snapshots the session from its class membership: the class
 // plan it rides, its own hold, and its region's down hosts and
-// services. History and the per-session failover internals (failovers,
-// quarantine, last error) belong to the standalone Session's failover
-// and stay empty here.
+// services. History stays empty: chain swaps are counted in
+// Recompositions.
 func (ms *Managed) State() State {
 	v, _ := ms.m.storm.MemberState(ms.id)
 	ms.mu.Lock()

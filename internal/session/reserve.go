@@ -16,8 +16,8 @@ import (
 // overlay.ReserveChain, atomically across the whole chain: a session that
 // would oversubscribe any link is rejected before activation, with
 // nothing to roll back, and the typed overlay.ErrInsufficientCapacity
-// surfaces to callers (httpapi maps it to 503). Failover re-composition
-// releases the old chain's holds and re-reserves the new chain's.
+// surfaces to callers (httpapi maps it to 503). Re-evaluation releases
+// the old chain's holds and re-reserves the new chain's.
 
 // chainBitrate is the bandwidth the current chain's delivered parameters
 // require.

@@ -7,11 +7,11 @@ package session
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"qoschain/internal/core"
 	"qoschain/internal/graph"
+	"qoschain/internal/metrics"
 	"qoschain/internal/overlay"
 	"qoschain/internal/profile"
 	"qoschain/internal/service"
@@ -45,8 +45,49 @@ type Config struct {
 	// and deregistered services drop out immediately. Services is still
 	// used as the full directory for host lookups.
 	Pool ServicePool
-	// Failover tunes failure handling; the zero value disables it.
+	// Failover carries the session's metrics sink.
 	Failover FailoverConfig
+}
+
+// ServicePool is a live view over the deployed services — typically a
+// *fault.ServiceSet. When a session has one, it composes against
+// Alive() instead of the static Config.Services list, so crashed hosts
+// and deregistered services drop out of candidate chains immediately.
+type ServicePool interface {
+	Alive() []*service.Service
+}
+
+// FailoverConfig holds the session's metrics sink.
+type FailoverConfig struct {
+	// Metrics receives reevaluate-reason, capacity and pipeline
+	// counters; nil is a valid no-op sink.
+	Metrics *metrics.Counters
+}
+
+// Reevaluate reason tokens: who asked for a re-composition. They are
+// journaled with the reevaluate command and appended to
+// metrics.CounterReevalPrefix, so the failover.reevaluate_* series tell
+// a storm-driven mass re-plan apart from a client request or a
+// fault-recovery sweep.
+const (
+	// ReevalManual marks client- or driver-requested re-evaluations.
+	ReevalManual = "manual"
+	// ReevalFault marks re-evaluations forced by fault handling (the
+	// post-recovery Reconcile sweep, dead-link cleanup).
+	ReevalFault = "fault"
+	// ReevalStorm marks re-evaluations driven by the storm controller's
+	// class fan-out.
+	ReevalStorm = "storm"
+)
+
+// NoteReevaluateReason attributes the next re-evaluation to its driver
+// in the failover.reevaluate_* metrics. An empty reason records
+// nothing.
+func (s *Session) NoteReevaluateReason(reason string) {
+	if reason == "" {
+		return
+	}
+	s.cfg.Failover.Metrics.Inc(metrics.CounterReevalPrefix + reason)
 }
 
 // Change records one re-composition. The JSON tags match the session
@@ -68,14 +109,6 @@ type Session struct {
 	history []Change
 	held    []overlay.Reservation
 
-	// failover state (see failover.go)
-	step       int
-	degraded   bool
-	downSince  int
-	quarantine map[string]int // "host:x"/"svc:y" -> expiry step
-	failovers  int
-	lastErr    error
-
 	// tr is the trace of the request currently driving the session, set
 	// transiently by the *Ctx entry points. It never influences session
 	// state, so replayed sessions (which run without one) stay
@@ -83,9 +116,8 @@ type Session struct {
 	tr *trace.Trace
 }
 
-// New composes the initial chain. It fails when no chain exists at all;
-// with failover enabled a chain below the satisfaction floor is adopted
-// in a degraded state instead of rejected.
+// New composes the initial chain. It fails when no chain exists at all,
+// or when the best chain falls below Select.SatisfactionFloor.
 func New(cfg Config) (*Session, error) {
 	return NewCtx(context.Background(), cfg)
 }
@@ -101,13 +133,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Session, error) {
 	defer func() { s.tr = nil }()
 	res, err := s.compose()
 	if err != nil {
-		if cfg.Failover.Enabled && errors.Is(err, core.ErrBelowFloor) && res != nil && res.Found {
-			s.degraded = true
-			s.downSince = 0
-			s.lastErr = err
-		} else {
-			return nil, err
-		}
+		return nil, err
 	}
 	s.current = res
 	if cfg.ReserveBandwidth {
@@ -118,24 +144,22 @@ func NewCtx(ctx context.Context, cfg Config) (*Session, error) {
 	return s, nil
 }
 
+// liveServices returns the composition candidates: the live pool when
+// one is attached, else the static service list.
+func (s *Session) liveServices() []*service.Service {
+	if s.cfg.Pool != nil {
+		return s.cfg.Pool.Alive()
+	}
+	return s.cfg.Services
+}
+
 // compose rebuilds the graph from the live services and selects a chain
 // at the configured satisfaction floor.
 func (s *Session) compose() (*core.Result, error) {
-	floor := s.cfg.Select.SatisfactionFloor
-	if s.cfg.Failover.Enabled && s.cfg.Failover.SatisfactionFloor > floor {
-		floor = s.cfg.Failover.SatisfactionFloor
-	}
-	return s.composeWith(s.liveServices(), floor)
-}
-
-// composeWith builds the graph over the given service set and selects a
-// chain. On core.ErrBelowFloor the below-floor result is passed through
-// alongside the error so callers can deliberately adopt a degraded chain.
-func (s *Session) composeWith(svcs []*service.Service, floor float64) (*core.Result, error) {
 	g, err := graph.Build(graph.Input{
 		Content:      s.cfg.Content,
 		Device:       s.cfg.Device,
-		Services:     svcs,
+		Services:     s.liveServices(),
 		Net:          s.cfg.Net,
 		SenderHost:   s.cfg.SenderHost,
 		ReceiverHost: s.cfg.ReceiverHost,
@@ -143,12 +167,10 @@ func (s *Session) composeWith(svcs []*service.Service, floor float64) (*core.Res
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	sel := s.cfg.Select
-	sel.SatisfactionFloor = floor
 	// Thread the driving request's trace (if any) into the selection so
 	// core.SelectCtx records its spans; a nil trace makes this a plain
 	// background context and SelectCtx behaves exactly like Select.
-	res, err := core.SelectCtx(trace.NewContext(context.Background(), s.tr), g, sel)
+	res, err := core.SelectCtx(trace.NewContext(context.Background(), s.tr), g, s.cfg.Select)
 	if err != nil {
 		return res, fmt.Errorf("session: %w", err)
 	}
@@ -218,27 +240,13 @@ func (s *Session) ReevaluateCtx(ctx context.Context) (changed bool, err error) {
 func (s *Session) reevaluate() (bool, error) {
 	achievable, alive := s.currentAchievable()
 
-	if s.cfg.Failover.Enabled && !alive {
-		// The chain lost an edge (host crash, link failure, service
-		// gone): fail over instead of erroring out.
-		return s.failover()
-	}
-
 	fresh, err := s.compose()
 	if err != nil {
 		if !alive {
 			return false, fmt.Errorf("session: current chain broken and no replacement: %w", err)
 		}
-		// Current chain still works; stay on it (with failover enabled
-		// this includes fresh candidates below the satisfaction floor).
+		// Current chain still works; stay on it.
 		return false, nil
-	}
-
-	if s.degraded {
-		// A healthy chain is available again — recover through the
-		// failover bookkeeping so the outage is accounted for.
-		s.adoptFailover(fresh, "recovered")
-		return true, nil
 	}
 
 	reason := ""
@@ -259,6 +267,21 @@ func (s *Session) reevaluate() (bool, error) {
 
 	s.recordChange(reason, fresh)
 	return true, nil
+}
+
+// recordChange appends to history and swaps the current chain.
+func (s *Session) recordChange(reason string, res *core.Result) {
+	from := ""
+	if s.current != nil {
+		from = core.PathString(s.current.Path)
+	}
+	s.history = append(s.history, Change{
+		Reason:       reason,
+		From:         from,
+		To:           core.PathString(res.Path),
+		Satisfaction: res.Satisfaction,
+	})
+	s.current = res
 }
 
 // Hosts returns the ordered hosts of the current chain (sender host,

@@ -26,9 +26,12 @@ package session
 // because the priority order is a function of state it reaches the
 // fingerprints the dead primary had.
 //
-// Managed sessions need no per-session quarantine: down hosts and
-// links are marked on the region overlay itself, so every re-plan
-// already routes around them, and the clock is virtual.
+// Down hosts and links are marked on the region overlay itself and
+// down services in its pool, so every re-plan already routes around
+// them. Graceful degradation is the controller's too: a class whose
+// best chain falls below its floor adopts that chain marked degraded,
+// and a class with no chain at all keeps its last one, marked
+// degraded, until a later storm finds a replacement.
 
 import (
 	"context"
@@ -164,18 +167,18 @@ func (m *Manager) applyRegionFault(regionName string, f fault.Fault) error {
 			}
 		}
 	case fault.BandwidthCollapse:
-		found := false
-		for _, l := range net.Snapshot().Links {
-			if l.From == f.From && l.To == f.To {
-				if err := net.SetBandwidth(f.From, f.To, l.BandwidthKbps*f.Factor); err != nil {
-					return err
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
+		// The factor scales the unreserved bandwidth. Capacity reads a
+		// down link too, so a collapse during an outage still lands.
+		capacity, reserved, ok := net.Capacity(f.From, f.To)
+		if !ok {
 			return fmt.Errorf("session: no link %s->%s", f.From, f.To)
+		}
+		if err := net.SetBandwidth(f.From, f.To, max(capacity-reserved, 0)*f.Factor); err != nil {
+			return err
+		}
+	case fault.BandwidthRestore:
+		if err := net.SetBandwidth(f.From, f.To, f.Factor); err != nil {
+			return err
 		}
 	case fault.LossSpike:
 		if err := net.SetLoss(f.From, f.To, f.LossRate); err != nil {

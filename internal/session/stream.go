@@ -37,8 +37,8 @@ func (s *Session) StreamOn(ex *pipeline.Executor, n int, opts pipeline.Options) 
 
 // pipeline builds a fresh chain instance from the session's current
 // selection result against the current overlay state. Session-level
-// defaults are applied: the selection's bitrate model, and the failover
-// metrics sink (so pipeline.* series land next to failover.* ones)
+// defaults are applied: the selection's bitrate model, and the session's
+// metrics sink (so pipeline.* series land next to the session's own)
 // unless the caller supplies their own.
 func (s *Session) pipeline(opts pipeline.Options) (*pipeline.Pipeline, error) {
 	if s.current == nil || !s.current.Found {

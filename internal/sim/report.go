@@ -23,12 +23,6 @@ func (r *Report) RenderMarkdown(w io.Writer) error {
 			s.Step, s.Arrivals, s.Departures, s.Active, s.MeanSat, s.Recompositions, s.Rejections, s.Degraded)
 	}
 
-	if r.Counters != nil {
-		b.WriteString("\n## Failover metrics\n\n```\n")
-		r.Counters.Render(&b)
-		b.WriteString("```\n")
-	}
-
 	b.WriteString("\n## Per-session\n\n")
 	b.WriteString("| session | user | device | arrived | departed | final chain | final satisfaction |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")

@@ -19,7 +19,6 @@ import (
 	"qoschain/internal/core"
 	"qoschain/internal/fault"
 	"qoschain/internal/graph"
-	"qoschain/internal/metrics"
 	"qoschain/internal/overlay"
 	"qoschain/internal/profile"
 	"qoschain/internal/service"
@@ -70,13 +69,6 @@ type Scenario struct {
 	Devices []profile.Device `json:"devices"`
 	// Reserve enables bandwidth reservation (admission control).
 	Reserve bool `json:"reserve,omitempty"`
-	// Failover enables session failover: broken chains
-	// re-compose with quarantine and graceful degradation instead of
-	// stalling on their last chain.
-	Failover bool `json:"failover,omitempty"`
-	// SatisfactionFloor is the failover sessions' minimum acceptable
-	// satisfaction (see session.FailoverConfig).
-	SatisfactionFloor float64 `json:"satisfactionFloor,omitempty"`
 	// Events is the schedule.
 	Events []Event `json:"events"`
 }
@@ -178,8 +170,8 @@ type StepReport struct {
 	Rejections     int
 	Departures     int
 	Arrivals       int
-	// Degraded counts active sessions running below their satisfaction
-	// floor this step (failover scenarios only).
+	// Degraded counts active sessions whose chain broke this step with
+	// nothing to replace it: they kept their last chain.
 	Degraded int
 }
 
@@ -201,9 +193,6 @@ type Report struct {
 	Name     string
 	Steps    []StepReport
 	Sessions []SessionTrace
-	// Counters carries the failover metrics of a failover-enabled run
-	// (nil otherwise).
-	Counters *metrics.Counters
 }
 
 // DegradedSteps counts step/session pairs spent degraded.
@@ -268,10 +257,6 @@ func Run(sc *Scenario) (*Report, error) {
 	}
 	pool := graph.CollectServices(sc.Intermediaries)
 	svcSet := fault.NewServiceSet(pool)
-	var counters *metrics.Counters
-	if sc.Failover {
-		counters = metrics.NewCounters()
-	}
 
 	steps := sc.Steps
 	for _, ev := range sc.Events {
@@ -284,7 +269,7 @@ func Run(sc *Scenario) (*Report, error) {
 		eventsAt[ev.AtStep] = append(eventsAt[ev.AtStep], ev)
 	}
 
-	report := &Report{Name: sc.Name, Counters: counters}
+	report := &Report{Name: sc.Name}
 	live := make(map[string]*active)
 	order := []string{} // arrival order for deterministic iteration
 
@@ -340,14 +325,7 @@ func Run(sc *Scenario) (*Report, error) {
 						ReceiverCaps: device.RenderCaps(),
 					},
 					ReserveBandwidth: sc.Reserve,
-				}
-				if sc.Failover {
-					scfg.Pool = svcSet
-					scfg.Failover = session.FailoverConfig{
-						Enabled:           true,
-						SatisfactionFloor: sc.SatisfactionFloor,
-						Metrics:           counters,
-					}
+					Pool:             svcSet,
 				}
 				sess, serr := session.New(scfg)
 				trace := SessionTrace{
@@ -370,17 +348,14 @@ func Run(sc *Scenario) (*Report, error) {
 		satSum := 0.0
 		for _, id := range order {
 			a := live[id]
-			a.sess.Tick()
 			changed, rerr := a.sess.Reevaluate()
-			if rerr != nil {
-				// A partitioned session keeps its last chain; count it
-				// but do not abort the simulation.
-				changed = false
-			}
+			// A session whose chain broke with no replacement keeps its
+			// last chain; count it degraded but do not abort the run.
+			degraded := rerr != nil
 			if changed {
 				sr.Recompositions++
 			}
-			if a.sess.Degraded() {
+			if degraded {
 				sr.Degraded++
 			}
 			res := a.sess.Result()
@@ -392,7 +367,7 @@ func Run(sc *Scenario) (*Report, error) {
 				Path:         core.PathString(res.Path),
 				Satisfaction: res.Satisfaction,
 				Recomposed:   changed,
-				Degraded:     a.sess.Degraded(),
+				Degraded:     degraded,
 			})
 		}
 		sr.Active = len(order)

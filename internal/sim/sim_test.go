@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"qoschain/internal/media"
-	"qoschain/internal/metrics"
 	"qoschain/internal/profile"
 	"qoschain/internal/service"
 )
@@ -279,8 +278,6 @@ func TestRenderMarkdown(t *testing.T) {
 
 func TestRunHostCrashFailsOverAndRecovers(t *testing.T) {
 	sc := scenario()
-	sc.Failover = true
-	sc.SatisfactionFloor = 0.3
 	sc.Events = []Event{
 		{AtStep: 1, Kind: "arrive", SessionID: "s1", User: "alice", Device: "dev-1"},
 		{AtStep: 3, Kind: "hostdown", Host: "proxy-fast"},
@@ -303,14 +300,15 @@ func TestRunHostCrashFailsOverAndRecovers(t *testing.T) {
 	if samples[7].Path != "sender,fast,receiver" || samples[7].Satisfaction != 1 {
 		t.Errorf("post-recovery sample = %+v", samples[7])
 	}
-	if rep.Counters == nil || rep.Counters.Get(metrics.CounterFailovers) == 0 {
-		t.Error("failover metrics must be recorded")
+	if rep.DegradedSteps() != 0 {
+		t.Errorf("a live alternative existed throughout: %d degraded steps", rep.DegradedSteps())
 	}
 }
 
+// TestRunServiceChurnEvents checks that deregistered services leave
+// every chain: sessions compose against the live service set.
 func TestRunServiceChurnEvents(t *testing.T) {
 	sc := scenario()
-	sc.Failover = true
 	sc.Events = []Event{
 		{AtStep: 1, Kind: "arrive", SessionID: "s1", User: "alice", Device: "dev-1"},
 		{AtStep: 2, Kind: "servicedown", Service: "fast"},
@@ -332,8 +330,6 @@ func TestRunServiceChurnEvents(t *testing.T) {
 
 func TestRunUnrecoverableOutageDegradesNotAborts(t *testing.T) {
 	sc := scenario()
-	sc.Failover = true
-	sc.SatisfactionFloor = 0.3
 	sc.Events = []Event{
 		{AtStep: 1, Kind: "arrive", SessionID: "s1", User: "alice", Device: "dev-1"},
 		{AtStep: 2, Kind: "hostdown", Host: "proxy-fast"},
@@ -348,8 +344,8 @@ func TestRunUnrecoverableOutageDegradesNotAborts(t *testing.T) {
 		t.Error("total outage must show degraded steps")
 	}
 	last := rep.Sessions[0].Samples[3]
-	if !last.Degraded {
-		t.Errorf("final sample = %+v", last)
+	if !last.Degraded || last.Path != "sender,fast,receiver" {
+		t.Errorf("final sample = %+v, want degraded on its last chain", last)
 	}
 }
 
