@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-snapshot pipeline-guard trace-overhead perfbench-check lint check ci
+.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-pipeline-json bench-snapshot pipeline-guard trace-overhead perfbench-check lint check ci
 
 all: check
 
@@ -85,6 +85,14 @@ bench-select:
 # benchstat-comparable output. Compare against BENCH_pipeline.json.
 bench-pipeline:
 	$(GO) test -run 'TestNone' -bench 'DataPlane' -benchmem -count=5 ./
+
+# bench-pipeline-json reruns the data-plane benchmarks and regenerates
+# BENCH_pipeline.json from them: the reference, batched and executor
+# rows (median of the 5 counts), the machine block and the acceptance
+# numbers. The script writes nothing unless every benchmark reported.
+bench-pipeline-json:
+	$(GO) test -run '^$$' -bench 'DataPlane' -benchmem -count=5 ./ | tee /dev/stderr | \
+		python3 scripts/bench_pipeline_json.py --out BENCH_pipeline.json
 
 # bench-snapshot times one journal snapshot of a durable session
 # manager holding 1024 creates and 256 collapse/restore fault pairs,

@@ -229,7 +229,6 @@ type Injector struct {
 	step     int
 	next     int
 	pending  []Fault // auto-recoveries enqueued by RecoverAfter
-	applied  []Fault // log of everything that fired
 
 	// saved state for inverse faults, keyed by link
 	savedBandwidth map[[2]string]float64
@@ -356,7 +355,6 @@ func (inj *Injector) apply(f Fault) []Fault {
 		}
 		inj.svcs.SetServiceDown(f.Service, false)
 	}
-	inj.applied = append(inj.applied, f)
 	fired := []Fault{f}
 	if f.RecoverAfter > 0 {
 		if inv, ok := inj.inverse(f); ok {
@@ -405,16 +403,8 @@ func (inj *Injector) inverse(f Fault) (Fault, bool) {
 	return Fault{}, false
 }
 
-// CurrentStep returns the injector's virtual time.
-func (inj *Injector) CurrentStep() int { return inj.step }
-
 // Done reports whether every scheduled fault and pending recovery has
 // fired.
 func (inj *Injector) Done() bool {
 	return inj.next >= len(inj.schedule) && len(inj.pending) == 0
-}
-
-// Applied returns the log of every fault that actually fired, in order.
-func (inj *Injector) Applied() []Fault {
-	return append([]Fault(nil), inj.applied...)
 }

@@ -104,17 +104,9 @@ func (e *Executor) Active() int { return int(e.active.Load()) }
 // means. Submit never blocks on chain execution; backpressure is
 // per-chain (one slice of batches in flight each turn).
 func (e *Executor) Submit(p *Pipeline, n int) (*Handle, error) {
-	h := &Handle{done: make(chan struct{})}
-	j := &job{
-		p:    p,
-		rc:   newRunCtx(),
-		cur:  p.source.Cursor(n, p.pool),
-		bufA: make([]transcode.Frame, 0, p.batch),
-		bufB: make([]transcode.Frame, 0, p.batch),
-		n:    n,
-		h:    h,
-		ex:   e,
-	}
+	j := newJob(p, n)
+	j.ex = e
+	h := j.h
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -146,6 +138,10 @@ func (e *Executor) Close() {
 
 func (e *Executor) worker() {
 	defer e.wg.Done()
+	// The worker lends its shelves to each chain it runs, so a chain's
+	// payload cache costs no memory of its own and holds nothing while
+	// the chain is parked.
+	var shelves transcode.PayloadShelves
 	for {
 		e.mu.Lock()
 		for len(e.queue) == 0 && !e.closed {
@@ -165,7 +161,7 @@ func (e *Executor) worker() {
 		if s := j.p.sink; s != nil {
 			s.Observe(metrics.SamplePipelineQueueDepth, float64(depth))
 		}
-		if j.runSlice(sliceBatches) {
+		if j.runSlice(sliceBatches, &shelves) {
 			j.finish()
 			continue
 		}
@@ -182,10 +178,31 @@ func (e *Executor) worker() {
 	}
 }
 
+// newJob prepares p to stream n source frames through runSlice.
+func newJob(p *Pipeline, n int) *job {
+	return &job{
+		p:    p,
+		rc:   newRunCtx(),
+		cur:  p.source.Cursor(n, p.cache),
+		bufA: make([]transcode.Frame, 0, p.batch),
+		bufB: make([]transcode.Frame, 0, p.batch),
+		n:    n,
+		h:    &Handle{done: make(chan struct{})},
+	}
+}
+
 // runSlice pushes up to k source batches through the whole chain
 // inline. It returns true when the chain is finished — drained, failed,
 // or canceled.
-func (j *job) runSlice(k int) bool {
+//
+// For the turn, the chain's payload cache is bound to the worker's
+// shelves, so what the sink returns feeds the cursor without touching
+// the pool's locks; every exit flushes it. No batch is in flight
+// between turns either, so no payload stays checked out of the pool
+// while the chain is parked.
+func (j *job) runSlice(k int, shelves *transcode.PayloadShelves) bool {
+	j.p.cache.Bind(shelves, j.p.batch)
+	defer j.p.cache.Flush()
 	for s := 0; s < k; s++ {
 		if j.h.canceled.Load() {
 			return true
@@ -200,12 +217,12 @@ func (j *job) runSlice(k int) bool {
 			if !ok {
 				// The element recycled its unconsumed input; the partial
 				// output batch is ours to return to the pool.
-				recycleFrames(j.p.pool, next)
+				recycleFrames(j.p.cache, next)
 				return true
 			}
 			spare, in = in, next
 		}
-		j.acc.take(in, j.p.pool)
+		j.acc.take(in, j.p.cache)
 		// Keep whatever capacities the turn ended up with.
 		j.bufA, j.bufB = in, spare
 	}

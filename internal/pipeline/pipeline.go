@@ -87,7 +87,7 @@ type Pipeline struct {
 	stages  []runner
 	batch   int
 	queue   int
-	pool    *transcode.PayloadPool
+	cache   *transcode.PayloadCache
 	sink    *metrics.Counters
 	delayMs float64
 }
@@ -102,41 +102,38 @@ type runner interface {
 
 // stageRunner wraps a transcode stage.
 type stageRunner struct {
-	id   string
-	p    processor
-	hook FaultHook
-	pool *transcode.PayloadPool
+	id    string
+	p     processor
+	hook  FaultHook
+	cache *transcode.PayloadCache
 }
 
 // recycleFrames returns the payloads of an abandoned batch to the pool
 // — the cleanup every failure and cancellation path owes the pool so
 // its outstanding-buffer accounting returns to zero.
-func recycleFrames(pool *transcode.PayloadPool, frames []transcode.Frame) {
-	if pool == nil {
-		return
-	}
-	for _, f := range frames {
-		pool.Put(f.Payload)
+func recycleFrames(cache *transcode.PayloadCache, frames []transcode.Frame) {
+	for i := range frames {
+		cache.Put(frames[i].Payload)
 	}
 }
 
 // processor is the subset of transcode stages the pipeline drives.
 type processor interface {
-	Process(transcode.Frame) []transcode.Frame
-	ProcessAppend(transcode.Frame, []transcode.Frame) []transcode.Frame
-	UsePool(*transcode.PayloadPool)
+	ProcessAppend(*transcode.Frame, []transcode.Frame) []transcode.Frame
+	UseCache(*transcode.PayloadCache)
 	Counters() (consumed, emitted, dropped int)
 }
 
 func (s *stageRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode.Frame, bool) {
-	for i, f := range in {
+	for i := range in {
+		f := &in[i]
 		if s.hook != nil {
 			if err := s.hook(s.id, f.Seq); err != nil {
 				rc.fail(s.id, f.Seq, err)
 				// The failing frame and everything behind it were never
 				// consumed; their payloads go back to the pool here (the
 				// caller recycles the partial output batch).
-				recycleFrames(s.pool, in[i:])
+				recycleFrames(s.cache, in[i:])
 				return out, false
 			}
 		}
@@ -159,11 +156,11 @@ func (s *stageRunner) stats() StageStats {
 // Counters are atomics folded in once per batch, so the per-frame hot
 // path takes no locks and mid-run stats() reads stay consistent.
 type linkRunner struct {
-	id   string
-	loss float64
-	rng  *rand.Rand
-	hook FaultHook
-	pool *transcode.PayloadPool
+	id    string
+	loss  float64
+	rng   *rand.Rand
+	hook  FaultHook
+	cache *transcode.PayloadCache
 
 	// token-bucket state, touched only by the (single) goroutine or
 	// worker slice driving this chain.
@@ -178,31 +175,26 @@ type linkRunner struct {
 	dropped  atomic.Int64
 }
 
-func newLinkRunner(id string, kbps, loss float64, rng *rand.Rand, hook FaultHook, pool *transcode.PayloadPool) *linkRunner {
+func newLinkRunner(id string, kbps, loss float64, rng *rand.Rand, hook FaultHook, cache *transcode.PayloadCache) *linkRunner {
 	rate := kbps * 1000 / 8 // bytes per virtual second
 	return &linkRunner{
-		id: id, loss: loss, rng: rng, hook: hook, pool: pool,
+		id: id, loss: loss, rng: rng, hook: hook, cache: cache,
 		rate: rate, burst: rate, tokens: rate,
 		limited: !math.IsInf(kbps, 1) && kbps > 0,
-	}
-}
-
-func (l *linkRunner) recycle(b []byte) {
-	if l.pool != nil {
-		l.pool.Put(b)
 	}
 }
 
 func (l *linkRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode.Frame, bool) {
 	var consumed, emitted, dropped int64
 	ok := true
-	for i, f := range in {
+	for i := range in {
+		f := &in[i]
 		if l.hook != nil {
 			if err := l.hook(l.id, f.Seq); err != nil {
 				rc.fail(l.id, f.Seq, err)
 				// Unconsumed frames (this one included) return to the
 				// pool; the caller recycles the partial output batch.
-				recycleFrames(l.pool, in[i:])
+				recycleFrames(l.cache, in[i:])
 				ok = false
 				break
 			}
@@ -210,7 +202,7 @@ func (l *linkRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode
 		consumed++
 		if l.loss > 0 && l.rng != nil && l.rng.Float64() < l.loss {
 			dropped++
-			l.recycle(f.Payload)
+			l.cache.Put(f.Payload)
 			continue
 		}
 		if l.limited {
@@ -224,13 +216,13 @@ func (l *linkRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode
 			need := float64(len(f.Payload))
 			if need > l.tokens+1e-6 {
 				dropped++
-				l.recycle(f.Payload)
+				l.cache.Put(f.Payload)
 				continue
 			}
 			l.tokens -= need
 		}
 		emitted++
-		out = append(out, f)
+		out = append(out, *f)
 	}
 	l.consumed.Add(consumed)
 	l.emitted.Add(emitted)
@@ -330,23 +322,23 @@ func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, erro
 		sink:  opts.Metrics,
 	}
 	if !opts.NoPool {
-		if opts.Pool != nil {
-			p.pool = opts.Pool
-		} else {
-			p.pool = sharedPool
+		pool := opts.Pool
+		if pool == nil {
+			pool = sharedPool
 		}
+		p.cache = transcode.NewPayloadCache(pool)
 	}
 
 	// The sender shapes the stream down to the negotiated delivery
 	// parameters before the first link, mirroring the optimizer's
 	// per-edge parameter choice.
 	shaper := transcode.NewShaper(res.Params, opts.Bitrate)
-	shaper.UsePool(p.pool)
+	shaper.UseCache(p.cache)
 	p.stages = append(p.stages, &stageRunner{
-		id:   "shaper:sender",
-		p:    shaper,
-		hook: opts.FaultHook,
-		pool: p.pool,
+		id:    "shaper:sender",
+		p:     shaper,
+		hook:  opts.FaultHook,
+		cache: p.cache,
 	})
 
 	// Walk the path: link to node i, then (if a service) its stage.
@@ -365,7 +357,7 @@ func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, erro
 		}
 		p.stages = append(p.stages, newLinkRunner(
 			fmt.Sprintf("link:%s->%s", edge.From, edge.To),
-			edge.BandwidthKbps, edge.LossRate, lossRNG, opts.FaultHook, p.pool,
+			edge.BandwidthKbps, edge.LossRate, lossRNG, opts.FaultHook, p.cache,
 		))
 		p.delayMs += edge.DelayMs
 		node, _ := g.Node(res.Path[i])
@@ -378,12 +370,12 @@ func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, erro
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
-		stage.UsePool(p.pool)
+		stage.UseCache(p.cache)
 		p.stages = append(p.stages, &stageRunner{
-			id:   string(node.Service.ID),
-			p:    stage,
-			hook: opts.FaultHook,
-			pool: p.pool,
+			id:    string(node.Service.ID),
+			p:     stage,
+			hook:  opts.FaultHook,
+			cache: p.cache,
 		})
 	}
 	return p, nil
@@ -431,7 +423,7 @@ func (fl *batchList) put(b []transcode.Frame) {
 // carries the typed error.
 func (p *Pipeline) Run(n int) Stats {
 	rc := newRunCtx()
-	cur := p.source.Cursor(n, p.pool)
+	cur := p.source.Cursor(n, p.cache)
 	free := newBatchList(p.batch, (len(p.stages)+2)*p.queue)
 
 	first := make(chan []transcode.Frame, p.queue)
@@ -458,7 +450,7 @@ func (p *Pipeline) Run(n int) Stats {
 				if !ok {
 					// The element recycled its unconsumed input; the
 					// partial output it produced is ours to clean up.
-					recycleFrames(p.pool, ob)
+					recycleFrames(p.cache, ob)
 					free.put(ob)
 					return
 				}
@@ -469,7 +461,7 @@ func (p *Pipeline) Run(n int) Stats {
 					continue
 				}
 				if !rc.sendBatch(out, ob) {
-					recycleFrames(p.pool, ob)
+					recycleFrames(p.cache, ob)
 					return
 				}
 			}
@@ -483,7 +475,7 @@ func (p *Pipeline) Run(n int) Stats {
 	go func() {
 		defer close(done)
 		for b := range in {
-			acc.take(b, p.pool)
+			acc.take(b, p.cache)
 			free.put(b)
 		}
 	}()
@@ -497,7 +489,7 @@ func (p *Pipeline) Run(n int) Stats {
 			break
 		}
 		if !rc.sendBatch(first, b) {
-			recycleFrames(p.pool, b)
+			recycleFrames(p.cache, b)
 			break
 		}
 	}
@@ -510,7 +502,7 @@ func (p *Pipeline) Run(n int) Stats {
 	// terminates). On a clean drain the queues are already empty.
 	for _, ch := range hops {
 		for b := range ch {
-			recycleFrames(p.pool, b)
+			recycleFrames(p.cache, b)
 		}
 	}
 
@@ -527,16 +519,15 @@ type deliveryAccumulator struct {
 	occupied  int64
 }
 
-func (a *deliveryAccumulator) take(b []transcode.Frame, pool *transcode.PayloadPool) {
+func (a *deliveryAccumulator) take(b []transcode.Frame, cache *transcode.PayloadCache) {
 	a.batches++
 	a.occupied += int64(len(b))
-	for _, f := range b {
+	for i := range b {
+		f := &b[i]
 		a.framesOut++
 		a.bytesOut += len(f.Payload)
 		a.lastPTS = f.PTS
-		if pool != nil {
-			pool.Put(f.Payload)
-		}
+		cache.Put(f.Payload)
 	}
 }
 

@@ -132,3 +132,67 @@ func TestExecutorCancelLeaksNoPoolBuffers(t *testing.T) {
 	}
 	auditPool(t, pool, "cancel + close")
 }
+
+// TestExecutorTurnsLeaveNothingCheckedOut drives chains through runSlice
+// one scheduling turn at a time, as a worker would, and audits between
+// turns: the chain's payload cache must have flushed every buffer back
+// to the pool, so a parked chain holds none.
+func TestExecutorTurnsLeaveNothingCheckedOut(t *testing.T) {
+	hooks := map[string]FaultHook{
+		"clean": nil,
+		"failing": func(s string, frame int) error {
+			if s == "conv" && frame >= 150 {
+				return errors.New("injected crash")
+			}
+			return nil
+		},
+	}
+	for name, hook := range hooks {
+		t.Run(name, func(t *testing.T) {
+			pool := transcode.NewPayloadPool()
+			j := newJob(leakPipeline(t, pool, hook), 300)
+			var shelves transcode.PayloadShelves
+			turns := 0
+			for done := false; !done; turns++ {
+				done = j.runSlice(sliceBatches, &shelves)
+				auditPool(t, pool, fmt.Sprintf("after turn %d", turns))
+				if n := shelves.Len(); n != 0 {
+					t.Fatalf("after turn %d: %d buffers left on the chain cache's shelves", turns, n)
+				}
+			}
+			if turns < 2 {
+				t.Fatalf("the stream finished in %d turn; no turn boundary was audited", turns)
+			}
+			stats := j.p.finish(j.n, j.rc, &j.acc)
+			if (stats.Failure != nil) != (hook != nil) {
+				t.Fatalf("failure %v, want one only when a hook injects it", stats.Failure)
+			}
+			if stats.FramesOut == 0 {
+				t.Fatal("no frames delivered")
+			}
+		})
+	}
+}
+
+// TestExecutorWaitLeaksNoPoolBuffers audits a clean drain at Wait, with
+// the executor still open: every chain's cache has flushed by the time
+// its Stats are published.
+func TestExecutorWaitLeaksNoPoolBuffers(t *testing.T) {
+	pool := transcode.NewPayloadPool()
+	ex := NewExecutor(2)
+	defer ex.Close()
+	handles := make([]*Handle, 8)
+	for i := range handles {
+		h, err := ex.Submit(leakPipeline(t, pool, nil), 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+	}
+	for i, h := range handles {
+		if stats := h.Wait(); stats.Failure != nil || stats.FramesOut == 0 {
+			t.Fatalf("chain %d: failure %v, %d frames out", i, stats.Failure, stats.FramesOut)
+		}
+	}
+	auditPool(t, pool, "clean drain at Wait")
+}

@@ -90,6 +90,23 @@ func (s *Session) NoteReevaluateReason(reason string) {
 	s.cfg.Failover.Metrics.Inc(metrics.CounterReevalPrefix + reason)
 }
 
+// Sample records a session's state after one simulated step (the
+// simulator's per-session trace).
+type Sample struct {
+	// Step is the 1-based virtual-time index.
+	Step int
+	// Path is the active chain.
+	Path string
+	// Satisfaction is the chain's current satisfaction.
+	Satisfaction float64
+	// Recomposed reports whether this step switched chains.
+	Recomposed bool
+	// Degraded reports whether the step's re-evaluation failed: the
+	// chain broke, nothing replaced it, and the session kept its last
+	// chain.
+	Degraded bool
+}
+
 // Change records one re-composition. The JSON tags match the session
 // status resource httpapi serves.
 type Change struct {
@@ -298,27 +315,4 @@ func (s *Session) Hosts() []string {
 		}
 	}
 	return append(hosts, s.cfg.ReceiverHost)
-}
-
-// Touches reports whether a network event concerns a link between
-// consecutive hosts of the current chain.
-func (s *Session) Touches(ev overlay.Event) bool {
-	hosts := s.Hosts()
-	for i := 1; i < len(hosts); i++ {
-		if hosts[i-1] == ev.From && hosts[i] == ev.To {
-			return true
-		}
-	}
-	return false
-}
-
-// OnNetworkChange handles one overlay event: when it touches the current
-// chain the session re-evaluates immediately; unrelated events are
-// ignored (a fresh chain may still be picked up by periodic Reevaluate
-// calls).
-func (s *Session) OnNetworkChange(ev overlay.Event) (bool, error) {
-	if !s.Touches(ev) {
-		return false, nil
-	}
-	return s.Reevaluate()
 }

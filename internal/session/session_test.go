@@ -213,109 +213,66 @@ func TestReevaluateTotalPartitionKeepsLastChain(t *testing.T) {
 	}
 }
 
-func TestTouchesAndOnNetworkChange(t *testing.T) {
-	cfg, _ := testbed(t)
+func TestHostsFollowCurrentChain(t *testing.T) {
+	cfg, net := testbed(t)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s.Touches(overlay.Event{From: "sender", To: "pa"}) {
-		t.Error("sender->pa is on the current chain")
-	}
-	if s.Touches(overlay.Event{From: "sender", To: "pb"}) {
-		t.Error("sender->pb is not on the current chain")
-	}
-	changed, err := s.OnNetworkChange(overlay.Event{From: "sender", To: "pb", BandwidthKbps: 1})
-	if err != nil || changed {
-		t.Error("unrelated events must be ignored")
 	}
 	hosts := s.Hosts()
 	if len(hosts) != 3 || hosts[0] != "sender" || hosts[1] != "pa" || hosts[2] != "dev" {
 		t.Errorf("Hosts = %v", hosts)
 	}
+	if err := net.SetBandwidth("pa", "dev", 600); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := s.Reevaluate(); err != nil || !changed {
+		t.Fatalf("degradation should switch to conv-b: changed=%v err=%v", changed, err)
+	}
+	hosts = s.Hosts()
+	if len(hosts) != 3 || hosts[0] != "sender" || hosts[1] != "pb" || hosts[2] != "dev" {
+		t.Errorf("Hosts after the switch = %v", hosts)
+	}
 }
 
-func TestEventDrivenRecomposition(t *testing.T) {
+// TestReevaluateDegradeStableRecover re-evaluates one session through a
+// degradation, a quiet step and a recovery: it switches away, stays put,
+// then switches back to the full-satisfaction chain.
+func TestReevaluateDegradeStableRecover(t *testing.T) {
 	cfg, net := testbed(t)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, cancel := net.Watch(8)
-	defer cancel()
-	if err := net.SetBandwidth("pa", "dev", 500); err != nil {
-		t.Fatal(err)
+	steps := []struct {
+		bandwidth float64 // pa->dev kbps; 0 leaves the link alone
+		changed   bool
+		path      string
+	}{
+		{600, true, "sender,conv-b,receiver"},
+		{0, false, "sender,conv-b,receiver"},
+		{3000, true, "sender,conv-a,receiver"},
 	}
-	ev := <-events
-	changed, err := s.OnNetworkChange(ev)
-	if err != nil {
-		t.Fatal(err)
+	for i, st := range steps {
+		if st.bandwidth > 0 {
+			if err := net.SetBandwidth("pa", "dev", st.bandwidth); err != nil {
+				t.Fatal(err)
+			}
+		}
+		changed, err := s.Reevaluate()
+		if err != nil {
+			t.Fatalf("step %d: %v", i+1, err)
+		}
+		if changed != st.changed || core.PathString(s.Result().Path) != st.path {
+			t.Errorf("step %d: changed=%v path=%s, want changed=%v path=%s",
+				i+1, changed, core.PathString(s.Result().Path), st.changed, st.path)
+		}
 	}
-	if !changed {
-		t.Error("event on the active chain should trigger re-composition")
+	if got := s.Result().Satisfaction; got != 1 {
+		t.Errorf("satisfaction after recovery = %v, want 1", got)
 	}
-}
-
-func TestDriveRecordsSamples(t *testing.T) {
-	cfg, net := testbed(t)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := []func(){
-		func() { _ = net.SetBandwidth("pa", "dev", 600) }, // degrade active
-		func() {}, // stable
-		func() { _ = net.SetBandwidth("pa", "dev", 3000) }, // recover
-	}
-	i := 0
-	samples, err := s.Drive(func() {
-		steps[i]()
-		i++
-	}, len(steps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 3 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	if !samples[0].Recomposed || samples[0].Path != "sender,conv-b,receiver" {
-		t.Errorf("step 1 = %+v", samples[0])
-	}
-	if samples[1].Recomposed {
-		t.Errorf("step 2 should be stable: %+v", samples[1])
-	}
-	if !samples[2].Recomposed || samples[2].Satisfaction != 1 {
-		t.Errorf("step 3 should recover: %+v", samples[2])
-	}
-}
-
-func TestDriveStopsOnPartition(t *testing.T) {
-	cfg, net := testbed(t)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := s.Drive(func() {
-		net.RemoveLink("sender", "pa")
-		net.RemoveLink("sender", "pb")
-	}, 5)
-	if err == nil {
-		t.Fatal("partition should stop the drive with an error")
-	}
-	if len(samples) != 0 {
-		t.Errorf("no sample should be recorded for the failing step, got %d", len(samples))
-	}
-}
-
-func TestDriveNilAdvance(t *testing.T) {
-	cfg, _ := testbed(t)
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := s.Drive(nil, 2)
-	if err != nil || len(samples) != 2 {
-		t.Fatalf("nil advance should just re-evaluate: %v %d", err, len(samples))
+	if s.Recompositions() != 2 {
+		t.Errorf("recompositions = %d, want 2", s.Recompositions())
 	}
 }
 

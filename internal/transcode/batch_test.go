@@ -55,7 +55,7 @@ func TestCursorMatchesFrames(t *testing.T) {
 func TestCursorPoolRecycling(t *testing.T) {
 	src := Source{Format: media.VideoMPEG1, Params: media.Params{media.ParamFrameRate: 30}}
 	pool := NewPayloadPool()
-	cur := src.Cursor(300, pool)
+	cur := src.Cursor(300, NewPayloadCache(pool))
 	buf := make([]Frame, 0, 10)
 	for {
 		b := cur.Next(buf[:0])
@@ -144,7 +144,7 @@ func TestProcessAppendMatchesProcess(t *testing.T) {
 		wantOut = append(wantOut, one.Process(f)...)
 	}
 	for _, f := range frames {
-		gotOut = batch.ProcessAppend(f, gotOut)
+		gotOut = batch.ProcessAppend(&f, gotOut)
 	}
 	if len(wantOut) != len(gotOut) {
 		t.Fatalf("ProcessAppend emitted %d frames, Process %d", len(gotOut), len(wantOut))
@@ -172,9 +172,10 @@ func TestPooledStageOutputIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.UsePool(pool)
+		cache := NewPayloadCache(pool)
+		st.UseCache(cache)
 		src := Source{Format: media.VideoMPEG1, Params: media.Params{media.ParamFrameRate: 30}}
-		cur := src.Cursor(50, pool)
+		cur := src.Cursor(50, cache)
 		var out []Frame
 		buf := make([]Frame, 0, 8)
 		for {
@@ -182,8 +183,8 @@ func TestPooledStageOutputIdentical(t *testing.T) {
 			if len(b) == 0 {
 				break
 			}
-			for _, f := range b {
-				out = st.ProcessAppend(f, out)
+			for i := range b {
+				out = st.ProcessAppend(&b[i], out)
 			}
 			buf = b[:0]
 		}
@@ -214,7 +215,7 @@ func TestShaperProcessAppendMatchesProcess(t *testing.T) {
 		wantOut = append(wantOut, a.Process(f)...)
 	}
 	for _, f := range frames {
-		gotOut = b.ProcessAppend(f, gotOut)
+		gotOut = b.ProcessAppend(&f, gotOut)
 	}
 	if len(wantOut) != len(gotOut) {
 		t.Fatalf("shaper ProcessAppend emitted %d, Process %d", len(gotOut), len(wantOut))

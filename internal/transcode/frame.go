@@ -88,12 +88,12 @@ type Cursor struct {
 	gop     int
 	size    int
 	n, next int
-	pool    *PayloadPool
+	cache   *PayloadCache
 }
 
 // Cursor returns a lazy generator for the first n frames, drawing
-// payload buffers from pool (nil allocates plainly).
-func (s Source) Cursor(n int, pool *PayloadPool) *Cursor {
+// payload buffers through cache (nil allocates plainly).
+func (s Source) Cursor(n int, cache *PayloadCache) *Cursor {
 	gop := s.GOP
 	if gop <= 0 {
 		gop = 10
@@ -109,7 +109,7 @@ func (s Source) Cursor(n int, pool *PayloadPool) *Cursor {
 		gop:    gop,
 		size:   payloadSize(s.Bitrate, s.Params),
 		n:      n,
-		pool:   pool,
+		cache:  cache,
 	}
 }
 
@@ -150,21 +150,33 @@ func fillPattern(payload []byte, off int) {
 func (c *Cursor) Next(dst []Frame) []Frame {
 	for len(dst) < cap(dst) && c.next < c.n {
 		i := c.next
-		payload := c.pool.Get(c.size)
+		var f *Frame
+		dst, f = appendSlot(dst)
+		f.Seq = i
+		f.PTS = float64(i) / c.fps
+		f.Format = c.format
+		f.Params = c.params
+		f.Payload = c.cache.Get(c.size)
+		f.Keyframe = i%c.gop == 0
 		// A recognizable deterministic pattern (frame index signature)
 		// lets tests verify payloads are rewritten, not aliased.
-		fillPattern(payload, i)
-		dst = append(dst, Frame{
-			Seq:      i,
-			PTS:      float64(i) / c.fps,
-			Format:   c.format,
-			Params:   c.params,
-			Payload:  payload,
-			Keyframe: i%c.gop == 0,
-		})
+		fillPattern(f.Payload, i)
 		c.next++
 	}
 	return dst
+}
+
+// appendSlot extends out by one frame and returns the new slot, reusing
+// spare capacity when out has any. The slot may hold a stale frame from
+// an earlier batch: callers write every field, in place, rather than
+// copying a whole Frame in.
+func appendSlot(out []Frame) ([]Frame, *Frame) {
+	if n := len(out); n < cap(out) {
+		out = out[:n+1]
+	} else {
+		out = append(out, Frame{})
+	}
+	return out, &out[len(out)-1]
 }
 
 // Remaining reports how many frames the cursor has yet to emit.

@@ -131,3 +131,135 @@ func (p *PayloadPool) Outstanding() int64 {
 	}
 	return p.outstanding.Load()
 }
+
+// putShelf returns bufs (full-capacity slices of class c) under one
+// lock. As with Put, buffers past the class cap count as returned and
+// go to the garbage collector.
+func (p *PayloadPool) putShelf(c int, bufs [][]byte) {
+	p.outstanding.Add(-int64(len(bufs)))
+	cl := &p.classes[c]
+	cl.mu.Lock()
+	if room := poolClassCap - len(cl.bufs); room > 0 {
+		cl.bufs = append(cl.bufs, bufs[:min(room, len(bufs))]...)
+	}
+	cl.mu.Unlock()
+}
+
+// PayloadCache is the handle a chain's elements draw payload buffers
+// through: a single-owner front for a PayloadPool. Unbound (its state
+// between scheduling turns) it forwards every Get and Put to the pool,
+// so goroutines may share it the way they share the pool. Bound to a
+// set of PayloadShelves, Put keeps up to 2·batch buffers per size class
+// and Get takes them back last-in first-out, so the buffers a chain's
+// sink returns feed its own source on the same core with no shared
+// lock. Get falls back to the pool only when its shelf is empty, so a
+// turn never holds more buffers than it had in flight at once. Flush
+// returns everything shelved in one locked append per class. Shelved
+// buffers still count as checked out of the pool, so its Outstanding()
+// is exact once the cache is flushed.
+//
+// A nil *PayloadCache is valid and allocates plainly, like a nil pool.
+type PayloadCache struct {
+	pool    *PayloadPool
+	shelves *PayloadShelves
+	limit   int
+}
+
+// NewPayloadCache returns an unbound cache in front of pool; a nil pool
+// yields a nil cache.
+func NewPayloadCache(pool *PayloadPool) *PayloadCache {
+	if pool == nil {
+		return nil
+	}
+	return &PayloadCache{pool: pool}
+}
+
+// PayloadShelves is the storage a bound PayloadCache keeps buffers on.
+// Flush leaves it empty but keeps its capacity, so one PayloadShelves
+// lent to a succession of caches (an executor worker lends its own to
+// every chain it runs) allocates only while it first grows.
+type PayloadShelves struct {
+	classes [poolMaxClass + 1][][]byte
+}
+
+// Len reports how many buffers are shelved.
+func (s *PayloadShelves) Len() int {
+	n := 0
+	for _, shelf := range s.classes {
+		n += len(shelf)
+	}
+	return n
+}
+
+// Bind makes the cache shelve buffers on sh, up to 2·batch per size
+// class, until the next Flush. sh must be empty and bound to no other
+// cache. Binding a nil cache is a no-op.
+func (c *PayloadCache) Bind(sh *PayloadShelves, batch int) {
+	if c == nil {
+		return
+	}
+	c.shelves = sh
+	c.limit = 2 * max(batch, 1)
+}
+
+// Flush returns every shelved buffer to the pool and unbinds the
+// shelves, leaving them empty. Flushing an unbound or nil cache is a
+// no-op.
+func (c *PayloadCache) Flush() {
+	if c == nil || c.shelves == nil {
+		return
+	}
+	sh := c.shelves
+	for cl, s := range sh.classes {
+		if len(s) > 0 {
+			c.pool.putShelf(cl, s)
+			clear(s)
+			sh.classes[cl] = s[:0]
+		}
+	}
+	c.shelves = nil
+}
+
+// Get returns a buffer of length n with undefined contents, from the
+// shelves when bound, else from the pool.
+func (c *PayloadCache) Get(n int) []byte {
+	if c == nil {
+		if n <= 0 {
+			return nil
+		}
+		return make([]byte, n)
+	}
+	if sh := c.shelves; sh != nil && n > 0 {
+		if cl := sizeClass(n); cl <= poolMaxClass {
+			s := sh.classes[cl]
+			if last := len(s) - 1; last >= 0 {
+				b := s[last]
+				s[last] = nil
+				sh.classes[cl] = s[:last]
+				return b[:n]
+			}
+		}
+	}
+	return c.pool.Get(n)
+}
+
+// Put returns a buffer: onto its class's shelf when bound and the shelf
+// has room, else to the pool. The caller must not touch b again.
+func (c *PayloadCache) Put(b []byte) {
+	if c == nil {
+		return
+	}
+	if sh := c.shelves; sh != nil && cap(b) >= 1<<poolMinClass {
+		if cl := bits.Len(uint(cap(b))) - 1; cl <= poolMaxClass {
+			s := sh.classes[cl]
+			if len(s) < c.limit {
+				if cap(s) == 0 {
+					s = make([][]byte, 0, c.limit)
+				}
+				sh.classes[cl] = append(s, b[:cap(b)])
+				return
+			}
+		}
+	}
+	c.pool.Put(b)
+}

@@ -8,103 +8,27 @@ import "qoschain/internal/media"
 // parameters the optimizer chose for it; the shaper realizes that choice
 // at the head of the chain so downstream links are never oversubscribed.
 type Shaper struct {
-	target media.Params
-	model  media.BitrateModel
-	pool   *PayloadPool
-
-	credit float64
-	primed bool
-
-	// Negotiated-output cache; see Stage for the rationale and the
-	// ownership rule emitted frames live under.
-	cachedIn   media.Params
-	cachedOut  media.Params
-	cachedSize int
-
-	consumed int
-	emitted  int
-	dropped  int
+	transcoder
 }
 
 // NewShaper builds a shaper emitting at the target parameters.
 func NewShaper(target media.Params, model media.BitrateModel) *Shaper {
-	return &Shaper{target: target.Clone(), model: model}
-}
-
-// UsePool attaches a payload pool; see Stage.UsePool for the ownership
-// contract.
-func (s *Shaper) UsePool(p *PayloadPool) { s.pool = p }
-
-func (s *Shaper) outputFor(in media.Params) (media.Params, int) {
-	if s.cachedOut == nil || !in.Equal(s.cachedIn, 0) {
-		s.cachedIn = in
-		s.cachedOut = in.Min(s.target)
-		s.cachedSize = payloadSize(s.model, s.cachedOut)
-	}
-	return s.cachedOut, s.cachedSize
-}
-
-func (s *Shaper) recycle(b []byte) {
-	if s.pool != nil {
-		s.pool.Put(b)
-	}
-}
-
-func (s *Shaper) rewrite(src []byte, size int) []byte {
-	if s.pool != nil && size == len(src) {
-		return src
-	}
-	dst := s.pool.Get(size)
-	n := copy(dst, src)
-	fillPattern(dst[n:], n)
-	s.recycle(src)
-	return dst
+	return &Shaper{transcoder: newTranscoder(target, model)}
 }
 
 // Process decimates the stream to the target frame rate and re-sizes the
 // payload to the target bitrate.
 func (s *Shaper) Process(f Frame) []Frame {
-	out := s.ProcessAppend(f, nil)
+	out := s.ProcessAppend(&f, nil)
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
-// ProcessAppend shapes one frame, appending any output to out and
-// returning it — the allocation-free form the batched pipeline drives.
-func (s *Shaper) ProcessAppend(f Frame, out []Frame) []Frame {
+// ProcessAppend shapes *f, appending any output to out and returning it
+// — the allocation-free form the batched pipeline drives.
+func (s *Shaper) ProcessAppend(f *Frame, out []Frame) []Frame {
 	s.consumed++
-	inFPS := f.Params.Get(media.ParamFrameRate)
-	outFPS := s.target.Get(media.ParamFrameRate)
-	if outFPS > 0 && inFPS > outFPS {
-		ratio := outFPS / inFPS
-		if !s.primed {
-			s.credit = 1 - ratio
-			s.primed = true
-		}
-		s.credit += ratio
-		if s.credit < 1 {
-			s.dropped++
-			s.recycle(f.Payload)
-			return out
-		}
-		s.credit--
-	}
-	outParams, size := s.outputFor(f.Params)
-	payload := s.rewrite(f.Payload, size)
-	s.emitted++
-	return append(out, Frame{
-		Seq:      f.Seq,
-		PTS:      f.PTS,
-		Format:   f.Format,
-		Params:   outParams,
-		Payload:  payload,
-		Keyframe: f.Keyframe,
-	})
-}
-
-// Counters reports consumed/emitted/dropped frame counts.
-func (s *Shaper) Counters() (consumed, emitted, dropped int) {
-	return s.consumed, s.emitted, s.dropped
+	return s.emit(f, f.Format, out)
 }

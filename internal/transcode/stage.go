@@ -2,22 +2,20 @@ package transcode
 
 import (
 	"fmt"
+	"unsafe"
 
 	"qoschain/internal/media"
 	"qoschain/internal/service"
 )
 
-// Stage is an executable trans-coding stage: the runtime realization of
-// one service.Service vertex on a selected chain. It rewrites frame
-// formats, applies the service's quality transfer (capping parameters at
-// the negotiated targets) and thins the frame stream when the target
-// frame rate is below the input rate.
-type Stage struct {
-	svc    *service.Service
-	out    media.Format
+// transcoder is the per-frame core a Stage and the sender-side Shaper
+// share: frame-rate decimation, the negotiated-output cache, payload
+// re-encoding and the frame counters.
+type transcoder struct {
 	target media.Params
+	outFPS float64 // target frame rate, read once at construction
 	model  media.BitrateModel
-	pool   *PayloadPool
+	cache  *PayloadCache
 
 	// frame-rate decimation state: classic accumulator thinning. The
 	// accumulator is primed on the first frame so the stream starts
@@ -26,19 +24,127 @@ type Stage struct {
 	primed bool
 
 	// Negotiated-output cache: every frame of one stream carries the
-	// same parameters, so the per-frame Min (a map allocation) and
-	// bitrate-model evaluation are computed once and reused until the
-	// input assignment actually changes. Emitted frames share cachedOut
-	// read-only — the pipeline's ownership rules (DESIGN §12) forbid
-	// mutating a frame's Params in flight.
-	cachedIn   media.Params
-	cachedOut  media.Params
-	cachedSize int
+	// same parameters, so the per-frame Min (a map allocation), the
+	// bitrate-model evaluation and the input frame-rate lookup are done
+	// once and reused until the input assignment actually changes.
+	// Emitted frames share cachedOut read-only — the pipeline's
+	// ownership rules (DESIGN §12) forbid mutating a frame's Params in
+	// flight.
+	cached      bool
+	cachedIn    media.Params
+	cachedInFPS float64
+	cachedOut   media.Params
+	cachedSize  int
 
-	// counters
 	consumed int
 	emitted  int
 	dropped  int
+}
+
+func newTranscoder(target media.Params, model media.BitrateModel) transcoder {
+	target = target.Clone()
+	return transcoder{target: target, outFPS: target.Get(media.ParamFrameRate), model: model}
+}
+
+// sameParams reports whether a and b are the same map (both nil
+// counts): one pointer comparison, where Equal walks both maps.
+func sameParams(a, b media.Params) bool {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
+}
+
+// outputFor brings the output cache up to date for frames carrying in.
+// A frame whose Params is the very map the cache last saw hits with one
+// pointer comparison; since Params are never mutated in flight, that
+// map still holds the values the cache was filled from. A different map
+// pays the value comparison and, only when the values differ, the
+// recomputation. Either way the cache holds exactly what in.Min(target)
+// and payloadSize would give for this frame.
+func (t *transcoder) outputFor(in media.Params) {
+	if t.cached && sameParams(in, t.cachedIn) {
+		return
+	}
+	if !t.cached || !in.Equal(t.cachedIn, 0) {
+		t.cachedInFPS = in.Get(media.ParamFrameRate)
+		t.cachedOut = in.Min(t.target)
+		t.cachedSize = payloadSize(t.model, t.cachedOut)
+		t.cached = true
+	}
+	// Equal values in a new map: remember the map, so the rest of its
+	// stream hits on identity. cachedOut stays the same map, which keeps
+	// the next element's cache hitting on identity too.
+	t.cachedIn = in
+}
+
+// rewrite re-encodes src into a payload of the given size. With a cache
+// attached and an unchanged size the rewrite would copy src verbatim,
+// so the buffer is handed through zero-copy instead; otherwise a fresh
+// buffer is filled and src is recycled.
+func (t *transcoder) rewrite(src []byte, size int) []byte {
+	if t.cache != nil && size == len(src) {
+		return src
+	}
+	dst := t.cache.Get(size)
+	n := copy(dst, src)
+	fillPattern(dst[n:], n)
+	t.cache.Put(src)
+	return dst
+}
+
+// emit thins f to the target frame rate and appends its re-encoded form,
+// in format, to out; a decimated frame's payload is recycled. The
+// caller has counted f consumed.
+func (t *transcoder) emit(f *Frame, format media.Format, out []Frame) []Frame {
+	t.outputFor(f.Params)
+	if inFPS := t.cachedInFPS; t.outFPS > 0 && inFPS > t.outFPS {
+		// Accumulator decimation: forward outFPS out of every inFPS
+		// frames, evenly spread, starting with the first frame.
+		ratio := t.outFPS / inFPS
+		if !t.primed {
+			t.credit = 1 - ratio
+			t.primed = true
+		}
+		t.credit += ratio
+		if t.credit < 1 {
+			t.dropped++
+			t.cache.Put(f.Payload)
+			return out
+		}
+		t.credit--
+	}
+	payload := t.rewrite(f.Payload, t.cachedSize)
+	t.emitted++
+	out, o := appendSlot(out)
+	o.Seq = f.Seq
+	o.PTS = f.PTS
+	o.Format = format
+	o.Params = t.cachedOut
+	o.Payload = payload
+	o.Keyframe = f.Keyframe
+	return out
+}
+
+// UseCache attaches a payload cache: output buffers come through it,
+// consumed input buffers return through it, and a re-encode that would
+// reproduce the input byte-for-byte (same payload size) passes the
+// buffer through zero-copy. Only attach one when the caller owns every
+// frame handed to Process — the pipeline does; direct users normally
+// should not.
+func (t *transcoder) UseCache(c *PayloadCache) { t.cache = c }
+
+// Counters reports consumed/emitted/dropped frame counts.
+func (t *transcoder) Counters() (consumed, emitted, dropped int) {
+	return t.consumed, t.emitted, t.dropped
+}
+
+// Stage is an executable trans-coding stage: the runtime realization of
+// one service.Service vertex on a selected chain. It rewrites frame
+// formats, applies the service's quality transfer (capping parameters at
+// the negotiated targets) and thins the frame stream when the target
+// frame rate is below the input rate.
+type Stage struct {
+	transcoder
+	svc *service.Service
+	out media.Format
 }
 
 // NewStage builds a stage for svc emitting outFormat at the negotiated
@@ -56,101 +162,33 @@ func NewStage(svc *service.Service, outFormat media.Format, target media.Params,
 	if !applied.Equal(target, 1e-9) {
 		return nil, fmt.Errorf("transcode: target %s exceeds caps of service %s", target, svc.ID)
 	}
-	return &Stage{svc: svc, out: outFormat, target: target.Clone(), model: model}, nil
-}
-
-// UsePool attaches a payload pool: output buffers come from it, consumed
-// input buffers return to it, and a re-encode that would reproduce the
-// input byte-for-byte (same payload size) passes the buffer through
-// zero-copy. Only attach a pool when the caller owns every frame handed
-// to Process — the pipeline does; direct users normally should not.
-func (s *Stage) UsePool(p *PayloadPool) { s.pool = p }
-
-// outputFor returns the negotiated output parameters and payload size
-// for frames carrying in, recomputing only when the input changes.
-func (s *Stage) outputFor(in media.Params) (media.Params, int) {
-	if s.cachedOut == nil || !in.Equal(s.cachedIn, 0) {
-		s.cachedIn = in
-		s.cachedOut = in.Min(s.target)
-		s.cachedSize = payloadSize(s.model, s.cachedOut)
-	}
-	return s.cachedOut, s.cachedSize
-}
-
-// recycle returns a dead payload to the pool, if one is attached.
-func (s *Stage) recycle(b []byte) {
-	if s.pool != nil {
-		s.pool.Put(b)
-	}
-}
-
-// rewrite re-encodes src into a payload of the given size. With a pool
-// attached and an unchanged size the rewrite would copy src verbatim,
-// so the buffer is handed through zero-copy instead; otherwise a fresh
-// buffer is filled and src is recycled.
-func (s *Stage) rewrite(src []byte, size int) []byte {
-	if s.pool != nil && size == len(src) {
-		return src
-	}
-	dst := s.pool.Get(size)
-	n := copy(dst, src)
-	fillPattern(dst[n:], n)
-	s.recycle(src)
-	return dst
+	return &Stage{transcoder: newTranscoder(target, model), svc: svc, out: outFormat}, nil
 }
 
 // Process consumes one frame and returns the trans-coded output frames
 // (zero when the frame is decimated away by frame-rate reduction).
 func (s *Stage) Process(f Frame) []Frame {
-	out := s.ProcessAppend(f, nil)
+	out := s.ProcessAppend(&f, nil)
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
-// ProcessAppend trans-codes one frame, appending any output to out and
+// ProcessAppend trans-codes *f, appending any output to out and
 // returning it. It is the allocation-free form the batched pipeline
-// drives: out is a reused batch buffer, and with a pool attached the
+// drives: f points into the input batch, out is a reused batch buffer
+// whose new slot is written in place, and with a cache attached the
 // payload traffic recycles instead of allocating.
-func (s *Stage) ProcessAppend(f Frame, out []Frame) []Frame {
+func (s *Stage) ProcessAppend(f *Frame, out []Frame) []Frame {
 	s.consumed++
 	if !s.svc.Accepts(f.Format) {
 		// A mis-wired chain: drop rather than corrupt.
 		s.dropped++
-		s.recycle(f.Payload)
+		s.cache.Put(f.Payload)
 		return out
 	}
-	inFPS := f.Params.Get(media.ParamFrameRate)
-	outFPS := s.target.Get(media.ParamFrameRate)
-	if outFPS > 0 && inFPS > outFPS {
-		// Accumulator decimation: forward outFPS out of every inFPS
-		// frames, evenly spread, starting with the first frame.
-		ratio := outFPS / inFPS
-		if !s.primed {
-			s.credit = 1 - ratio
-			s.primed = true
-		}
-		s.credit += ratio
-		if s.credit < 1 {
-			s.dropped++
-			s.recycle(f.Payload)
-			return out
-		}
-		s.credit--
-	}
-
-	outParams, size := s.outputFor(f.Params)
-	payload := s.rewrite(f.Payload, size)
-	s.emitted++
-	return append(out, Frame{
-		Seq:      f.Seq,
-		PTS:      f.PTS,
-		Format:   s.out,
-		Params:   outParams,
-		Payload:  payload,
-		Keyframe: f.Keyframe,
-	})
+	return s.emit(f, s.out, out)
 }
 
 // Service returns the stage's service description.
@@ -158,11 +196,6 @@ func (s *Stage) Service() *service.Service { return s.svc }
 
 // OutputFormat returns the format the stage emits.
 func (s *Stage) OutputFormat() media.Format { return s.out }
-
-// Counters reports consumed/emitted/dropped frame counts.
-func (s *Stage) Counters() (consumed, emitted, dropped int) {
-	return s.consumed, s.emitted, s.dropped
-}
 
 // KeyframeStage is a specialization for video→keyframe extraction: only
 // intra frames survive.
@@ -181,7 +214,7 @@ func NewKeyframeStage(svc *service.Service, outFormat media.Format, target media
 
 // Process forwards only keyframes, then applies the base trans-coding.
 func (k *KeyframeStage) Process(f Frame) []Frame {
-	out := k.ProcessAppend(f, nil)
+	out := k.ProcessAppend(&f, nil)
 	if len(out) == 0 {
 		return nil
 	}
@@ -190,11 +223,11 @@ func (k *KeyframeStage) Process(f Frame) []Frame {
 
 // ProcessAppend forwards only keyframes, then applies the base
 // trans-coding.
-func (k *KeyframeStage) ProcessAppend(f Frame, out []Frame) []Frame {
+func (k *KeyframeStage) ProcessAppend(f *Frame, out []Frame) []Frame {
 	if !f.Keyframe {
 		k.consumed++
 		k.dropped++
-		k.recycle(f.Payload)
+		k.cache.Put(f.Payload)
 		return out
 	}
 	return k.Stage.ProcessAppend(f, out)

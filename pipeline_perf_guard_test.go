@@ -2,7 +2,8 @@
 // least 9.9x faster than the seed-protocol reference on the 5-stage
 // chain — the 11x recorded in BENCH_pipeline.json minus a 10%
 // regression budget — and must allocate less than one heap object per
-// source frame in steady state. Opt-in via PIPELINE_PERF_GUARD=1 (CI
+// source frame in steady state, both alone and as a fleet of 16 chains
+// on one shared Executor. Opt-in via PIPELINE_PERF_GUARD=1 (CI
 // runs it in a dedicated step) because micro-benchmark timing is too
 // noisy for the default test matrix.
 package qoschain
@@ -22,6 +23,7 @@ const (
 	guardSpeedupFloor    = 9.9
 	guardAllocsPerFrame  = 1.0
 	guardFramesPerStream = 2000
+	guardFleetChains     = 16
 )
 
 func TestPipelinePerfGuard(t *testing.T) {
@@ -76,15 +78,45 @@ func TestPipelinePerfGuard(t *testing.T) {
 		batchAllocs = r.AllocsPerOp()
 	}
 
+	// The fleet: chains sharing one executor run inline on its workers,
+	// drawing payloads through their chain caches. A cache that fell
+	// back to allocating would show here, not in the single-chain Run.
+	ex := pipeline.NewExecutor(0)
+	defer ex.Close()
+	fleet := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		handles := make([]*pipeline.Handle, guardFleetChains)
+		for i := 0; i < b.N; i++ {
+			for c := range handles {
+				p, err := pipeline.FromResult(sc.Graph, res, pipeline.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if handles[c], err = ex.Submit(p, guardFramesPerStream); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, h := range handles {
+				if h.Wait().FramesOut == 0 {
+					b.Fatal("no frames delivered")
+				}
+			}
+		}
+	})
+
 	speedup := float64(refNs) / float64(batchNs)
 	perFrame := float64(batchAllocs) / float64(guardFramesPerStream)
-	msg := fmt.Sprintf("reference %d ns/op, batched %d ns/op, speedup %.2fx, %.3f allocs/frame",
-		refNs, batchNs, speedup, perFrame)
+	fleetPerFrame := float64(fleet.AllocsPerOp()) / float64(guardFleetChains*guardFramesPerStream)
+	msg := fmt.Sprintf("reference %d ns/op, batched %d ns/op, speedup %.2fx, %.3f allocs/frame; %d-chain executor fleet %.3f allocs/frame",
+		refNs, batchNs, speedup, perFrame, guardFleetChains, fleetPerFrame)
 	if speedup < guardSpeedupFloor {
 		t.Fatalf("data-plane speedup below the %.1fx floor: %s", guardSpeedupFloor, msg)
 	}
 	if perFrame >= guardAllocsPerFrame {
-		t.Fatalf("steady-state allocations at or above % .0f/frame: %s", guardAllocsPerFrame, msg)
+		t.Fatalf("steady-state allocations at or above %.0f/frame: %s", guardAllocsPerFrame, msg)
+	}
+	if fleetPerFrame >= guardAllocsPerFrame {
+		t.Fatalf("executor fleet allocations at or above %.0f/frame: %s", guardAllocsPerFrame, msg)
 	}
 	t.Log(msg)
 }
