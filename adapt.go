@@ -223,9 +223,9 @@ func ComposeBatchCtx(ctx context.Context, set *profile.Set, users []profile.User
 	return out, g, nil
 }
 
-// Stream instantiates the composed chain as a concurrent trans-coding
-// pipeline and pushes n synthetic source frames through it, returning the
-// delivery statistics.
+// Stream instantiates the composed chain as a trans-coding pipeline and
+// pushes n synthetic source frames through it on the calling goroutine,
+// returning the delivery statistics.
 func (c *Composition) Stream(n int) (pipeline.Stats, error) {
 	p, err := pipeline.FromResult(c.Graph, c.Result, pipeline.Options{Bitrate: c.Config.Bitrate})
 	if err != nil {

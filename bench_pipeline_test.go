@@ -1,7 +1,6 @@
 // Data-plane benchmarks (EXT-M in EXPERIMENTS.md): the batched,
-// pooled, backpressure-aware pipeline executor against the seed
-// implementation's frame-at-a-time protocol, plus the shared-executor
-// scaling sweep. Results are pinned in BENCH_pipeline.json; the
+// pooled inline loop against the seed implementation's frame-at-a-time
+// protocol, plus the shared-executor scaling sweep. Results are pinned in BENCH_pipeline.json; the
 // regression guard (pipeline_perf_guard_test.go) re-measures the
 // speedup in CI.
 package qoschain
@@ -49,8 +48,10 @@ func BenchmarkDataPlaneReference(b *testing.B) {
 }
 
 // BenchmarkDataPlaneBatched sweeps the batch size through the batched,
-// pooled Run. batch=1 isolates the cost of the queue protocol itself;
-// batch=64 is the default the acceptance numbers are pinned at.
+// pooled Run — the executor's inline loop driven to completion on the
+// benchmark goroutine. batch=1 isolates the per-batch overhead (element
+// dispatch, counter folds); batch=64 is the default the acceptance
+// numbers are pinned at.
 func BenchmarkDataPlaneBatched(b *testing.B) {
 	sc, res := dataPlaneChain(b)
 	for _, batch := range []int{1, 8, 64, 256} {

@@ -25,10 +25,11 @@ const sliceBatches = 4
 // its own chain while others keep flowing, and live payload memory is
 // bounded by O(workers · batch), not by session count.
 //
-// Chains execute with exactly the semantics of Pipeline.Run: the same
-// stage code, token buckets, seeded loss draws, fault hooks and typed
-// failures; batch-by-batch inline execution preserves per-stage frame
-// order, so a given seed yields identical Stats.
+// A turn is runSlice, the loop Pipeline.Run drives to completion on
+// its caller's goroutine, so a chain on the Executor and a chain under
+// Run share everything — stage code, token buckets, seeded loss draws,
+// fault hooks, typed failures — and a given seed yields identical
+// Stats.
 type Executor struct {
 	workers int
 
@@ -41,8 +42,9 @@ type Executor struct {
 	active atomic.Int64
 }
 
-// job is one chain's scheduling state. It is owned either by the run
-// queue or by exactly one worker, so its fields need no locking.
+// job is one chain's scheduling state. It is owned by the run queue,
+// by exactly one worker, or by Run's caller, so its fields need no
+// locking.
 type job struct {
 	p    *Pipeline
 	rc   *runCtx
@@ -195,11 +197,11 @@ func newJob(p *Pipeline, n int) *job {
 // inline. It returns true when the chain is finished — drained, failed,
 // or canceled.
 //
-// For the turn, the chain's payload cache is bound to the worker's
-// shelves, so what the sink returns feeds the cursor without touching
-// the pool's locks; every exit flushes it. No batch is in flight
-// between turns either, so no payload stays checked out of the pool
-// while the chain is parked.
+// For the turn, the chain's payload cache is bound to shelves (the
+// worker's, or Run's own), so what the sink returns feeds the cursor
+// without touching the pool's locks; every exit flushes it. No batch
+// is in flight between turns either, so no payload stays checked out of
+// the pool while the chain is parked.
 func (j *job) runSlice(k int, shelves *transcode.PayloadShelves) bool {
 	j.p.cache.Bind(shelves, j.p.batch)
 	defer j.p.cache.Flush()

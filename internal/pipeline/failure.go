@@ -8,9 +8,11 @@ import (
 )
 
 // StageFailure is the typed error a failing chain element raises: which
-// stage broke, at which source frame, and why. A failed pipeline shuts
-// down cleanly — every stage goroutine exits and Run returns with the
-// failure recorded — rather than silently stalling the stream.
+// stage broke, at which source frame, and why. A failed pipeline stops
+// cleanly — the inline loop returns at the failing element, its
+// unconsumed payloads go back to the pool, and the run reports the
+// failure with its partial delivery — rather than silently stalling the
+// stream.
 type StageFailure struct {
 	// Stage is the failing element's ID (service ID, "link:a->b", or
 	// "shaper:sender").
@@ -33,8 +35,10 @@ func (f *StageFailure) Unwrap() error { return f.Err }
 // fault layer uses to kill a live chain mid-stream.
 type FaultHook func(stage string, frame int) error
 
-// runCtx coordinates one Run: the first stage to fail records its
-// StageFailure and closes stop, and every blocked send/receive unwinds.
+// runCtx records a run's first StageFailure. Closing stop on that
+// failure unwinds RunReference's element goroutines, each blocked in a
+// send or receive; the inline loop returns at the failing element and
+// never waits on it.
 type runCtx struct {
 	stop chan struct{}
 	once sync.Once
@@ -82,28 +86,6 @@ func (rc *runCtx) send(out chan<- transcode.Frame, f transcode.Frame) bool {
 	case <-rc.stop:
 		return false
 	case out <- f:
-		return true
-	}
-}
-
-// recvBatch receives the next frame batch, aborting if the run is
-// shutting down.
-func (rc *runCtx) recvBatch(in <-chan []transcode.Frame) ([]transcode.Frame, bool) {
-	select {
-	case <-rc.stop:
-		return nil, false
-	case b, ok := <-in:
-		return b, ok
-	}
-}
-
-// sendBatch forwards a frame batch downstream, aborting if the run is
-// shutting down.
-func (rc *runCtx) sendBatch(out chan<- []transcode.Frame, b []transcode.Frame) bool {
-	select {
-	case <-rc.stop:
-		return false
-	case out <- b:
 		return true
 	}
 }

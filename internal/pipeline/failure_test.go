@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -106,16 +107,17 @@ func TestCleanRunHasNoFailure(t *testing.T) {
 	}
 }
 
-// TestFailureShutdownLeaksNoGoroutines kills a chain mid-stream many
-// times and checks the goroutine count settles back to the baseline —
-// i.e. failure shutdown unwinds every stage goroutine instead of
-// stranding them on channel operations.
+// TestFailureShutdownLeaksNoGoroutines kills a RunReference chain —
+// the one path that still runs a goroutine per element — mid-stream
+// many times and checks the goroutine count settles back to the
+// baseline, i.e. failure shutdown unwinds every element goroutine
+// instead of stranding it on a channel operation.
 func TestFailureShutdownLeaksNoGoroutines(t *testing.T) {
 	g, res := failGraph(t)
 	base := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		p, err := FromResult(g, res, Options{
-			Buffer: 1, // tight buffers make stranded senders likely
+			NoPool: true,
 			FaultHook: func(stage string, frame int) error {
 				if stage == "conv" && frame >= 3 {
 					return errors.New("crash")
@@ -126,7 +128,7 @@ func TestFailureShutdownLeaksNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats := p.Run(500); stats.Failure == nil {
+		if stats := p.RunReference(500); stats.Failure == nil {
 			t.Fatal("expected failure")
 		}
 	}
@@ -139,4 +141,36 @@ func TestFailureShutdownLeaksNoGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: baseline %d, now %d", base, runtime.NumGoroutine())
+}
+
+// TestRunStaysOnCallerGoroutine checks that Run starts no goroutine of
+// its own: a fault hook sees every frame at every element, and the
+// goroutine count it observes never rises above the count taken just
+// before Run.
+func TestRunStaysOnCallerGoroutine(t *testing.T) {
+	g, res := failGraph(t)
+	var mu sync.Mutex
+	peak := 0
+	p, err := FromResult(g, res, Options{
+		Batch: 8,
+		FaultHook: func(string, int) error {
+			n := runtime.NumGoroutine()
+			mu.Lock()
+			peak = max(peak, n)
+			mu.Unlock()
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	stats := p.Run(200)
+	if stats.Failure != nil || stats.FramesOut != 200 {
+		t.Fatalf("failure %v, %d of 200 frames delivered", stats.Failure, stats.FramesOut)
+	}
+	if peak > base {
+		t.Fatalf("Run ran its chain on %d goroutines beyond the caller's (baseline %d, peak %d)",
+			peak-base, base, peak)
+	}
 }

@@ -2,11 +2,13 @@
 // media stream. It is the runtime that turns a core.Result into flowing
 // frames — the "self-organizing data distribution" role the paper's
 // framework delegates to the intermediaries — and it is built to sustain
-// the rates the planner negotiates: stages exchange frames in batches
-// over bounded queues, payload buffers recycle through a pool with
-// zero-copy handoff between stages that don't re-encode, and a shared
-// Executor multiplexes thousands of concurrent chains over a fixed
-// worker pool with per-chain backpressure.
+// the rates the planner negotiates: one inline loop pushes frame
+// batches through every chain element in turn, payload buffers recycle
+// through a pool with zero-copy handoff between stages that don't
+// re-encode, and a shared Executor multiplexes thousands of concurrent
+// chains over a fixed worker pool, one bounded slice of batches per
+// scheduling turn. Run is the same loop driven to completion on the
+// caller's goroutine.
 //
 // Ownership rules (DESIGN §12): a frame belongs to exactly one chain
 // element at a time. An element that consumes a frame either hands its
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"qoschain/internal/core"
@@ -30,15 +31,12 @@ import (
 	"qoschain/internal/transcode"
 )
 
-// DefaultBatch is the number of frames exchanged per queue operation
-// when Options.Batch is unset. Synchronization cost amortizes roughly
-// batch-fold, so the default is large enough to make queue traffic
-// negligible while keeping per-chain memory small.
+// DefaultBatch is the number of frames each element handles per call
+// when Options.Batch is unset. Per-batch overhead (element dispatch,
+// counter folds, scheduling turns) amortizes roughly batch-fold, so the
+// default is large enough to make it negligible while keeping per-chain
+// memory small.
 const DefaultBatch = 64
-
-// DefaultQueue is the per-hop queue depth, in batches, when
-// Options.Buffer is unset.
-const DefaultQueue = 4
 
 // sharedPool recycles payload buffers across every pooled pipeline in
 // the process, so concurrent chains under one Executor feed each other's
@@ -86,7 +84,6 @@ type Pipeline struct {
 	source  transcode.Source
 	stages  []runner
 	batch   int
-	queue   int
 	cache   *transcode.PayloadCache
 	sink    *metrics.Counters
 	delayMs float64
@@ -162,8 +159,9 @@ type linkRunner struct {
 	hook  FaultHook
 	cache *transcode.PayloadCache
 
-	// token-bucket state, touched only by the (single) goroutine or
-	// worker slice driving this chain.
+	// token-bucket state, touched only by the goroutine driving this
+	// chain (Run's caller, an executor worker's turn, or RunReference's
+	// element goroutine).
 	rate    float64
 	burst   float64
 	tokens  float64
@@ -241,14 +239,10 @@ func (l *linkRunner) stats() StageStats {
 
 // Options tunes pipeline construction.
 type Options struct {
-	// Batch is the number of frames exchanged per queue operation and
-	// generated per source step (default DefaultBatch). Partial batches
-	// flush immediately — a stage never holds frames back to fill one.
+	// Batch is the number of frames generated per source step and
+	// handed to each element per call (default DefaultBatch). A partial
+	// batch moves on at once — no element holds frames back to fill one.
 	Batch int
-	// Buffer is the per-hop queue depth in batches (default
-	// DefaultQueue). Together with Batch it bounds how far ahead an
-	// element can run before backpressure stalls it.
-	Buffer int
 	// NoPool disables payload-buffer pooling and zero-copy handoff,
 	// reverting to a fresh allocation per re-encoded frame. Used by the
 	// reference path and by callers that retain delivered frames.
@@ -281,13 +275,6 @@ func (o Options) batch() int {
 	return DefaultBatch
 }
 
-func (o Options) queue() int {
-	if o.Buffer > 0 {
-		return o.Buffer
-	}
-	return DefaultQueue
-}
-
 // FromResult assembles a runnable pipeline from a selection result: the
 // source emits the first edge's variant, each service on the path becomes
 // a stage emitting the negotiated downstream parameters, and each edge
@@ -318,7 +305,6 @@ func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, erro
 			GOP:     opts.GOP,
 		},
 		batch: opts.batch(),
-		queue: opts.queue(),
 		sink:  opts.Metrics,
 	}
 	if !opts.NoPool {
@@ -381,136 +367,25 @@ func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, erro
 	return p, nil
 }
 
-// batchList is a bounded free list of reusable batch slices shared by
-// one run's producers and consumers.
-type batchList struct {
-	ch    chan []transcode.Frame
-	batch int
-}
-
-func newBatchList(batch, depth int) *batchList {
-	return &batchList{ch: make(chan []transcode.Frame, depth), batch: batch}
-}
-
-func (fl *batchList) get() []transcode.Frame {
-	select {
-	case b := <-fl.ch:
-		return b[:0]
-	default:
-		return make([]transcode.Frame, 0, fl.batch)
-	}
-}
-
-func (fl *batchList) put(b []transcode.Frame) {
-	if cap(b) == 0 {
-		return
-	}
-	select {
-	case fl.ch <- b:
-	default:
-	}
-}
-
-// Run pushes n source frames through the chain and blocks until the
-// stream drains or a stage fails, returning the delivery statistics.
+// Run pushes n source frames through the chain on the calling
+// goroutine and returns the delivery statistics once the stream drains
+// or a stage fails.
 //
-// Execution is streaming and batched: the source generates frames
-// lazily (O(batch), not O(n), memory), one goroutine per element
-// exchanges []Frame batches over bounded queues — backpressure, not
-// buffering, absorbs a slow element — and payload buffers recycle
-// through the pool. On stage failure the run shuts down cleanly: every
-// goroutine exits, the partial delivery is reported, and Stats.Failure
-// carries the typed error.
+// It is the Executor's loop run to completion: the source generates
+// frames lazily (O(batch), not O(n), memory), each batch passes through
+// every element inline, and payload buffers recycle through the chain's
+// cache, bound for the run to shelves of its own. On stage failure the
+// run stops at once, the partial delivery is reported, and
+// Stats.Failure carries the typed error.
 func (p *Pipeline) Run(n int) Stats {
-	rc := newRunCtx()
-	cur := p.source.Cursor(n, p.cache)
-	free := newBatchList(p.batch, (len(p.stages)+2)*p.queue)
-
-	first := make(chan []transcode.Frame, p.queue)
-	// Every hop's channel is remembered so an aborted run can sweep the
-	// batches stranded in them back to the pool — without the sweep a
-	// mid-stream failure leaks every in-flight payload buffer.
-	hops := []chan []transcode.Frame{first}
-	in := first
-	var wg sync.WaitGroup
-	for _, st := range p.stages {
-		out := make(chan []transcode.Frame, p.queue)
-		hops = append(hops, out)
-		wg.Add(1)
-		go func(st runner, in <-chan []transcode.Frame, out chan<- []transcode.Frame) {
-			defer wg.Done()
-			defer close(out)
-			for {
-				b, ok := rc.recvBatch(in)
-				if !ok {
-					return
-				}
-				ob, ok := st.process(rc, b, free.get())
-				free.put(b)
-				if !ok {
-					// The element recycled its unconsumed input; the
-					// partial output it produced is ours to clean up.
-					recycleFrames(p.cache, ob)
-					free.put(ob)
-					return
-				}
-				if len(ob) == 0 {
-					// Flush-on-partial means empty results vanish
-					// rather than clogging the queue.
-					free.put(ob)
-					continue
-				}
-				if !rc.sendBatch(out, ob) {
-					recycleFrames(p.cache, ob)
-					return
-				}
-			}
-		}(st, in, out)
-		in = out
-	}
-
-	// Sink: collect delivered batches, recycle payloads.
-	var acc deliveryAccumulator
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for b := range in {
-			acc.take(b, p.cache)
-			free.put(b)
-		}
-	}()
-
-	// Feed: generate source batches on demand — the bounded first queue
-	// is the backpressure that keeps generation at the chain's pace.
-	for {
-		b := cur.Next(free.get())
-		if len(b) == 0 {
-			free.put(b)
-			break
-		}
-		if !rc.sendBatch(first, b) {
-			recycleFrames(p.cache, b)
-			break
-		}
-	}
-	close(first)
-	wg.Wait()
-	<-done
-
-	// After an abort, batches can be stranded in any hop queue (every
-	// goroutine has exited and every channel is closed, so the drain
-	// terminates). On a clean drain the queues are already empty.
-	for _, ch := range hops {
-		for b := range ch {
-			recycleFrames(p.cache, b)
-		}
-	}
-
-	return p.finish(n, rc, &acc)
+	j := newJob(p, n)
+	var shelves transcode.PayloadShelves
+	j.runSlice(math.MaxInt, &shelves)
+	return p.finish(n, j.rc, &j.acc)
 }
 
-// deliveryAccumulator gathers sink-side totals shared by Run and the
-// Executor's inline path.
+// deliveryAccumulator gathers sink-side totals shared by the inline
+// loop and RunReference.
 type deliveryAccumulator struct {
 	framesOut int
 	bytesOut  int
@@ -571,5 +446,5 @@ func (p *Pipeline) finish(n int, rc *runCtx, acc *deliveryAccumulator) Stats {
 	return stats
 }
 
-// StageCount returns the number of concurrent elements (stages + links).
+// StageCount returns the number of chain elements (stages + links).
 func (p *Pipeline) StageCount() int { return len(p.stages) }

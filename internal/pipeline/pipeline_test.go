@@ -204,18 +204,6 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 }
 
-func TestPipelineSmallBuffer(t *testing.T) {
-	g, res := selectChain(t, 3000, 3000)
-	p, err := FromResult(g, res, Options{Buffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := p.Run(100)
-	if stats.FramesOut != 100 {
-		t.Errorf("buffer-1 pipeline should still deliver all frames, got %d", stats.FramesOut)
-	}
-}
-
 func TestPipelineChainDelay(t *testing.T) {
 	g, res := selectChain(t, 3000, 3000)
 	// Annotate delays on the edges the chain uses.

@@ -22,7 +22,6 @@ func leakPipeline(t *testing.T, pool *transcode.PayloadPool, hook FaultHook) *Pi
 	g, res := failGraph(t)
 	p, err := FromResult(g, res, Options{
 		Batch:     8,
-		Buffer:    1, // tight queues strand batches in flight on abort
 		Pool:      pool,
 		FaultHook: hook,
 	})
@@ -52,8 +51,8 @@ func TestRunCleanLeaksNoPoolBuffers(t *testing.T) {
 // at several frame offsets (start of a batch, mid-batch, deep into the
 // stream) and asserts the pool balances each time. Mid-batch failures
 // are the interesting case: the failing element holds a half-consumed
-// input batch and a half-built output batch, upstream elements hold
-// batches in flight, and the feed may be blocked on a full queue.
+// input batch and a half-built output batch, and the chain cache still
+// shelves the buffers earlier batches recycled.
 func TestRunFailureLeaksNoPoolBuffers(t *testing.T) {
 	stages := []string{"shaper:sender", "link:sender->conv", "conv", "link:conv->receiver"}
 	for _, stage := range stages {
@@ -76,9 +75,8 @@ func TestRunFailureLeaksNoPoolBuffers(t *testing.T) {
 }
 
 // TestExecutorFailureLeaksNoPoolBuffers drives the same mid-batch
-// failures through the inline executor path, whose abort unwinds a
-// partially built output batch inside runSlice rather than a goroutine
-// chain.
+// failures through a shared executor, whose workers lend their own
+// shelves to the chain for each turn.
 func TestExecutorFailureLeaksNoPoolBuffers(t *testing.T) {
 	ex := NewExecutor(2)
 	defer ex.Close()

@@ -364,7 +364,9 @@ func TestSessionStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := s.Stream(150, pipeline.Options{})
+	ex := pipeline.NewExecutor(1)
+	defer ex.Close()
+	stats, err := s.StreamOn(ex, 150, pipeline.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,22 +7,13 @@ import (
 	"qoschain/internal/pipeline"
 )
 
-// Stream instantiates the session's current chain as a concurrent
-// trans-coding pipeline and pushes n synthetic source frames through it.
-// The pipeline is built against the *current* overlay state, so a
-// degraded link shows up as loss even before the next re-evaluation.
-func (s *Session) Stream(n int, opts pipeline.Options) (pipeline.Stats, error) {
-	p, err := s.pipeline(opts)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	return p.Run(n), nil
-}
-
-// StreamOn is Stream multiplexed over a shared executor: the chain is
-// submitted to ex's worker pool instead of spawning its own goroutines,
-// which is how a daemon runs thousands of concurrent sessions' data
-// planes. It blocks until the chain drains (or fails/cancels).
+// StreamOn instantiates the session's current chain and pushes n
+// synthetic source frames through it on a shared executor: the chain is
+// submitted to ex's worker pool, which is how a daemon runs thousands of
+// concurrent sessions' data planes. The pipeline is built against the
+// *current* overlay state, so a degraded link shows up as loss even
+// before the next re-evaluation. It blocks until the chain drains (or
+// fails/cancels).
 func (s *Session) StreamOn(ex *pipeline.Executor, n int, opts pipeline.Options) (pipeline.Stats, error) {
 	p, err := s.pipeline(opts)
 	if err != nil {
