@@ -19,8 +19,8 @@ race:
 # race-all races every concurrent surface in one target: the
 # observability surfaces (metrics registry, tracer, HTTP middleware,
 # federation and trace stitching), the replicated tier (WAL shipping,
-# promotion, routing, leases), the storm tier with the graph repair and
-# overlay swaps it drives, the data plane, and the durable session
+# promotion, routing, leases), the storm tier with the graph refreshes
+# and overlay swaps it drives, the data plane, and the durable session
 # layer the daemon runs on.
 race-all:
 	$(GO) test -race -count=1 \

@@ -159,7 +159,7 @@ func EvalPath(g *graph.Graph, cfg Config, edges []*graph.Edge) (params media.Par
 
 // PathEdges resolves a planned chain back to the graph's edge objects,
 // so the chain can be re-scored with EvalPath against a rebuilt or
-// repaired graph. Each hop takes the first out-edge of the previous node
+// refreshed graph. Each hop takes the first out-edge of the previous node
 // that reaches the path's next node in the result's format. ok is false
 // when an edge no longer exists.
 func PathEdges(g *graph.Graph, res *Result) ([]*graph.Edge, bool) {

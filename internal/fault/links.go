@@ -7,12 +7,12 @@ import (
 )
 
 // ChangedLinks reduces a batch of fired faults to the set of directed
-// links whose QoS they changed — the unit the storm controller's
-// incremental graph repair consumes. Link-scoped faults contribute their
-// one link; host-scoped faults expand to every link touching the host
-// (looked up on the network, so links of hosts unknown to it contribute
-// nothing); service faults change no link. The result is deduplicated
-// and sorted.
+// links whose QoS they changed — the pending set from which the storm
+// controller picks the classes to re-plan. Link-scoped faults contribute
+// their one link; host-scoped faults expand to every link touching the
+// host (looked up on the network, so links of hosts unknown to it
+// contribute nothing); service faults change no link. The result is
+// deduplicated and sorted.
 func ChangedLinks(fired []Fault, net *overlay.Network) []overlay.LinkRef {
 	seen := make(map[overlay.LinkRef]bool)
 	for _, f := range fired {

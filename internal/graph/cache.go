@@ -35,7 +35,11 @@ import (
 //     changed, so the graph is rebuilt from scratch;
 //   - the value signature (exact bandwidth/delay/loss) — if only it
 //     changed, the cached topology is still valid and the cache merely
-//     refreshes the QoS annotations of the existing edges in place.
+//     re-annotates every existing edge in place.
+//
+// Either way a lookup returns a graph whose every edge reads the overlay
+// as it is at that generation — the same annotations a cold Build would
+// give.
 //
 // This implements the rule that bandwidth fluctuation invalidates edges,
 // never topology. Explicit invalidation is available through Invalidate
@@ -52,7 +56,7 @@ type Cache struct {
 	tick    uint64
 	entries map[uint64]*cacheEntry
 
-	hits, misses, refreshes, repairs uint64
+	hits, misses, refreshes uint64
 }
 
 type cacheEntry struct {
@@ -87,8 +91,9 @@ type CacheStats struct {
 	// Refreshes counts hits that re-annotated edge QoS in place after a
 	// bandwidth-only network change.
 	Refreshes uint64
-	// Repairs counts hits that patched only the edges touching a known
-	// changed-link set (BuildRepair) instead of re-annotating every edge.
+	// Repairs is always 0: every refresh re-annotates every edge. It
+	// stays only because perfbench still reports it
+	// (graph.repairs_per_op).
 	Repairs uint64
 	// Entries is the current number of cached graphs.
 	Entries int
@@ -98,7 +103,7 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Refreshes: c.refreshes, Repairs: c.repairs, Entries: len(c.entries)}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Refreshes: c.refreshes, Entries: len(c.entries)}
 }
 
 // Reset drops every cached graph.
@@ -122,7 +127,6 @@ type BuildOutcome string
 const (
 	OutcomeHit     BuildOutcome = "hit"
 	OutcomeRefresh BuildOutcome = "refresh"
-	OutcomeRepair  BuildOutcome = "repair"
 	OutcomeMiss    BuildOutcome = "miss"
 )
 

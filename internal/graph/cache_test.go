@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"qoschain/internal/media"
@@ -132,6 +134,30 @@ func TestCacheTopologyChangeRebuilds(t *testing.T) {
 	}
 }
 
+func TestCacheLinkDownRebuilds(t *testing.T) {
+	net := threeProxyNet()
+	c := NewCache(0)
+	in := threeProxyInput(net)
+	if _, err := c.Build(in); err != nil {
+		t.Fatal(err)
+	}
+	// A failed link leaves the snapshot, changing the connectivity
+	// signature: the lookup must rebuild, never refresh in place.
+	if err := net.FailLink("p1", "recv"); err != nil {
+		t.Fatal(err)
+	}
+	_, outcome, err := c.BuildEx(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != OutcomeMiss {
+		t.Fatalf("outcome = %s after a link failed, want %s (full rebuild)", outcome, OutcomeMiss)
+	}
+	if st := c.Stats(); st.Refreshes != 0 {
+		t.Fatalf("stats = %+v: a topology change must never count as a refresh", st)
+	}
+}
+
 func TestCacheInvalidateAndReset(t *testing.T) {
 	net := cacheNet()
 	c := NewCache(0)
@@ -239,4 +265,143 @@ func TestOverlayGenerationAdvances(t *testing.T) {
 	if g1 := net.Generation(); g1 <= g0 {
 		t.Fatalf("generation %d should advance past %d on mutation", g1, g0)
 	}
+}
+
+// threeProxyNet is a three-proxy overlay: two parallel sender uplinks and
+// a routed pair (sender→p3 has no direct link, so its edge is annotated
+// from a widest path).
+func threeProxyNet() *overlay.Network {
+	net := overlay.New()
+	net.AddLink("sender", "p1", 2000, 5, 0)
+	net.AddLink("sender", "p2", 3000, 5, 0)
+	net.AddLink("p1", "p3", 1800, 5, 0)
+	net.AddLink("p2", "p3", 2500, 5, 0)
+	net.AddLink("p1", "recv", 1500, 5, 0)
+	net.AddLink("p2", "recv", 1600, 5, 0)
+	net.AddLink("p3", "recv", 1400, 5, 0)
+	return net
+}
+
+// threeProxyInput deploys one converter per proxy so the graph has an
+// edge over every link plus the routed sender→p3 pair.
+func threeProxyInput(net *overlay.Network) Input {
+	svc := func(id, host string) *service.Service {
+		return &service.Service{
+			ID:      service.ID(id),
+			Inputs:  []media.Format{media.Opaque(1)},
+			Outputs: []media.Format{media.Opaque(2)},
+			Host:    host,
+		}
+	}
+	in := cacheInput(net)
+	in.Services = []*service.Service{svc("s1", "p1"), svc("s2", "p2"), svc("s3", "p3")}
+	return in
+}
+
+// edgeQoS flattens a graph's per-edge QoS annotations.
+func edgeQoS(g *Graph) map[string][3]float64 {
+	out := make(map[string][3]float64)
+	for _, id := range g.NodeIDs() {
+		for _, e := range g.Out(id) {
+			out[fmt.Sprintf("%s->%s/%s", e.From, e.To, e.Format)] = [3]float64{e.BandwidthKbps, e.DelayMs, e.LossRate}
+		}
+	}
+	return out
+}
+
+// TestCacheRefreshMatchesColdBuild is the ground truth for in-place
+// refresh: after value-only changes — new capacities, a new delay, and
+// a reservation hold on a link nothing else touched — the refreshed
+// graph carries exactly the annotations a cold build of the same
+// overlay gives, on direct and routed edges alike.
+func TestCacheRefreshMatchesColdBuild(t *testing.T) {
+	net := threeProxyNet()
+	c := NewCache(0)
+	in := threeProxyInput(net)
+	g, err := c.Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetBandwidth("sender", "p1", 900); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetBandwidth("p2", "p3", 1100); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.SetDelay("p3", "recv", 12); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ReserveChain([]overlay.Reservation{{From: "p2", To: "recv", Kbps: 400}}); err != nil {
+		t.Fatal(err)
+	}
+	refreshed, outcome, err := c.BuildEx(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != OutcomeRefresh || refreshed != g {
+		t.Fatalf("outcome = %s (same graph %v), want an in-place %s", outcome, refreshed == g, OutcomeRefresh)
+	}
+	cold, err := Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := edgeQoS(cold), edgeQoS(refreshed)
+	if len(want) != len(got) {
+		t.Fatalf("refreshed graph has %d edges, cold build has %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Fatalf("edge %s: refreshed %v, cold build %v", k, got[k], w)
+		}
+	}
+	if st := c.Stats(); st.Refreshes != 1 || st.Misses != 1 || st.Repairs != 0 {
+		t.Fatalf("stats = %+v, want 1 refresh, 1 miss, 0 repairs", st)
+	}
+}
+
+// TestCacheRefreshConcurrentWithBuild drives refreshes and rebuilds from
+// many goroutines against one cache while the network mutates — the
+// -race proof for the in-place refresh the storm controller leans on.
+// (The planner still serializes selection against refresh per the
+// cache contract; the cache itself must be internally race-free.)
+func TestCacheRefreshConcurrentWithBuild(t *testing.T) {
+	net := threeProxyNet()
+	c := NewCache(0)
+	in := threeProxyInput(net)
+	if _, err := c.Build(in); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	mutatorDone := make(chan struct{})
+	// Mutator: bandwidth wobbles on two links until the readers finish;
+	// every tenth step takes a link to zero and back, forcing rebuilds.
+	go func() {
+		defer close(mutatorDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = net.SetBandwidth("sender", "p1", 1000+float64(i%7)*100)
+			_ = net.SetBandwidth("p2", "p3", float64(i%10)*150)
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, _, err := c.BuildEx(in); err != nil {
+					t.Errorf("BuildEx: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-mutatorDone
 }

@@ -47,13 +47,6 @@ type SessionManager struct {
 	m SessionBackend
 }
 
-// NewSessionManager returns a manager over in-memory (non-durable)
-// session state.
-func NewSessionManager() *SessionManager {
-	m, _ := session.NewManager(session.ManagerConfig{}) // in-memory never errors
-	return &SessionManager{m: m}
-}
-
 // NewSessionManagerWith wraps an existing backend.
 func NewSessionManagerWith(m SessionBackend) *SessionManager {
 	return &SessionManager{m: m}

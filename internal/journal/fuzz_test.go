@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -52,6 +53,8 @@ func FuzzScanFile(f *testing.F) {
 	f.Add([]byte{0}, false)
 	f.Add(torn, false)
 	f.Add(torn[:len(torn)-3], false)
+	// The length field of the largest record, nothing after it.
+	f.Add(tornLength(MaxRecord+8+32), false)
 	f.Add(valid[headerSize:], false) // records replayed after themselves
 	f.Add(valid, true)
 	f.Add(valid[:len(valid)-5], true)
@@ -105,6 +108,14 @@ func FuzzScanFile(f *testing.F) {
 				again.Truncated, again.LastSeq, res.LastSeq)
 		}
 	})
+}
+
+// tornLength is a bare 8-byte record prefix announcing a payload of n
+// bytes — the tail a crash leaves after writing only the length field.
+func tornLength(n uint32) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[0:4], n)
+	return b[:]
 }
 
 func sameRecords(a, b []Record) bool {

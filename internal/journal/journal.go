@@ -176,7 +176,10 @@ func ScanFile(path string) (*ScanResult, error) {
 		}
 		payloadLen := binary.LittleEndian.Uint32(lenbuf[0:4])
 		crc := binary.LittleEndian.Uint32(lenbuf[4:8])
-		if payloadLen < 8+32 || payloadLen > MaxRecord+8+32 {
+		// A length past the end of the file is a torn tail: stop before
+		// allocating for it (and never read past the size stat'd above,
+		// should the file grow under the scan).
+		if payloadLen < 8+32 || payloadLen > MaxRecord+8+32 || int64(payloadLen) > size-offset-8 {
 			break
 		}
 		payload := make([]byte, payloadLen)

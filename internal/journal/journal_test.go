@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -111,6 +112,46 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	_, rec3 := openDir(t, dir, Options{})
 	if rec3.TruncatedBytes != 0 || len(rec3.Records) != 3 {
 		t.Fatalf("second recovery = %+v", rec3)
+	}
+}
+
+// TestScanTornLengthAllocatesLittle scans a journal whose tail is only
+// the length prefix of the largest record a file may hold: the scan must
+// count the 8 bytes as truncated without allocating the 16 MiB payload
+// the length field announces.
+func TestScanTornLengthAllocatesLittle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), walName(0))
+	j, err := Create(path, 0, Chain{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append([]byte("committed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(tornLength(MaxRecord + 8 + 32)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := ScanFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 1 || res.Truncated != 8 {
+		t.Fatalf("scan = %d records, %d truncated bytes; want 1 and 8", len(res.Records), res.Truncated)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("scan allocated %d bytes for an 8-byte torn tail, want < 1 MiB", alloc)
 	}
 }
 

@@ -4,8 +4,8 @@ import "sort"
 
 // LinkRef names one directed link. It is the unit of change the fault →
 // overlay → storm-controller event path carries: a fault that degrades
-// link L is reported as the set of LinkRefs it touched, and graph repair
-// patches only edges riding those links.
+// link L is reported as the set of LinkRefs it touched, and the storm
+// re-plans the classes whose chains ride those links.
 type LinkRef struct {
 	From string `json:"from"`
 	To   string `json:"to"`
@@ -30,17 +30,4 @@ func (n *Network) LinksOf(host string) []LinkRef {
 		return refs[i].To < refs[j].To
 	})
 	return refs
-}
-
-// HasUsableLink reports whether a direct, currently usable link from→to
-// exists — the same test the graph annotator applies when deciding
-// between the direct-link QoS and the widest-path fallback. Graph
-// repair relies on it: an
-// edge between directly linked hosts is exact as long as that one link
-// is unchanged, while a routed edge must be re-queried after any change.
-func (n *Network) HasUsableLink(from, to string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	l, ok := n.links[edge{from, to}]
-	return ok && n.usableLocked(edge{from, to}, l)
 }

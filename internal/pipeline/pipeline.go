@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"qoschain/internal/core"
 	"qoschain/internal/graph"
@@ -149,9 +148,6 @@ func (s *stageRunner) stats() StageStats {
 // second (burst capacity of one second) and a frame passes only when the
 // bucket holds its payload. Oversubscribed frames are dropped — the loss
 // a real network would impose when the negotiated rate is exceeded.
-//
-// Counters are atomics folded in once per batch, so the per-frame hot
-// path takes no locks and mid-run stats() reads stay consistent.
 type linkRunner struct {
 	id    string
 	loss  float64
@@ -159,18 +155,17 @@ type linkRunner struct {
 	hook  FaultHook
 	cache *transcode.PayloadCache
 
-	// token-bucket state, touched only by the goroutine driving this
-	// chain (Run's caller, an executor worker's turn, or RunReference's
-	// element goroutine).
+	// token-bucket state and counters, touched only by the goroutine
+	// driving this chain (Run's caller, an executor worker's turn, or
+	// RunReference's element goroutine); stats() reads the counters once
+	// the run is over.
 	rate    float64
 	burst   float64
 	tokens  float64
 	lastPTS float64
 	limited bool
 
-	consumed atomic.Int64
-	emitted  atomic.Int64
-	dropped  atomic.Int64
+	consumed, emitted, dropped int
 }
 
 func newLinkRunner(id string, kbps, loss float64, rng *rand.Rand, hook FaultHook, cache *transcode.PayloadCache) *linkRunner {
@@ -183,7 +178,6 @@ func newLinkRunner(id string, kbps, loss float64, rng *rand.Rand, hook FaultHook
 }
 
 func (l *linkRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode.Frame, bool) {
-	var consumed, emitted, dropped int64
 	ok := true
 	for i := range in {
 		f := &in[i]
@@ -197,9 +191,9 @@ func (l *linkRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode
 				break
 			}
 		}
-		consumed++
+		l.consumed++
 		if l.loss > 0 && l.rng != nil && l.rng.Float64() < l.loss {
-			dropped++
+			l.dropped++
 			l.cache.Put(f.Payload)
 			continue
 		}
@@ -213,27 +207,24 @@ func (l *linkRunner) process(rc *runCtx, in, out []transcode.Frame) ([]transcode
 			}
 			need := float64(len(f.Payload))
 			if need > l.tokens+1e-6 {
-				dropped++
+				l.dropped++
 				l.cache.Put(f.Payload)
 				continue
 			}
 			l.tokens -= need
 		}
-		emitted++
+		l.emitted++
 		out = append(out, *f)
 	}
-	l.consumed.Add(consumed)
-	l.emitted.Add(emitted)
-	l.dropped.Add(dropped)
 	return out, ok
 }
 
 func (l *linkRunner) stats() StageStats {
 	return StageStats{
 		ID:       l.id,
-		Consumed: int(l.consumed.Load()),
-		Emitted:  int(l.emitted.Load()),
-		Dropped:  int(l.dropped.Load()),
+		Consumed: l.consumed,
+		Emitted:  l.emitted,
+		Dropped:  l.dropped,
 	}
 }
 

@@ -80,16 +80,6 @@ const (
 	ReevalStorm = "storm"
 )
 
-// NoteReevaluateReason attributes the next re-evaluation to its driver
-// in the failover.reevaluate_* metrics. An empty reason records
-// nothing.
-func (s *Session) NoteReevaluateReason(reason string) {
-	if reason == "" {
-		return
-	}
-	s.cfg.Failover.Metrics.Inc(metrics.CounterReevalPrefix + reason)
-}
-
 // Sample records a session's state after one simulated step (the
 // simulator's per-session trace).
 type Sample struct {

@@ -224,8 +224,8 @@ func (ms *Managed) ApplyFaultCtx(ctx context.Context, f fault.Fault) error {
 }
 
 // noteReason records a reevaluate attribution on both the session's
-// private deterministic counters and the daemon-wide sink — the
-// managed-session mirror of Session.NoteReevaluateReason.
+// private deterministic counters and the daemon-wide sink. An empty
+// reason records nothing.
 func (ms *Managed) noteReason(reason string) {
 	if reason == "" {
 		return

@@ -15,8 +15,9 @@ package sim
 //   - zero leaked kbps: after recovery every region's reserved
 //     bandwidth is exactly the sum of the member holds;
 //   - equivalence: with Verify on, every member's chain is re-derived
-//     by the naive per-session Select against the same repaired graph
-//     and must match the class chain byte-for-byte.
+//     by the naive per-session Select on a cold graph build of the
+//     overlay the class planned against and must match the class chain
+//     byte-for-byte.
 
 import (
 	"fmt"
@@ -71,7 +72,7 @@ type StormReport struct {
 	Mismatches       int     `json:"mismatches"`
 	RecoveryMs       float64 `json:"recoveryMs"`
 	LeakKbps         float64 `json:"leakKbps"`
-	CacheRepairs     uint64  `json:"cacheRepairs"`
+	CacheRefreshes   uint64  `json:"cacheRefreshes"`
 	CacheRebuilds    uint64  `json:"cacheRebuilds"`
 	Err              string  `json:"err,omitempty"`
 }
@@ -256,7 +257,7 @@ func RunStorm(spec StormSpec) (*StormReport, error) {
 	rep.RecoveryMs = stormRep.RecoveryMs
 	rep.LeakKbps = auditLeak(ctrl, regions)
 	stats := ctrl.CacheStats()
-	rep.CacheRepairs = stats.Repairs
+	rep.CacheRefreshes = stats.Refreshes
 	rep.CacheRebuilds = stats.Misses
 	if rep.LeakKbps != 0 {
 		rep.Err = fmt.Sprintf("post-storm leak of %.3f kbps", rep.LeakKbps)

@@ -38,8 +38,8 @@ func TestRunStormSmall(t *testing.T) {
 		t.Fatalf("NaiveChecks = %d, want one per affected session (%d)",
 			rep.NaiveChecks, rep.AffectedSessions)
 	}
-	if rep.CacheRepairs == 0 {
-		t.Fatal("storm never exercised incremental graph repair")
+	if rep.CacheRefreshes == 0 {
+		t.Fatal("storm never refreshed a cached class graph in place")
 	}
 	if got := counters.Get(metrics.CounterStormSelectCalls); got != int64(rep.SelectCalls) {
 		t.Fatalf("storm.select_calls = %d, report says %d", got, rep.SelectCalls)

@@ -36,7 +36,7 @@ type FlightEvent struct {
 	Class        string  `json:"class,omitempty"`
 	Outcome      string  `json:"outcome,omitempty"`
 	Satisfaction float64 `json:"satisfaction,omitempty"`
-	// LatencyMs is the class's live plan latency (repair + Select +
+	// LatencyMs is the class's live plan latency (graph refresh + Select +
 	// fan-out); zero for replayed events, which re-apply a journaled
 	// plan without planning.
 	LatencyMs float64 `json:"latencyMs,omitempty"`

@@ -18,7 +18,7 @@ import (
 
 // Class plan outcomes.
 const (
-	// OutcomeUnchanged: the repaired graph still prefers the class's
+	// OutcomeUnchanged: the refreshed graph still prefers the class's
 	// current chain; members keep their holds untouched.
 	OutcomeUnchanged = "unchanged"
 	// OutcomeReplanned: a fresh at-or-above-floor chain was adopted and
@@ -203,7 +203,7 @@ func (c *Controller) chainCrosses(cls *Class, set map[overlay.LinkRef]bool) bool
 	return false
 }
 
-// scoreLocked repairs each affected class's graph against the post-event
+// scoreLocked refreshes each affected class's graph against the post-event
 // network and scores its current chain, producing the priority order:
 // descending gap below the floor (a broken chain scores below
 // everything), ties broken by key for determinism.
@@ -211,7 +211,7 @@ func (c *Controller) scoreLocked(affected []*Class) []planItem {
 	items := make([]planItem, 0, len(affected))
 	for _, cls := range affected {
 		postSat := -1.0 // broken or chain-less: ranks hardest-hit
-		if g, err := c.repairLocked(cls); err == nil && cls.current != nil && cls.current.Found {
+		if g, err := c.classGraphLocked(cls); err == nil && cls.current != nil && cls.current.Found {
 			if edges, ok := core.PathEdges(g, cls.current); ok {
 				if _, sat, _, ok := core.EvalPath(g, cls.selcfg, edges); ok {
 					postSat = sat
@@ -233,10 +233,11 @@ func sortItems(items []planItem) {
 	})
 }
 
-// repairLocked incrementally repairs the class graph: only links
-// dirtied since the class's last annotation generation are re-queried
-// (graph.Cache.BuildRepair). Called with c.mu held.
-func (c *Controller) repairLocked(cls *Class) (*graph.Graph, error) {
+// classGraphLocked brings the class graph up to the overlay as it is now:
+// graph.Cache.BuildEx serves the cached graph when the overlay has not
+// moved, re-annotates every edge in place when only link values moved,
+// and rebuilds when connectivity changed. Called with c.mu held.
+func (c *Controller) classGraphLocked(cls *Class) (*graph.Graph, error) {
 	r := c.regions[cls.spec.Region]
 	if cls.svcGen != r.svcGen {
 		// A service fault changed the region's pool since the class last
@@ -245,27 +246,16 @@ func (c *Controller) repairLocked(cls *Class) (*graph.Graph, error) {
 		cls.in.Services = r.services()
 		cls.svcGen = r.svcGen
 	}
-	gen := r.Net.Generation()
-	var diff []overlay.LinkRef
-	for l, at := range r.dirty {
-		if at > cls.repairGen {
-			diff = append(diff, l)
-		}
-	}
-	g, _, err := c.cache.BuildRepairEx(cls.in, diff)
-	if err != nil {
-		return nil, err
-	}
-	cls.repairGen = gen
-	return g, nil
+	g, _, err := c.cache.BuildEx(cls.in)
+	return g, err
 }
 
-// planOne re-plans one class: repair the class graph against
-// everything dirtied since its last annotation (including earlier
-// classes' hold swaps in this same storm), run Select once, and fan the
-// result out to every member with an atomic hold swap. A class whose
-// graph repair fails gets no Select and is recorded no-chain. Returns
-// the outcome, the plan for the storm record, and whether Select ran.
+// planOne re-plans one class: bring the class graph up to the overlay
+// as it is (including earlier classes' hold swaps in this same storm),
+// run Select once, and fan the result out to every member with an
+// atomic hold swap. A class whose graph cannot be built gets no Select
+// and is recorded no-chain. Returns the outcome, the plan for the storm
+// record, and whether Select ran.
 func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bool) {
 	cls := it.cls
 	planStart := now()
@@ -273,11 +263,16 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bo
 	// Annotate the class graph as if the class were absent: its own
 	// members' holds are what the re-plan will replace, so they must
 	// not count against the availability the planner sees. The holds
-	// are released only around the repair and restored exactly — the
-	// graph keeps the freed-capacity snapshot, the overlay does not.
+	// are released only around the annotation and restored exactly —
+	// the graph keeps the freed-capacity snapshot, the overlay does not.
+	// Verify builds its oracle graph cold inside the same window.
 	c.mu.Lock()
 	saved := c.releaseMembersLocked(cls)
-	g, err := c.repairLocked(cls)
+	g, err := c.classGraphLocked(cls)
+	var fresh *graph.Graph
+	if c.cfg.Verify {
+		fresh, _ = graph.Build(cls.in) // a failed build fails every check
+	}
 	dropped := c.restoreMembersLocked(cls, saved)
 	c.mu.Unlock()
 
@@ -294,8 +289,8 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bo
 		default:
 			res = nil // nothing composes; keep the old chain
 		}
-		if c.cfg.Verify && res != nil {
-			c.verifyClass(g, cls, res)
+		if c.cfg.Verify {
+			c.verifyClass(fresh, cls, res)
 		}
 	}
 
@@ -373,23 +368,20 @@ func (c *Controller) dropHoldsLocked(cls *Class, ids []string) {
 }
 
 // verifyClass is the naive-equivalence harness check: Select is re-run
-// for every member against the same repaired graph and must return the
-// class chain byte-for-byte. Counted separately from storm.select_calls
-// — these are the baseline being measured against, not controller work.
-func (c *Controller) verifyClass(g *graph.Graph, cls *Class, res *core.Result) {
-	want := core.PathString(res.Path)
+// for every member on fresh, a cold graph.Build of the overlay the class
+// planned against, and must return the class plan — the same chain and
+// formats, or nothing when the class plan found nothing. A missing fresh
+// graph fails every check. Counted separately from storm.select_calls —
+// these are the baseline being measured against, not controller work.
+func (c *Controller) verifyClass(fresh *graph.Graph, cls *Class, res *core.Result) {
 	for range cls.members {
-		naive, err := core.Select(g, cls.selcfg)
-		ok := err == nil || (errors.Is(err, core.ErrBelowFloor) && naive != nil && naive.Found)
-		match := ok && naive != nil && core.PathString(naive.Path) == want &&
-			len(naive.Formats) == len(res.Formats)
+		match := fresh != nil
 		if match {
-			for i := range naive.Formats {
-				if naive.Formats[i] != res.Formats[i] {
-					match = false
-					break
-				}
+			naive, err := core.Select(fresh, cls.selcfg)
+			if err != nil && !errors.Is(err, core.ErrBelowFloor) {
+				naive = nil
 			}
+			match = samePlan(naive, res)
 		}
 		c.mu.Lock()
 		c.naiveChecks++
@@ -398,6 +390,24 @@ func (c *Controller) verifyClass(g *graph.Graph, cls *Class, res *core.Result) {
 		}
 		c.mu.Unlock()
 	}
+}
+
+// samePlan reports whether two Select results adopt the same chain with
+// the same formats; two results that found nothing are the same plan.
+func samePlan(a, b *core.Result) bool {
+	aFound, bFound := a != nil && a.Found, b != nil && b.Found
+	if !aFound || !bFound {
+		return aFound == bFound
+	}
+	if core.PathString(a.Path) != core.PathString(b.Path) || len(a.Formats) != len(b.Formats) {
+		return false
+	}
+	for i := range a.Formats {
+		if a.Formats[i] != b.Formats[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // applyPlanLocked installs a plan result on the class and fans it out
@@ -440,7 +450,7 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 	out.Chain = cls.Chain()
 	out.Satisfaction = res.Satisfaction
 	if same {
-		// The repaired graph still prefers the chain the members
+		// The refreshed graph still prefers the chain the members
 		// already hold; their reservations are already exact.
 		for _, s := range cls.members {
 			s.degraded = degraded
@@ -466,8 +476,6 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 				out.SwapFailed++
 				continue
 			}
-			c.markDirtyLocked(r, s.held)
-			c.markDirtyLocked(r, hold)
 			s.held = hold
 		}
 		s.degraded = degraded

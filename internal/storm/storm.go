@@ -5,11 +5,12 @@
 // profile, content, network region and QoS floor, so the chain Select
 // would pick for one is the chain it would pick for all. The storm
 // controller groups sessions into equivalence classes keyed by exactly
-// that fingerprint, runs Select once per class against an incrementally
-// repaired graph (graph.Cache.BuildRepair patches only edges touching
-// the changed links), and fans the chosen chain out to every member
-// with an atomic per-session hold swap (overlay.SwapChain — release
-// old, acquire new, never a partial).
+// that fingerprint, runs Select once per class against the class graph
+// as the overlay is now (graph.Cache.BuildEx re-annotates every edge in
+// place when the overlay moved, rebuilds when its connectivity did), and
+// fans the chosen chain out to every member with an atomic per-session
+// hold swap (overlay.SwapChain — release old, acquire new, never a
+// partial).
 //
 // Robustness properties:
 //
@@ -29,11 +30,12 @@
 //     before that record is durable leaves the command's changes
 //     pending, and the next Storm re-plans them from state.
 //
-// The controller owns every reservation it manages: all mutations of a
-// region's overlay must either go through the controller or be reported
-// to it via NotePending (or SetServiceDown for the region's service
-// pool), which is what keeps the incremental-repair bookkeeping (the
-// per-region dirty-link map) complete.
+// The controller owns every reservation it manages. Graph freshness
+// needs no bookkeeping — the overlay's generation counter tells the
+// cache when to re-annotate — but a storm re-plans only the classes its
+// pending set touches, so events that should trigger a re-plan must be
+// reported via NotePending (or SetServiceDown for the region's service
+// pool).
 package storm
 
 import (
@@ -70,13 +72,14 @@ type Region struct {
 
 // Config assembles a Controller.
 type Config struct {
-	// Verify runs the naive per-session equivalence check: after each
-	// class plan, Select is re-run for every member against the same
-	// repaired graph and the result compared with the class chain. The
-	// storm report counts any mismatch. Expensive — harness use only.
+	// Verify runs the naive per-session equivalence check: each class
+	// plan also builds a cold graph (graph.Build) of the overlay it
+	// planned against, Select is re-run on it for every member, and the
+	// result is compared with the class plan. The storm report counts
+	// any mismatch. Expensive — harness use only.
 	Verify bool
-	// CacheSize bounds the graph cache. Default max(64, 2×classes) is
-	// applied lazily; set explicitly to override.
+	// CacheSize bounds the graph cache; <= 0 selects
+	// graph.DefaultCacheSize (64).
 	CacheSize int
 	// Counters receives storm.* metrics; nil is a no-op sink.
 	Counters *metrics.Counters
@@ -116,8 +119,7 @@ func (s *ClassSpec) Key() string {
 }
 
 // Class is one live equivalence class: the planning inputs derived from
-// its spec, the chain currently fanned out to its members, and the
-// incremental-repair watermark.
+// its spec and the chain currently fanned out to its members.
 type Class struct {
 	spec   ClassSpec
 	key    string
@@ -133,10 +135,6 @@ type Class struct {
 	// derived at; a service fault bumps the region's and the class
 	// re-derives its alive services before the next Select.
 	svcGen uint64
-	// repairGen is the region-net generation the class's cached graph
-	// was last annotated at; links dirtied after it must be repaired
-	// before the next Select.
-	repairGen uint64
 }
 
 // Key returns the class's stable identity.
@@ -184,11 +182,6 @@ type region struct {
 	// changes (see Class.svcGen).
 	pool   *fault.ServiceSet
 	svcGen uint64
-	// dirty maps each link to the net generation it last changed at —
-	// the incremental-repair bookkeeping. A class whose repairGen is
-	// older than a link's entry must have that link's edges repaired
-	// before its next Select.
-	dirty map[overlay.LinkRef]uint64
 	// pending is the changed-link set of events not yet absorbed by a
 	// storm.
 	pending map[overlay.LinkRef]bool
@@ -230,9 +223,6 @@ type Controller struct {
 // Open builds an in-memory controller over the given regions; more
 // regions may register later through EnsureRegion.
 func Open(cfg Config, regions []Region) (*Controller, error) {
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 64
-	}
 	c := &Controller{
 		cfg:       cfg,
 		cache:     graph.NewCache(cfg.CacheSize),
@@ -264,7 +254,6 @@ func (c *Controller) addRegionLocked(r Region) error {
 		Region:  r,
 		hostOf:  hostOf,
 		pool:    fault.NewServiceSet(r.Services),
-		dirty:   make(map[overlay.LinkRef]uint64),
 		pending: make(map[overlay.LinkRef]bool),
 	}
 	return nil
@@ -387,7 +376,6 @@ func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
 		SenderHost:   r.SenderHost,
 		ReceiverHost: receiverHost(&r.Region, &cls.spec),
 	}
-	gen := r.Net.Generation()
 	g, err := c.cache.Build(cls.in)
 	if err != nil {
 		return nil, fmt.Errorf("storm: class %s: %w", key, err)
@@ -402,7 +390,6 @@ func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
 	}
 	cls.current = res
 	cls.kbps = requiredKbps(cls.selcfg, res)
-	cls.repairGen = gen
 	cls.svcGen = r.svcGen
 	c.classes[key] = cls
 	c.order = append(c.order, key)
@@ -470,7 +457,6 @@ func (c *Controller) attachOneLocked(cls *Class, id string, reserve bool) *Sessi
 		hold := append([]overlay.Reservation(nil), rs...)
 		if err := r.Net.ReserveChain(hold); err == nil {
 			s.held = hold
-			c.markDirtyLocked(r, hold)
 		} else {
 			s.degraded = true
 		}
@@ -518,7 +504,6 @@ func (c *Controller) DetachSession(id string) error {
 	r := c.regions[cls.spec.Region]
 	if len(s.held) > 0 {
 		r.Net.ReleaseChain(s.held)
-		c.markDirtyLocked(r, s.held)
 		s.held = nil
 	}
 	for i, m := range cls.members {
@@ -580,9 +565,9 @@ func (c *Controller) MemberState(id string) (MemberView, bool) {
 
 // NotePending reports that an external event (fault injection, a real
 // network monitor) changed the QoS of the given links in a region. The
-// links are marked pending for the next Storm and dirty for graph
-// repair. Nothing is journaled: the host journals the event that caused
-// the change and re-derives the link set during its own replay.
+// links are marked pending for the next Storm. Nothing is journaled:
+// the host journals the event that caused the change and re-derives the
+// link set during its own replay.
 func (c *Controller) NotePending(regionName string, links []overlay.LinkRef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -595,10 +580,8 @@ func (c *Controller) NotePending(regionName string, links []overlay.LinkRef) err
 }
 
 func notePendingLocked(r *region, links []overlay.LinkRef) {
-	gen := r.Net.Generation()
 	for _, l := range links {
 		r.pending[l] = true
-		r.dirty[l] = gen
 	}
 }
 
@@ -657,19 +640,6 @@ func (c *Controller) chainHosts(cls *Class) []string {
 		}
 	}
 	return append(hosts, receiverHost(&r.Region, &cls.spec))
-}
-
-// markDirtyLocked stamps the links of a reservation set with the
-// region's current generation — the incremental-repair bookkeeping for
-// reservation changes the controller itself makes.
-func (c *Controller) markDirtyLocked(r *region, rs []overlay.Reservation) {
-	gen := r.Net.Generation()
-	for _, res := range rs {
-		if res.From == res.To {
-			continue
-		}
-		r.dirty[overlay.LinkRef{From: res.From, To: res.To}] = gen
-	}
 }
 
 // OnFaults is the fault-injection adapter: it reduces a batch of fired
@@ -751,7 +721,8 @@ func (c *Controller) HeldKbps(regionName string) float64 {
 	return total
 }
 
-// CacheStats exposes the planner cache counters (repairs vs rebuilds).
+// CacheStats exposes the planner cache counters (in-place refreshes vs
+// rebuilds).
 func (c *Controller) CacheStats() graph.CacheStats { return c.cache.Stats() }
 
 // Fingerprint renders the controller's deterministic state — every

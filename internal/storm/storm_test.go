@@ -7,6 +7,7 @@ package storm_test
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -440,6 +441,84 @@ func TestStormWritesNoAdmissionCounters(t *testing.T) {
 	for _, name := range []string{metrics.CounterAdmissionAdmitted, metrics.CounterAdmissionQueued} {
 		if got := r.CounterValue(name); got != 0 {
 			t.Errorf("%s = %d after a storm, want 0", name, got)
+		}
+	}
+}
+
+// TestStormPlansMatchFreshGraph checks the storm against the paper's
+// Select on the overlay as it is: over generated regions, class mixes
+// and storms, every class plan must equal the plan Select makes for
+// each member on a cold graph.Build of the overlay the class planned
+// against (Config.Verify), and the holds must match the overlay's
+// reservations after every storm.
+func TestStormPlansMatchFreshGraph(t *testing.T) {
+	for seed := int64(1); seed <= 1000; seed++ {
+		stormAgainstFreshGraph(t, seed)
+	}
+}
+
+// stormAgainstFreshGraph runs one generated scenario: link capacities
+// uniform in 200–3,200 kbps, 2–5 classes of 1–8 reserving members, and
+// 6 storms that each rescale 1–3 random links — to 1e-4 of their
+// capacity or by a factor in 0.2–1.8.
+func stormAgainstFreshGraph(t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	reg := buildRegion("r1", 1000)
+	seen := make(map[overlay.LinkRef]bool)
+	var links []overlay.LinkRef
+	for _, node := range reg.Net.Nodes() {
+		for _, l := range reg.Net.LinksOf(node) {
+			if !seen[l] {
+				seen[l] = true
+				links = append(links, l)
+			}
+		}
+	}
+	for _, l := range links {
+		if err := reg.Net.SetBandwidth(l.From, l.To, 200+3000*rng.Float64()); err != nil {
+			t.Fatalf("seed %d: SetBandwidth: %v", seed, err)
+		}
+	}
+	c, err := storm.Open(storm.Config{Verify: true}, []storm.Region{reg})
+	if err != nil {
+		t.Fatalf("seed %d: Open: %v", seed, err)
+	}
+	for i, n := 0, 2+rng.Intn(4); i < n; i++ {
+		cls, err := c.AddClass(classSpec("r1", 5+25*rng.Float64(), 0.6*rng.Float64()))
+		if err != nil {
+			continue // nothing composes for this draw
+		}
+		if _, err := c.Attach(cls.Key(), 1+rng.Intn(8)); err != nil {
+			t.Fatalf("seed %d: Attach: %v", seed, err)
+		}
+	}
+	for s := 1; s <= 6; s++ {
+		changed := make([]overlay.LinkRef, 0, 3)
+		for k, n := 0, 1+rng.Intn(3); k < n; k++ {
+			l := links[rng.Intn(len(links))]
+			factor := 1e-4
+			if rng.Intn(2) == 0 {
+				factor = 0.2 + 1.6*rng.Float64()
+			}
+			if err := reg.Net.ScaleBandwidth(l.From, l.To, factor); err != nil {
+				t.Fatalf("seed %d: ScaleBandwidth: %v", seed, err)
+			}
+			changed = append(changed, l)
+		}
+		if err := c.NotePending("r1", changed); err != nil {
+			t.Fatalf("seed %d: NotePending: %v", seed, err)
+		}
+		rep, _, err := c.Storm()
+		if err != nil {
+			t.Fatalf("seed %d storm %d: %v", seed, s, err)
+		}
+		if rep != nil && rep.Mismatches != 0 {
+			t.Fatalf("seed %d storm %d: %d of %d member plans differ from Select on a fresh graph",
+				seed, s, rep.Mismatches, rep.NaiveChecks)
+		}
+		if d := leak(c, reg); d > 1e-6*math.Max(1, reg.Net.TotalReservedKbps()) {
+			t.Fatalf("seed %d storm %d: leak %.6f kbps", seed, s, d)
 		}
 	}
 }
