@@ -612,15 +612,21 @@ func runCrash(seed int64) {
 		}
 	}
 	tb.Render(os.Stdout)
+	// The verdict and the counters are deterministic; the histograms'
+	// wall-clock part and the span summary come last (see
+	// metrics.Counters.Render).
+	if failed {
+		fmt.Println("\ncrash recovery: FAIL")
+	} else {
+		fmt.Println("\ncrash recovery: every committed session recovered byte-identical, zero leaked kbps")
+	}
 	fmt.Println()
 	counters.Render(os.Stdout)
 	renderSpanStats(tracer)
 	dumpMetrics(counters)
 	if failed {
-		fmt.Println("\ncrash recovery: FAIL")
 		os.Exit(1)
 	}
-	fmt.Println("\ncrash recovery: every committed session recovered byte-identical, zero leaked kbps")
 }
 
 // runStormCluster drives the storm-safe live-path scenario under

@@ -86,7 +86,7 @@ func TestHealthzStormStatus(t *testing.T) {
 	if doc.Storm == nil {
 		t.Fatal("healthz missing the storm section")
 	}
-	if doc.Storm.Classes != 0 || doc.Storm.Active || doc.Storm.Storms != 0 {
+	if doc.Storm.Classes != 0 || doc.Storm.Storms != 0 {
 		t.Fatalf("fresh controller status = %+v", doc.Storm)
 	}
 }

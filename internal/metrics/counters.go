@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Counters is the concurrency-safe sink instrumented code reports
@@ -339,7 +340,10 @@ func (c *Counters) Snapshot() map[string]int64 {
 }
 
 // Render writes the counters (sorted by name) and one summary line per
-// histogram series.
+// histogram series. Histograms named *_ms time wall-clock work and
+// differ from run to run, so they come last, after a "-- wall-clock --"
+// header: everything above it is byte-comparable across runs of a
+// seeded harness.
 func (c *Counters) Render(w io.Writer) {
 	if c == nil {
 		return
@@ -349,9 +353,26 @@ func (c *Counters) Render(w io.Writer) {
 	for _, p := range snap.Counters {
 		fmt.Fprintf(w, "%-28s %d\n", seriesKey(p.Name, p.Labels), p.Value)
 	}
+	var wall []HistPoint
 	for _, h := range snap.Hists {
-		s := c.r.summaryByKey(seriesKey(h.Name, h.Labels))
-		fmt.Fprintf(w, "%-28s n=%d mean=%.2f p50=%.2f max=%.2f\n",
-			seriesKey(h.Name, h.Labels), s.Count, s.Mean, s.P50, s.Max)
+		if strings.HasSuffix(h.Name, "_ms") {
+			wall = append(wall, h)
+			continue
+		}
+		c.renderHist(w, h)
 	}
+	if len(wall) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "\n-- wall-clock --")
+	for _, h := range wall {
+		c.renderHist(w, h)
+	}
+}
+
+// renderHist writes one histogram series' summary line.
+func (c *Counters) renderHist(w io.Writer, h HistPoint) {
+	key := seriesKey(h.Name, h.Labels)
+	s := c.r.summaryByKey(key)
+	fmt.Fprintf(w, "%-28s n=%d mean=%.2f p50=%.2f max=%.2f\n", key, s.Count, s.Mean, s.P50, s.Max)
 }

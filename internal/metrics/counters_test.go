@@ -70,4 +70,29 @@ func TestCountersRender(t *testing.T) {
 	if !strings.Contains(out, CounterStormDegraded) || !strings.Contains(out, "n=1") {
 		t.Errorf("render output:\n%s", out)
 	}
+	if strings.Contains(out, "wall-clock") {
+		t.Errorf("wall-clock header without a *_ms series:\n%s", out)
+	}
+}
+
+// TestCountersRenderWallClockLast: *_ms series vary run to run, so they
+// render after every deterministic line, below the wall-clock header.
+func TestCountersRenderWallClockLast(t *testing.T) {
+	c := NewCounters()
+	c.Inc(CounterStormDegraded)
+	c.Observe(SampleStormRecoveryMs, 1.5)
+	c.Observe(SampleReservedKbps, 5)
+	var sb strings.Builder
+	c.Render(&sb)
+	out := sb.String()
+	head, tail, ok := strings.Cut(out, "\n-- wall-clock --\n")
+	if !ok {
+		t.Fatalf("no wall-clock header:\n%s", out)
+	}
+	if !strings.Contains(head, SampleReservedKbps) || strings.Contains(head, SampleStormRecoveryMs) {
+		t.Errorf("deterministic part:\n%s", head)
+	}
+	if !strings.HasPrefix(tail, SampleStormRecoveryMs) {
+		t.Errorf("wall-clock part:\n%s", tail)
+	}
 }

@@ -537,7 +537,8 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 				live = true
 			}
 		}
-		rep.FlightSingleID = !f.Open && !replayed && live
+		closed := len(f.Events) > 0 && f.Events[len(f.Events)-1].Kind == "end"
+		rep.FlightSingleID = closed && !replayed && live
 	}
 	if matches != 1 || !rep.FlightSingleID {
 		rep.FlightSingleID = false

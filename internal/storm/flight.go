@@ -17,10 +17,7 @@ package storm
 // command's commit and the storm's) has no replayed flight; the
 // follower's Reconcile re-runs it live under the same storm sequence.
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // flightKeep bounds the ring — enough for a harness run's full storm
 // history without unbounded growth on a long-lived daemon.
@@ -58,8 +55,6 @@ type Flight struct {
 	// Links and Classes are the storm's scope as journaled.
 	Links   int `json:"links"`
 	Classes int `json:"classes"`
-	// Open is true until the end event lands.
-	Open bool `json:"open,omitempty"`
 	// Source names the node whose controller recorded this flight —
 	// empty locally, annotated by the cluster /debug/storms aggregator.
 	Source string `json:"source,omitempty"`
@@ -67,17 +62,16 @@ type Flight struct {
 	Events []FlightEvent `json:"events"`
 }
 
-// flightRecorder holds the ring. It has its own lock and is only ever
-// called either with the controller lock held or from single-storm
-// execution paths; it never calls back into the controller, so the
-// lock order controller→recorder is acyclic.
+// flightRecorder holds the ring; guarded by the controller's mu. A
+// storm's begin, class events and end all land inside the one critical
+// section that runs or replays the storm, so no reader sees an open
+// flight.
 type flightRecorder struct {
-	mu      sync.Mutex
 	flights []*Flight // oldest first, bounded by flightKeep
 }
 
-// getLocked finds the flight for a storm sequence (newest match).
-func (fr *flightRecorder) getLocked(seq int) *Flight {
+// get finds the flight for a storm sequence (newest match).
+func (fr *flightRecorder) get(seq int) *Flight {
 	for i := len(fr.flights) - 1; i >= 0; i-- {
 		if fr.flights[i].Storm == seq {
 			return fr.flights[i]
@@ -88,13 +82,8 @@ func (fr *flightRecorder) getLocked(seq int) *Flight {
 
 // begin opens a flight for a storm.
 func (fr *flightRecorder) begin(seq, links, classes int, replayed bool) {
-	if fr == nil {
-		return
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
 	f := &Flight{
-		Storm: seq, Begin: now(), Links: links, Classes: classes, Open: true,
+		Storm: seq, Begin: now(), Links: links, Classes: classes,
 		Events: []FlightEvent{{Kind: "begin", Replayed: replayed}},
 	}
 	fr.flights = append(fr.flights, f)
@@ -105,12 +94,7 @@ func (fr *flightRecorder) begin(seq, links, classes int, replayed bool) {
 
 // class records one class fan-out.
 func (fr *flightRecorder) class(seq int, key, outcome string, sat, latencyMs float64, replayed bool) {
-	if fr == nil {
-		return
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	f := fr.getLocked(seq)
+	f := fr.get(seq)
 	if f == nil {
 		return
 	}
@@ -128,16 +112,10 @@ func (fr *flightRecorder) class(seq int, key, outcome string, sat, latencyMs flo
 
 // end closes a flight.
 func (fr *flightRecorder) end(seq int, replayed bool) {
-	if fr == nil {
-		return
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	f := fr.getLocked(seq)
+	f := fr.get(seq)
 	if f == nil {
 		return
 	}
-	f.Open = false
 	f.Events = append(f.Events, FlightEvent{
 		Kind: "end", AtMs: ms(now().Sub(f.Begin)), Replayed: replayed,
 	})
@@ -148,8 +126,8 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // Flights snapshots the recorded storms, newest first. The copies are
 // the caller's to annotate (the cluster aggregator stamps Source).
 func (c *Controller) Flights() []Flight {
-	c.flights.mu.Lock()
-	defer c.flights.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]Flight, 0, len(c.flights.flights))
 	for i := len(c.flights.flights) - 1; i >= 0; i-- {
 		f := c.flights.flights[i]
@@ -162,17 +140,15 @@ func (c *Controller) Flights() []Flight {
 
 // FlightSummary condenses the newest flight for /healthz.
 type FlightSummary struct {
-	Storm  int  `json:"storm"`
-	Events int  `json:"events"`
-	Open   bool `json:"open,omitempty"`
+	Storm  int `json:"storm"`
+	Events int `json:"events"`
 }
 
-func (c *Controller) flightSummary() *FlightSummary {
-	c.flights.mu.Lock()
-	defer c.flights.mu.Unlock()
-	if len(c.flights.flights) == 0 {
+// summary condenses the newest flight; nil before the first storm.
+func (fr *flightRecorder) summary() *FlightSummary {
+	if len(fr.flights) == 0 {
 		return nil
 	}
-	f := c.flights.flights[len(c.flights.flights)-1]
-	return &FlightSummary{Storm: f.Storm, Events: len(f.Events), Open: f.Open}
+	f := fr.flights[len(fr.flights)-1]
+	return &FlightSummary{Storm: f.Storm, Events: len(f.Events)}
 }

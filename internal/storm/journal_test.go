@@ -192,7 +192,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 				t.Fatalf("Storm after replay = %+v, %v; want nothing pending", rep, err)
 			}
 			fs := c2.Flights()
-			if len(fs) != 1 || fs[0].Storm != 1 || fs[0].Open || fs[0].Classes == 0 ||
+			if len(fs) != 1 || fs[0].Storm != 1 || fs[0].Classes == 0 ||
 				len(fs[0].Events) != fs[0].Classes+2 ||
 				fs[0].Events[0].Kind != "begin" || fs[0].Events[len(fs[0].Events)-1].Kind != "end" {
 				t.Fatalf("replayed flights = %+v, want one closed begin…end flight for storm 1", fs)

@@ -71,21 +71,10 @@ func (c *Controller) qosMemberLocked(s *Session, satisfaction float64) {
 	c.qosPublishLocked()
 }
 
-// qosPublishLocked re-derives the degraded-sessions gauge from the
-// members' flags — the flags are the journaled truth, so the gauge is
-// identical after live execution and after replay.
+// qosPublishLocked publishes the degraded-sessions gauge from the
+// controller's tally of the members' flags — the flags are the
+// journaled truth, so the gauge is identical after live execution and
+// after replay.
 func (c *Controller) qosPublishLocked() {
-	cc := c.cfg.Counters
-	if cc == nil {
-		return
-	}
-	degraded := 0
-	for _, key := range c.order {
-		for _, s := range c.classes[key].members {
-			if s.degraded {
-				degraded++
-			}
-		}
-	}
-	cc.SetGauge(metrics.GaugeQoSDegradedSessions, float64(degraded))
+	c.cfg.Counters.SetGauge(metrics.GaugeQoSDegradedSessions, float64(c.degradedSessions))
 }

@@ -67,10 +67,6 @@ type planItem struct {
 	gap float64
 }
 
-// ErrStormActive rejects a Storm while another storm runs on the same
-// controller.
-var ErrStormActive = errors.New("storm: a storm is already running")
-
 // Storm absorbs the pending changed-link set and re-plans every
 // affected class — once per class, not once per session. Affected means
 // the class's chain crosses a changed link, the class was already
@@ -79,13 +75,14 @@ var ErrStormActive = errors.New("storm: a storm is already running")
 // QoS floor first. Returns the report and the storm's journal record
 // (RecordKind), which the host appends in the same batch as the command
 // that caused the storm; a nil report means nothing was pending.
+//
+// The whole storm is one critical section: c.mu is held from absorbing
+// the pending set until the report is stored, so every other controller
+// call — a reader included — sees the storm whole or not at all.
 func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	start := now()
 	c.mu.Lock()
-	if c.active {
-		c.mu.Unlock()
-		return nil, nil, ErrStormActive
-	}
+	defer c.mu.Unlock()
 	changed := make(map[string][]overlay.LinkRef)
 	totalLinks := 0
 	for name, r := range c.regions {
@@ -96,15 +93,12 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 		}
 	}
 	if totalLinks == 0 && len(c.replan) == 0 {
-		c.mu.Unlock()
 		return nil, nil, nil
 	}
 	items := c.scoreLocked(c.affectedLocked(changed))
 	clear(c.replan)
 	c.stormSeq++
-	c.active = true
 	seq := c.stormSeq
-	c.mu.Unlock()
 
 	// The plan phase: every item gets a plan — a class that cannot be
 	// planned is recorded no-chain — so a storm never stops part-way.
@@ -115,7 +109,7 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 		rep.AffectedSessions += len(it.cls.members)
 	}
 	for _, it := range items {
-		out, plan, selected := c.planOne(seq, it)
+		out, plan, selected := c.planOneLocked(seq, it)
 		rec.Plans = append(rec.Plans, plan)
 		rep.Classes = append(rep.Classes, *out)
 		if selected {
@@ -130,15 +124,7 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 		}
 	}
 
-	c.mu.Lock()
-	c.active = false
-	for _, cls := range c.classes {
-		for _, s := range cls.members {
-			if s.degraded {
-				rep.DegradedSessions++
-			}
-		}
-	}
+	rep.DegradedSessions = c.degradedSessions
 	if rep.AffectedSessions > 0 {
 		rep.SelectPerSession = float64(rep.SelectCalls) / float64(rep.AffectedSessions)
 	}
@@ -146,7 +132,6 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	c.naiveChecks, c.naiveMismatches = 0, 0
 	rep.RecoveryMs = float64(now().Sub(start).Microseconds()) / 1000.0
 	c.lastReport = rep
-	c.mu.Unlock()
 	c.flights.end(seq, false)
 	c.cfg.Counters.Inc(metrics.CounterStormEvents)
 	c.cfg.Counters.Add(metrics.CounterStormClasses, int64(rep.AffectedClasses))
@@ -250,13 +235,13 @@ func (c *Controller) classGraphLocked(cls *Class) (*graph.Graph, error) {
 	return g, err
 }
 
-// planOne re-plans one class: bring the class graph up to the overlay
-// as it is (including earlier classes' hold swaps in this same storm),
-// run Select once, and fan the result out to every member with an
-// atomic hold swap. A class whose graph cannot be built gets no Select
-// and is recorded no-chain. Returns the outcome, the plan for the storm
-// record, and whether Select ran.
-func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bool) {
+// planOneLocked re-plans one class: bring the class graph up to the
+// overlay as it is (including earlier classes' hold swaps in this same
+// storm), run Select once, and fan the result out to every member with
+// an atomic hold swap. A class whose graph cannot be built gets no
+// Select and is recorded no-chain. Returns the outcome, the plan for
+// the storm record, and whether Select ran. Called with c.mu held.
+func (c *Controller) planOneLocked(seq int, it planItem) (*ClassOutcome, classPlan, bool) {
 	cls := it.cls
 	planStart := now()
 
@@ -266,7 +251,6 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bo
 	// are released only around the annotation and restored exactly —
 	// the graph keeps the freed-capacity snapshot, the overlay does not.
 	// Verify builds its oracle graph cold inside the same window.
-	c.mu.Lock()
 	saved := c.releaseMembersLocked(cls)
 	g, err := c.classGraphLocked(cls)
 	var fresh *graph.Graph
@@ -274,7 +258,6 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bo
 		fresh, _ = graph.Build(cls.in) // a failed build fails every check
 	}
 	dropped := c.restoreMembersLocked(cls, saved)
-	c.mu.Unlock()
 
 	var res *core.Result
 	degraded := false
@@ -290,12 +273,10 @@ func (c *Controller) planOne(seq int, it planItem) (*ClassOutcome, classPlan, bo
 			res = nil // nothing composes; keep the old chain
 		}
 		if c.cfg.Verify {
-			c.verifyClass(fresh, cls, res)
+			c.verifyClassLocked(fresh, cls, res)
 		}
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := c.applyPlanLocked(cls, res, degraded)
 	out.Gap = it.gap
 	plan := classPlan{
@@ -345,7 +326,7 @@ func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservat
 		}
 		if err := r.Net.ReserveChain(hold); err != nil {
 			cls.members[i].held = nil
-			cls.members[i].degraded = true
+			c.setDegradedLocked(cls.members[i], true)
 			dropped = append(dropped, cls.members[i].ID)
 		}
 	}
@@ -363,17 +344,18 @@ func (c *Controller) dropHoldsLocked(cls *Class, ids []string) {
 		}
 		r.Net.ReleaseChain(s.held)
 		s.held = nil
-		s.degraded = true
+		c.setDegradedLocked(s, true)
 	}
 }
 
-// verifyClass is the naive-equivalence harness check: Select is re-run
-// for every member on fresh, a cold graph.Build of the overlay the class
-// planned against, and must return the class plan — the same chain and
-// formats, or nothing when the class plan found nothing. A missing fresh
-// graph fails every check. Counted separately from storm.select_calls —
-// these are the baseline being measured against, not controller work.
-func (c *Controller) verifyClass(fresh *graph.Graph, cls *Class, res *core.Result) {
+// verifyClassLocked is the naive-equivalence harness check: Select is
+// re-run for every member on fresh, a cold graph.Build of the overlay
+// the class planned against, and must return the class plan — the same
+// chain and formats, or nothing when the class plan found nothing. A
+// missing fresh graph fails every check. Counted separately from
+// storm.select_calls — these are the baseline being measured against,
+// not controller work.
+func (c *Controller) verifyClassLocked(fresh *graph.Graph, cls *Class, res *core.Result) {
 	for range cls.members {
 		match := fresh != nil
 		if match {
@@ -383,12 +365,10 @@ func (c *Controller) verifyClass(fresh *graph.Graph, cls *Class, res *core.Resul
 			}
 			match = samePlan(naive, res)
 		}
-		c.mu.Lock()
 		c.naiveChecks++
 		if !match {
 			c.naiveMismatches++
 		}
-		c.mu.Unlock()
 	}
 }
 
@@ -429,7 +409,7 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 		// streaming over nothing.
 		cls.degraded = true
 		for _, s := range cls.members {
-			s.degraded = true
+			c.setDegradedLocked(s, true)
 		}
 		if !c.replaying {
 			c.cfg.Counters.Add(metrics.CounterStormDegraded, int64(len(cls.members)))
@@ -453,7 +433,7 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 		// The refreshed graph still prefers the chain the members
 		// already hold; their reservations are already exact.
 		for _, s := range cls.members {
-			s.degraded = degraded
+			c.setDegradedLocked(s, degraded)
 		}
 		out.Outcome = OutcomeUnchanged
 		if degraded && !c.replaying {
@@ -472,13 +452,13 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 			if err := r.Net.SwapChain(s.held, hold); err != nil {
 				// Atomicity: the swap released nothing and acquired
 				// nothing; the member keeps its old chain, degraded.
-				s.degraded = true
+				c.setDegradedLocked(s, true)
 				out.SwapFailed++
 				continue
 			}
 			s.held = hold
 		}
-		s.degraded = degraded
+		c.setDegradedLocked(s, degraded)
 		s.swaps++
 		if !c.replaying {
 			c.cfg.Counters.Inc(metrics.CounterStormSessionsReplanned)

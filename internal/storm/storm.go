@@ -14,6 +14,10 @@
 //
 // Robustness properties:
 //
+//   - One critical section per storm: Storm holds the controller lock
+//     from absorbing the pending set until its report is stored, so
+//     every other call — readers included — sees a storm whole or not
+//     at all, and no class graph is refreshed under a running Select.
 //   - Serial re-planning: one loop walks the affected classes in
 //     priority order, one Select per class. Select is a deterministic
 //     pass over one network snapshot, so a storm replays identically
@@ -166,10 +170,12 @@ func (c *Class) Degraded() bool { return c.degraded }
 // currently owns on the region overlay. A non-reserving member rides
 // the class chain without holding bandwidth.
 type Session struct {
-	ID       string
-	class    *Class
-	reserve  bool
-	held     []overlay.Reservation
+	ID      string
+	class   *Class
+	reserve bool
+	held    []overlay.Reservation
+	// degraded is written only by Controller.setDegradedLocked, which
+	// keeps the controller's degraded tally.
 	degraded bool
 	swaps    int // successful chain swaps fanned out to this member
 }
@@ -189,6 +195,9 @@ type region struct {
 
 // Controller is the storm controller. See the package comment.
 type Controller struct {
+	// mu guards every field below and the class graphs the cache hands
+	// out; each exported method holds it for its whole run, a storm
+	// included.
 	mu      sync.Mutex
 	cfg     Config
 	cache   *graph.Cache
@@ -207,12 +216,14 @@ type Controller struct {
 	// qos is the SLO burn-rate window (see qos.go); guarded by mu.
 	qos qosState
 
-	stormSeq        int
-	active          bool
-	naiveChecks     int
-	naiveMismatches int
-	lastReport      *Report
-	replaying       bool
+	stormSeq int
+	// degradedSessions counts the attached members whose degraded flag
+	// is set (see setDegradedLocked).
+	degradedSessions int
+	naiveChecks      int
+	naiveMismatches  int
+	lastReport       *Report
+	replaying        bool
 	// replan holds the classes NoteReplan marked for the next Storm.
 	replan map[string]bool
 	// legacy collects a pre-single-record storm between its begin and
@@ -452,19 +463,36 @@ func (c *Controller) Attach(key string, n int) ([]*Session, error) {
 // reservation degrades the member instead of rejecting it.
 func (c *Controller) attachOneLocked(cls *Class, id string, reserve bool) *Session {
 	r := c.regions[cls.spec.Region]
-	s := &Session{ID: id, class: cls, reserve: reserve, degraded: cls.degraded}
+	s := &Session{ID: id, class: cls, reserve: reserve}
+	degraded := cls.degraded
 	if rs := c.chainReservations(cls); reserve && len(rs) > 0 {
 		hold := append([]overlay.Reservation(nil), rs...)
 		if err := r.Net.ReserveChain(hold); err == nil {
 			s.held = hold
 		} else {
-			s.degraded = true
+			degraded = true
 		}
 	}
+	c.setDegradedLocked(s, degraded)
 	cls.members = append(cls.members, s)
 	c.memberIdx[id] = s
 	c.qosMemberLocked(s, cls.Satisfaction())
 	return s
+}
+
+// setDegradedLocked is the one writer of a member's degraded flag: it
+// keeps c.degradedSessions equal to the number of attached members with
+// the flag set, so no reader recounts them.
+func (c *Controller) setDegradedLocked(s *Session, degraded bool) {
+	if s.degraded == degraded {
+		return
+	}
+	s.degraded = degraded
+	if degraded {
+		c.degradedSessions++
+	} else {
+		c.degradedSessions--
+	}
 }
 
 // AttachSession attaches one member with a caller-chosen ID — the
@@ -513,6 +541,7 @@ func (c *Controller) DetachSession(id string) error {
 		}
 	}
 	delete(c.memberIdx, id)
+	c.setDegradedLocked(s, false)
 	c.qosPublishLocked()
 	c.refreshGaugesLocked()
 	return nil
@@ -647,13 +676,14 @@ func (c *Controller) chainHosts(cls *Class) []string {
 // for the region. The returned count is how many links changed.
 func (c *Controller) OnFaults(regionName string, fired []fault.Fault) (int, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.regions[regionName]
-	c.mu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("storm: unknown region %q", regionName)
 	}
 	links := fault.ChangedLinks(fired, r.Net)
-	return len(links), c.NotePending(regionName, links)
+	notePendingLocked(r, links)
+	return len(links), nil
 }
 
 // requiredKbps converts a planned chain's delivered parameters into the
@@ -766,7 +796,6 @@ type Status struct {
 	Classes          int     `json:"classes"`
 	Sessions         int     `json:"sessions"`
 	Storms           int     `json:"storms"`
-	Active           bool    `json:"active"`
 	PendingLinks     int     `json:"pendingLinks"`
 	DegradedSessions int     `json:"degradedSessions"`
 	LastStorm        *Report `json:"lastStorm,omitempty"`
@@ -776,27 +805,21 @@ type Status struct {
 
 // Status snapshots the controller for /healthz.
 func (c *Controller) Status() Status {
-	flight := c.flightSummary()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Status{
-		LastFlight: flight,
-		Regions:    len(c.regions),
-		Classes:    len(c.classes),
-		Storms:     c.stormSeq,
-		Active:     c.active,
-		LastStorm:  c.lastReport,
+		Regions:          len(c.regions),
+		Classes:          len(c.classes),
+		Storms:           c.stormSeq,
+		DegradedSessions: c.degradedSessions,
+		LastStorm:        c.lastReport,
+		LastFlight:       c.flights.summary(),
 	}
 	for _, r := range c.regions {
 		st.PendingLinks += len(r.pending)
 	}
 	for _, cls := range c.classes {
 		st.Sessions += len(cls.members)
-		for _, s := range cls.members {
-			if s.degraded {
-				st.DegradedSessions++
-			}
-		}
 	}
 	return st
 }

@@ -6,6 +6,7 @@ package storm_test
 // lost records and legacy records) is covered in journal_test.go.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -394,8 +395,8 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.Regions != 1 || st.Classes != 1 || st.Sessions != 7 {
 		t.Fatalf("Status = %+v, want 1 region, 1 class, 7 sessions", st)
 	}
-	if st.Storms != 1 || st.Active {
-		t.Fatalf("Status storms/active = %d/%v, want 1/false", st.Storms, st.Active)
+	if st.Storms != 1 {
+		t.Fatalf("Status.Storms = %d, want 1", st.Storms)
 	}
 	if st.PendingLinks != 0 {
 		t.Fatalf("Status.PendingLinks = %d after storm, want 0", st.PendingLinks)
@@ -521,4 +522,199 @@ func stormAgainstFreshGraph(t *testing.T, seed int64) {
 			t.Fatalf("seed %d storm %d: leak %.6f kbps", seed, s, d)
 		}
 	}
+}
+
+// TestEnsureClassDuringStormRace: a class created while a storm runs
+// shares the storm's cached class graph when its spec differs only in
+// the floor (the graph cache keys on content, device, services and
+// region). Creating it must wait for the storm, not refresh that graph
+// in place under the storm's Select. Meaningful under -race.
+func TestEnsureClassDuringStormRace(t *testing.T) {
+	reg := buildRegion("r1", 80000)
+	c, err := storm.Open(storm.Config{}, []storm.Region{reg})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	cls, err := c.AddClass(classSpec("r1", 30, 0.5))
+	if err != nil {
+		t.Fatalf("AddClass: %v", err)
+	}
+	if _, err := c.Attach(cls.Key(), 4); err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	const rounds = 100
+	links := reg.Net.LinksOf(reg.SenderHost)
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			factor := 0.5
+			if i%2 == 1 {
+				factor = 2
+			}
+			for _, l := range links {
+				if err := reg.Net.ScaleBandwidth(l.From, l.To, factor); err != nil {
+					done <- err
+					return
+				}
+			}
+			if err := c.NotePending(reg.Name, links); err != nil {
+				done <- err
+				return
+			}
+			if _, _, err := c.Storm(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if _, err := c.EnsureClass(classSpec("r1", 30, 0.001*float64(i))); err != nil {
+			t.Errorf("EnsureClass %d: %v", i, err)
+			break
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("storm goroutine: %v", err)
+	}
+	if d := leak(c, reg); d != 0 {
+		t.Fatalf("leak after concurrent storms: %.3f kbps", d)
+	}
+}
+
+// TestDegradedTallyMatchesMembers is the oracle for the controller's
+// degraded tally: over seeded mixes of attaches, detaches and storms on
+// a live controller, each storm replayed onto a second controller
+// through ReplayRecord, Status().DegradedSessions and the
+// qos.degraded_sessions gauge must equal a recount of the members'
+// MemberState flags on both controllers after every step.
+func TestDegradedTallyMatchesMembers(t *testing.T) {
+	peak := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		peak = max(peak, degradedTally(t, seed))
+	}
+	if peak == 0 {
+		t.Fatal("no scenario degraded a member; the oracle checked nothing")
+	}
+}
+
+// tallySide is one controller of the degraded-tally oracle with the
+// registry its counters write to.
+type tallySide struct {
+	name string
+	c    *storm.Controller
+	reg  storm.Region
+	r    *metrics.Registry
+}
+
+// degradedTally runs one seeded scenario of the oracle and returns the
+// most members it saw degraded at once.
+func degradedTally(t *testing.T, seed int64) int {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	open := func(name string) tallySide {
+		reg := buildRegion("r1", 6000)
+		r := metrics.NewRegistry()
+		metrics.RegisterWellKnown(r)
+		c, err := storm.Open(storm.Config{Counters: metrics.CountersOn(r)}, []storm.Region{reg})
+		if err != nil {
+			t.Fatalf("seed %d: Open: %v", seed, err)
+		}
+		return tallySide{name: name, c: c, reg: reg, r: r}
+	}
+	sides := []tallySide{open("live"), open("replica")}
+	live := sides[0]
+	var keys []string
+	for _, ideal := range []float64{30, 20, 10} {
+		spec := classSpec("r1", ideal, 0.5)
+		for _, sd := range sides {
+			if _, err := sd.c.AddClass(spec); err != nil {
+				t.Fatalf("seed %d: %s AddClass: %v", seed, sd.name, err)
+			}
+		}
+		keys = append(keys, spec.Key())
+	}
+	var links []overlay.LinkRef
+	seen := make(map[overlay.LinkRef]bool)
+	for _, node := range live.reg.Net.Nodes() {
+		for _, l := range live.reg.Net.LinksOf(node) {
+			if !seen[l] {
+				seen[l] = true
+				links = append(links, l)
+			}
+		}
+	}
+
+	var ids []string
+	peak := 0
+	for step := 0; step < 60; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 || (op == 1 && len(ids) == 0):
+			key, id, reserve := keys[rng.Intn(len(keys))], fmt.Sprintf("s%d", step), rng.Intn(4) != 0
+			for _, sd := range sides {
+				if _, err := sd.c.AttachSession(key, id, reserve); err != nil {
+					t.Fatalf("seed %d step %d: %s attach: %v", seed, step, sd.name, err)
+				}
+			}
+			ids = append(ids, id)
+		case op == 1:
+			i := rng.Intn(len(ids))
+			for _, sd := range sides {
+				if err := sd.c.DetachSession(ids[i]); err != nil {
+					t.Fatalf("seed %d step %d: %s detach: %v", seed, step, sd.name, err)
+				}
+			}
+			ids = append(ids[:i], ids[i+1:]...)
+		default:
+			changed := make([]overlay.LinkRef, 0, 3)
+			for k, n := 0, 1+rng.Intn(3); k < n; k++ {
+				l := links[rng.Intn(len(links))]
+				factor := 1e-3
+				if rng.Intn(2) == 0 {
+					factor = 0.3 + 1.7*rng.Float64()
+				}
+				for _, sd := range sides {
+					if err := sd.reg.Net.ScaleBandwidth(l.From, l.To, factor); err != nil {
+						t.Fatalf("seed %d step %d: ScaleBandwidth: %v", seed, step, err)
+					}
+				}
+				changed = append(changed, l)
+			}
+			if err := live.c.NotePending("r1", changed); err != nil {
+				t.Fatalf("seed %d step %d: NotePending: %v", seed, step, err)
+			}
+			rep, rec, err := live.c.Storm()
+			if err != nil {
+				t.Fatalf("seed %d step %d: Storm: %v", seed, step, err)
+			}
+			if rep != nil {
+				if err := sides[1].c.ReplayRecord(storm.RecordKind, rec); err != nil {
+					t.Fatalf("seed %d step %d: ReplayRecord: %v", seed, step, err)
+				}
+			}
+		}
+		for _, sd := range sides {
+			n := 0
+			for _, id := range ids {
+				v, ok := sd.c.MemberState(id)
+				if !ok {
+					t.Fatalf("seed %d step %d: %s lost member %s", seed, step, sd.name, id)
+				}
+				if v.Degraded {
+					n++
+				}
+			}
+			if got := sd.c.Status().DegradedSessions; got != n {
+				t.Fatalf("seed %d step %d: %s Status().DegradedSessions = %d, recount %d", seed, step, sd.name, got, n)
+			}
+			if got := sd.r.GaugeValue(metrics.GaugeQoSDegradedSessions); got != float64(n) {
+				t.Fatalf("seed %d step %d: %s degraded gauge = %v, recount %d", seed, step, sd.name, got, n)
+			}
+			peak = max(peak, n)
+		}
+	}
+	if a, b := fingerprint(t, sides[0].c), fingerprint(t, sides[1].c); a != b {
+		t.Fatalf("seed %d: replica fingerprint differs from live\nlive:    %s\nreplica: %s", seed, a, b)
+	}
+	return peak
 }

@@ -10,8 +10,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"qoschain/internal/core"
 	"qoschain/internal/media"
@@ -50,53 +52,81 @@ func BenchmarkSelect(b *testing.B) {
 	})
 }
 
-// TestTracingOverheadGuard measures both BenchmarkSelect variants and
-// fails if tracing costs more than 5% wall time. It is opt-in
+// TestTracingOverheadGuard times the operations of both BenchmarkSelect
+// variants (see interleavedMinNsPerOp) and fails if tracing costs more
+// than 5% wall time. It is opt-in
 // (TRACE_OVERHEAD_GUARD=1) because micro-benchmark timing is too noisy
 // for the default -race matrix; CI runs it in a dedicated step.
 func TestTracingOverheadGuard(t *testing.T) {
 	if os.Getenv("TRACE_OVERHEAD_GUARD") == "" {
 		t.Skip("set TRACE_OVERHEAD_GUARD=1 to run the overhead guard")
 	}
-	sc := workload.Generate(rand.New(rand.NewSource(11)), workload.Spec{Services: 200})
-	plainBench := func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	round := func() (plain, traced func()) {
+		sc := workload.Generate(rand.New(rand.NewSource(11)), workload.Spec{Services: 200})
+		tracer := trace.NewTracer(4)
+		plain = func() {
 			if _, err := core.Select(sc.Graph, sc.Config); err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 		}
-	}
-	tracedBench := func(b *testing.B) {
-		tracer := trace.NewTracer(4)
-		for i := 0; i < b.N; i++ {
+		traced = func() {
 			tr := tracer.Start("bench.select")
 			ctx := trace.NewContext(context.Background(), tr)
 			if _, err := core.SelectCtx(ctx, sc.Graph, sc.Config); err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 			tr.Finish()
 		}
+		return plain, traced
 	}
-	// Interleave several runs of each variant and compare the per-variant
-	// minimums: the min ns/op is the least scheduler-disturbed measurement
-	// of each, so the comparison reflects the instrumentation rather than
-	// which variant drew the noisier time slice.
-	const runs = 5
-	var p, tr int64
-	for i := 0; i < runs; i++ {
-		if ns := testing.Benchmark(plainBench).NsPerOp(); p == 0 || ns < p {
-			p = ns
-		}
-		if ns := testing.Benchmark(tracedBench).NsPerOp(); tr == 0 || ns < tr {
-			tr = ns
-		}
-	}
+	p, tr := interleavedMinNsPerOp(round)
 	overhead := float64(tr-p) / float64(p) * 100
 	msg := fmt.Sprintf("plain %d ns/op, traced %d ns/op, overhead %.2f%%", p, tr, overhead)
 	if overhead > 5 {
 		t.Fatalf("tracing overhead above 5%% budget: %s", msg)
 	}
 	t.Log(msg)
+}
+
+// The overhead guards run overheadRounds rounds of overheadOps
+// operations of each variant.
+const (
+	overheadRounds = 100
+	overheadOps    = 200
+)
+
+// interleavedMinNsPerOp times single operations of a base and an
+// instrumented variant, interleaved one for one (alternating which goes
+// first), and returns each variant's minimum ns/op: the minimum is the
+// least scheduler-disturbed measurement of each, so the comparison
+// reflects the instrumentation rather than which variant drew the
+// noisier time slice. Interleaving single operations gives both
+// variants the same machine conditions down to the operation. Each
+// round starts from fresh state (newRound), so no variant keeps one
+// lucky or unlucky memory layout for the whole run, and from a forced
+// collection, so no round inherits the previous round's garbage.
+func interleavedMinNsPerOp(newRound func() (base, instrumented func())) (baseNs, instrNs int64) {
+	timed := func(op func(), min *int64) {
+		start := time.Now()
+		op()
+		if ns := time.Since(start).Nanoseconds(); *min == 0 || ns < *min {
+			*min = ns
+		}
+	}
+	for i := 0; i < overheadRounds; i++ {
+		base, instrumented := newRound()
+		runtime.GC()
+		for j := 0; j < overheadOps; j++ {
+			if j%2 == 0 {
+				timed(base, &baseNs)
+				timed(instrumented, &instrNs)
+			} else {
+				timed(instrumented, &instrNs)
+				timed(base, &baseNs)
+			}
+		}
+	}
+	return baseNs, instrNs
 }
 
 // sloBenchSet mirrors the simulator's Figure 6 deployment (Table 1
@@ -156,40 +186,27 @@ func TestSLOOverheadGuard(t *testing.T) {
 		t.Skip("set TRACE_OVERHEAD_GUARD=1 to run the overhead guard")
 	}
 	set := sloBenchSet()
-	newBench := func(counters *metrics.Counters) func(b *testing.B) {
-		return func(b *testing.B) {
-			m, err := session.NewManager(session.ManagerConfig{Counters: counters})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ms, err := m.Create(session.CreateSpec{Set: set, Floor: 0.3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, logErr := ms.ReevaluateReason(session.ReevalManual); logErr != nil {
-					b.Fatal(logErr)
-				}
+	newOp := func(counters *metrics.Counters) func() {
+		m, err := session.NewManager(session.ManagerConfig{Counters: counters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := m.Create(session.CreateSpec{Set: set, Floor: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if _, _, logErr := ms.ReevaluateReason(session.ReevalManual); logErr != nil {
+				t.Fatal(logErr)
 			}
 		}
 	}
-	plainBench := newBench(nil)
 	reg := metrics.NewRegistry()
 	metrics.RegisterWellKnown(reg)
-	trackedBench := newBench(metrics.CountersOn(reg))
-	// Same protocol as the tracing guard: interleave and compare the
-	// per-variant minimums so scheduler noise cancels out.
-	const runs = 5
-	var p, tr int64
-	for i := 0; i < runs; i++ {
-		if ns := testing.Benchmark(plainBench).NsPerOp(); p == 0 || ns < p {
-			p = ns
-		}
-		if ns := testing.Benchmark(trackedBench).NsPerOp(); tr == 0 || ns < tr {
-			tr = ns
-		}
+	round := func() (plain, tracked func()) {
+		return newOp(nil), newOp(metrics.CountersOn(reg))
 	}
+	p, tr := interleavedMinNsPerOp(round)
 	overhead := float64(tr-p) / float64(p) * 100
 	msg := fmt.Sprintf("plain %d ns/op, slo-tracked %d ns/op, overhead %.2f%%", p, tr, overhead)
 	if overhead > 5 {
