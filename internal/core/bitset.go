@@ -79,17 +79,27 @@ func (a *wordArena) alloc(words int) []uint64 {
 // labelArena bump-allocates labels in chunks. Labels live until Select
 // returns (they back the expanded set and path reconstruction), so the
 // arena never frees individually — dropping the arena frees everything.
+// Chunks are never moved, so label pointers stay stable.
 type labelArena struct {
 	chunk []label
 	used  int
+	// size is the length of the next chunk; 0 means labelChunkSize.
+	// Select sizes the first chunk to the graph's vertex count (capped
+	// at labelChunkSize): a Select rarely relabels a vertex, so a small
+	// graph's labels fit one small chunk.
+	size int
 }
 
 const labelChunkSize = 256
 
 func (a *labelArena) alloc() *label {
 	if a.used == len(a.chunk) {
-		a.chunk = make([]label, labelChunkSize)
+		if a.size <= 0 {
+			a.size = labelChunkSize
+		}
+		a.chunk = make([]label, a.size)
 		a.used = 0
+		a.size = labelChunkSize
 	}
 	l := &a.chunk[a.used]
 	a.used++

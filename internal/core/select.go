@@ -178,7 +178,7 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 	numCandidates := 0
 	useHeap := !cfg.Scan
 	var candidates candidateHeap
-	var larena labelArena
+	larena := labelArena{size: min(n, labelChunkSize)}
 	var warena wordArena
 	extWords := extWordsFor(g.FormatCount())
 	ev := newEdgeEvaluator(g, &cfg)

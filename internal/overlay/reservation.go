@@ -52,88 +52,69 @@ type Reservation struct {
 // are summed before checking (a chain may cross a link twice);
 // co-located pairs (From == To) and non-positive shares are skipped.
 // On failure it returns a *CapacityError naming the first offending
-// link in chain order.
+// link in chain order. It is ReserveChainN with count 1.
 func (n *Network) ReserveChain(rs []Reservation) error {
+	_, err := n.ReserveChainN(rs, 1)
+	return err
+}
+
+// ReserveChainN admits the same chain count times under one lock — the
+// float operations of count back-to-back ReserveChain calls, with each
+// link resolved once. A rejected admission leaves the overlay untouched,
+// so every later one would be rejected too: the first rejection ends
+// the run. It returns how many admissions committed and, when fewer
+// than count did, the rejection's *CapacityError.
+func (n *Network) ReserveChainN(rs []Reservation, count int) (int, error) {
+	if count <= 0 {
+		return 0, nil
+	}
+	var buf [8]linkShare
 	n.mu.Lock()
-	// Aggregate per link, preserving first-touch order for stable
-	// error attribution.
-	need := make(map[edge]float64, len(rs))
-	order := make([]edge, 0, len(rs))
-	for _, r := range rs {
-		if r.From == r.To || r.Kbps <= 0 {
-			continue
+	need := n.sumSharesLocked(rs, buf[:0])
+	done := 0
+	var err error
+	for ; done < count; done++ {
+		// Check phase: nothing is mutated until every link clears.
+		if err = checkShares(need); err != nil {
+			break
 		}
-		e := edge{r.From, r.To}
-		if _, seen := need[e]; !seen {
-			order = append(order, e)
-		}
-		need[e] += r.Kbps
-	}
-	// Check phase: nothing is mutated until every link clears.
-	for _, e := range order {
-		l, ok := n.links[e]
-		if !ok {
-			n.mu.Unlock()
-			return &CapacityError{From: e.from, To: e.to, NeedKbps: need[e], Down: true}
-		}
-		if !n.usableLocked(e, l) {
-			n.mu.Unlock()
-			return &CapacityError{From: e.from, To: e.to, NeedKbps: need[e], Down: true}
-		}
-		if l.available() < need[e]-1e-9 {
-			err := &CapacityError{From: e.from, To: e.to, AvailableKbps: l.available(), NeedKbps: need[e]}
-			n.mu.Unlock()
-			return err
+		for _, s := range need {
+			s.l.reservedKbps += s.kbps
 		}
 	}
-	// Commit phase.
-	events := make([]Event, 0, len(order))
-	for _, e := range order {
-		l := n.links[e]
-		l.reservedKbps += need[e]
-		events = append(events, Event{From: e.from, To: e.to, BandwidthKbps: l.available()})
+	if len(need) > 0 {
+		n.gen += uint64(done)
 	}
-	if len(order) > 0 {
-		n.gen++
-	}
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	for _, ev := range events {
-		notify(subs, ev)
-	}
-	return nil
+	n.unlockNotify(done > 0, need)
+	return done, err
 }
 
 // ReleaseChain returns a chain's reservations in one mutation,
 // clamping each link's reservation at zero. Unknown links and
-// co-located pairs are ignored.
+// co-located pairs are ignored. It is ReleaseChainN with count 1.
 func (n *Network) ReleaseChain(rs []Reservation) {
+	n.ReleaseChainN(rs, 1)
+}
+
+// ReleaseChainN returns the same chain's reservations count times under
+// one lock — the float operations of count back-to-back ReleaseChain
+// calls, with each link resolved once. A release cannot fail, so it
+// returns count.
+func (n *Network) ReleaseChainN(rs []Reservation, count int) int {
+	if count <= 0 {
+		return 0
+	}
+	var buf [8]linkShare
 	n.mu.Lock()
-	events := make([]Event, 0, len(rs))
-	changed := false
-	for _, r := range rs {
-		if r.From == r.To || r.Kbps <= 0 {
-			continue
-		}
-		l, ok := n.links[edge{r.From, r.To}]
-		if !ok {
-			continue
-		}
-		l.reservedKbps -= r.Kbps
-		if l.reservedKbps < 0 {
-			l.reservedKbps = 0
-		}
-		changed = true
-		events = append(events, Event{From: r.From, To: r.To, BandwidthKbps: l.available()})
+	shares := n.sharesLocked(rs, buf[:0])
+	for range count {
+		releaseShares(shares)
 	}
-	if changed {
-		n.gen++
+	if len(shares) > 0 {
+		n.gen += uint64(count)
 	}
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	for _, ev := range events {
-		notify(subs, ev)
-	}
+	n.unlockNotify(true, shares)
+	return count
 }
 
 // SwapChain atomically moves a session from one chain hold to another:
@@ -144,88 +125,178 @@ func (n *Network) ReleaseChain(rs []Reservation) {
 // that are full only because of the holds being replaced. On failure
 // every touched reservation is restored to its exact prior value and a
 // *CapacityError names the first offending link — the session keeps its
-// old hold untouched.
+// old hold untouched. It is SwapChainN with count 1.
 func (n *Network) SwapChain(release, acquire []Reservation) error {
+	_, err := n.SwapChainN(release, acquire, 1)
+	return err
+}
+
+// SwapChainN moves count sessions holding the same chain to the same new
+// chain under one lock — the float operations of count back-to-back
+// SwapChain calls, with each link resolved once. A failed swap restores
+// every touched link to its exact prior value, so every later swap would
+// fail too: the first failure ends the run. It returns how many swaps
+// committed and, when fewer than count did, the failure's
+// *CapacityError.
+func (n *Network) SwapChainN(release, acquire []Reservation, count int) (int, error) {
+	if count <= 0 {
+		return 0, nil
+	}
+	var relBuf, acqBuf [8]linkShare
 	n.mu.Lock()
-	// Remember the prior reservation of every link we mutate so a failed
-	// acquire can restore the overlay byte-for-byte.
-	saved := make(map[edge]float64, len(release)+len(acquire))
-	touched := make([]edge, 0, len(release)+len(acquire))
-	touch := func(e edge, l *linkState) {
-		if _, ok := saved[e]; !ok {
-			saved[e] = l.reservedKbps
-			touched = append(touched, e)
+	rel := n.sharesLocked(release, relBuf[:0])
+	acq := n.sumSharesLocked(acquire, acqBuf[:0])
+	done := 0
+	var err error
+	for ; done < count; done++ {
+		// Remember every link's prior reservation so a failed acquire
+		// can restore the overlay byte-for-byte.
+		saveShares(rel)
+		saveShares(acq)
+		releaseShares(rel)
+		// Check phase: nothing further is mutated until every link
+		// clears.
+		if err = checkShares(acq); err != nil {
+			restoreShares(rel)
+			restoreShares(acq)
+			break
+		}
+		for _, s := range acq {
+			s.l.reservedKbps += s.kbps
 		}
 	}
-	// Release phase: same semantics as ReleaseChain (unknown links and
-	// co-located pairs ignored, clamped at zero).
-	for _, r := range release {
+	if len(rel)+len(acq) > 0 {
+		n.gen += uint64(done)
+	}
+	n.unlockNotify(done > 0, rel, acq)
+	return done, err
+}
+
+// linkShare is one chain reservation resolved against the link table
+// once, so a run of identical chains touches each link by pointer.
+type linkShare struct {
+	e    edge
+	l    *linkState // nil when the link is unknown
+	kbps float64
+	// usable records whether the link carries traffic; failures cannot
+	// change under the lock, so it is read once per call.
+	usable bool
+	// prior is the link's reservation before the current swap.
+	prior float64
+}
+
+// sharesLocked resolves a chain's reservations one by one, as a release
+// walks them: co-located pairs, non-positive shares and unknown links
+// are skipped.
+func (n *Network) sharesLocked(rs []Reservation, out []linkShare) []linkShare {
+	for _, r := range rs {
 		if r.From == r.To || r.Kbps <= 0 {
 			continue
 		}
 		e := edge{r.From, r.To}
-		l, ok := n.links[e]
-		if !ok {
-			continue
-		}
-		touch(e, l)
-		l.reservedKbps -= r.Kbps
-		if l.reservedKbps < 0 {
-			l.reservedKbps = 0
+		if l, ok := n.links[e]; ok {
+			out = append(out, linkShare{e: e, l: l, kbps: r.Kbps})
 		}
 	}
-	// Aggregate the acquire per link, preserving first-touch order for
-	// stable error attribution (a chain may cross a link twice).
-	need := make(map[edge]float64, len(acquire))
-	order := make([]edge, 0, len(acquire))
-	for _, r := range acquire {
+	return out
+}
+
+// sumSharesLocked resolves a chain's reservations as an admission needs
+// them: summed per link in first-touch order (a chain may cross a link
+// twice, and errors name the first offending link in chain order),
+// co-located pairs and non-positive shares skipped. An unknown link
+// stays in the list, unusable.
+func (n *Network) sumSharesLocked(rs []Reservation, out []linkShare) []linkShare {
+	for _, r := range rs {
 		if r.From == r.To || r.Kbps <= 0 {
 			continue
 		}
 		e := edge{r.From, r.To}
-		if _, seen := need[e]; !seen {
-			order = append(order, e)
+		i := 0
+		for i < len(out) && out[i].e != e {
+			i++
 		}
-		need[e] += r.Kbps
+		if i == len(out) {
+			l := n.links[e]
+			out = append(out, linkShare{e: e, l: l, usable: l != nil && n.usableLocked(e, l)})
+		}
+		out[i].kbps += r.Kbps
 	}
-	// Check phase: nothing further is mutated until every link clears.
-	for _, e := range order {
-		l, ok := n.links[e]
-		if !ok || !n.usableLocked(e, l) {
-			for _, t := range touched {
-				n.links[t].reservedKbps = saved[t]
+	return out
+}
+
+// checkShares returns the rejection of the first share its link cannot
+// take now — failed, unknown or short of unreserved bandwidth — or nil
+// when every link clears.
+func checkShares(need []linkShare) error {
+	for _, s := range need {
+		if !s.usable {
+			return &CapacityError{From: s.e.from, To: s.e.to, NeedKbps: s.kbps, Down: true}
+		}
+		if avail := s.l.available(); avail < s.kbps-1e-9 {
+			return &CapacityError{From: s.e.from, To: s.e.to, AvailableKbps: avail, NeedKbps: s.kbps}
+		}
+	}
+	return nil
+}
+
+// releaseShares subtracts each share from its link, clamping at zero.
+func releaseShares(shares []linkShare) {
+	for _, s := range shares {
+		s.l.reservedKbps -= s.kbps
+		if s.l.reservedKbps < 0 {
+			s.l.reservedKbps = 0
+		}
+	}
+}
+
+func saveShares(shares []linkShare) {
+	for i := range shares {
+		if l := shares[i].l; l != nil {
+			shares[i].prior = l.reservedKbps
+		}
+	}
+}
+
+func restoreShares(shares []linkShare) {
+	for _, s := range shares {
+		if s.l != nil {
+			s.l.reservedKbps = s.prior
+		}
+	}
+}
+
+// unlockNotify releases n.mu and, when changed, tells the watchers each
+// touched link's new available bandwidth, once per link. Nothing is
+// copied when nobody watches.
+func (n *Network) unlockNotify(changed bool, groups ...[]linkShare) {
+	if !changed || len(n.subs) == 0 {
+		n.mu.Unlock()
+		return
+	}
+	var events []Event
+	for _, shares := range groups {
+		for _, s := range shares {
+			if s.l == nil || seenEvent(events, s.e) {
+				continue
 			}
-			n.mu.Unlock()
-			return &CapacityError{From: e.from, To: e.to, NeedKbps: need[e], Down: true}
+			events = append(events, Event{From: s.e.from, To: s.e.to, BandwidthKbps: s.l.available()})
 		}
-		if l.available() < need[e]-1e-9 {
-			err := &CapacityError{From: e.from, To: e.to, AvailableKbps: l.available(), NeedKbps: need[e]}
-			for _, t := range touched {
-				n.links[t].reservedKbps = saved[t]
-			}
-			n.mu.Unlock()
-			return err
-		}
-	}
-	// Commit phase.
-	for _, e := range order {
-		l := n.links[e]
-		touch(e, l)
-		l.reservedKbps += need[e]
-	}
-	events := make([]Event, 0, len(touched))
-	for _, e := range touched {
-		events = append(events, Event{From: e.from, To: e.to, BandwidthKbps: n.links[e].available()})
-	}
-	if len(touched) > 0 {
-		n.gen++
 	}
 	subs := append([]chan Event(nil), n.subs...)
 	n.mu.Unlock()
 	for _, ev := range events {
 		notify(subs, ev)
 	}
-	return nil
+}
+
+func seenEvent(events []Event, e edge) bool {
+	for _, ev := range events {
+		if ev.From == e.from && ev.To == e.to {
+			return true
+		}
+	}
+	return false
 }
 
 // TotalReservedKbps sums the live reservations across all links — the

@@ -386,7 +386,9 @@ func (m *Manager) journalCommand(ev walEvent, rec json.RawMessage) error {
 	if _, err := m.log.Append(datas...); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
-	m.eventsSince += len(evs)
+	// The cadence counts commands, not records: whether a command's
+	// storm journaled a record must not move every later snapshot.
+	m.eventsSince++
 	if m.cfg.SnapshotEvery > 0 && m.eventsSince >= m.cfg.SnapshotEvery {
 		return m.snapshotLocked()
 	}

@@ -9,8 +9,8 @@ package session
 // profile, folds the session into a storm equivalence class
 // (fingerprint-keyed ClassSpec), and lets the controller own all
 // re-composition — one Select per affected class per event, one atomic
-// SwapChain per reserving member, one reservation ledger (the region
-// overlay).
+// SwapChainN per run of members holding identical reservations, one
+// reservation ledger (the region overlay).
 //
 // The controller journals nothing itself. Storm returns each storm as
 // one record, which the manager appends as a
@@ -267,7 +267,9 @@ func (ms *Managed) ReevaluateReasonCtx(ctx context.Context, reason string) (chan
 // replay re-applies one command against a session being rebuilt during
 // recovery. Faults re-mutate the shared overlay and re-mark pending
 // links but never trigger a storm — the journaled storm records replay
-// the fan-outs exactly as they happened. Reevaluates restore the
+// the fan-outs exactly as they happened. A fault whose live storm
+// affected no class journaled no storm record; SettlePending absorbs
+// its links as that storm did. Reevaluates restore the
 // virtual clock and counters and mark the class for re-planning as the
 // live path does; the storm record that follows replays the re-plan and
 // clears the mark.
@@ -277,7 +279,11 @@ func (ms *Managed) replay(ev walEvent) error {
 		if ev.Fault == nil {
 			return fmt.Errorf("fault command without fault")
 		}
-		return ms.m.applyRegionFault(ms.region, *ev.Fault)
+		if err := ms.m.applyRegionFault(ms.region, *ev.Fault); err != nil {
+			return err
+		}
+		ms.m.storm.SettlePending()
+		return nil
 	case "reevaluate":
 		ms.step++
 		ms.noteReason(ev.Reason)

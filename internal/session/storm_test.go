@@ -20,6 +20,7 @@ import (
 	"qoschain/internal/journal"
 	"qoschain/internal/metrics"
 	"qoschain/internal/profile"
+	"qoschain/internal/storm"
 )
 
 // stormSet is managerSet with every link scaled to hold a whole class
@@ -399,6 +400,112 @@ func TestStormCrashLosesReevaluateStorm(t *testing.T) {
 	for id, fp := range wantSess {
 		if gotSess[id] != fp {
 			t.Errorf("recovered session %s diverged:\n got %s\nwant %s", id, gotSess[id], fp)
+		}
+	}
+}
+
+// twoDeviceSet is stormSet for the given device over a network that
+// also links p2 to a second device, d2: a class for d2 can only route
+// over p2->d2, a link no class for d ever crosses.
+func twoDeviceSet(device string) profile.Set {
+	set := stormSet()
+	set.Network.Links = append(set.Network.Links, profile.Link{From: "p2", To: "d2", BandwidthKbps: 180000})
+	set.Device.ID = device
+	return set
+}
+
+// TestStormEmptyStormReplaysPendingSet runs a fault that affects no
+// class — its storm spends no sequence and journals no record — then a
+// create whose chain crosses the fault's link. Recovery must absorb the
+// fault's links as the live empty storm did: the recovered controller
+// matches the live fingerprint with nothing pending, and the next storm
+// re-plans the same classes in both, not the new class over the stale
+// link.
+func TestStormEmptyStormReplaysPendingSet(t *testing.T) {
+	run := func(t *testing.T, recover bool) (map[string]string, string, *storm.Report) {
+		dir := t.TempDir()
+		m := newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
+		a, err := m.Create(CreateSpec{Set: twoDeviceSet("d"), Floor: 0.3, Reserve: true})
+		if err != nil {
+			t.Fatalf("create d: %v", err)
+		}
+		before := m.StormController().Status()
+		if err := a.ApplyFault(fault.Fault{Kind: fault.BandwidthRestore, From: "p2", To: "d2", Factor: 90000}); err != nil {
+			t.Fatalf("fault: %v", err)
+		}
+		if st := m.StormController().Status(); st.Storms != before.Storms || st.PendingLinks != 0 {
+			t.Fatalf("empty storm: %d storms (was %d), %d pending links; want no storm, nothing pending",
+				st.Storms, before.Storms, st.PendingLinks)
+		}
+		b, err := m.Create(CreateSpec{Set: twoDeviceSet("d2"), Floor: 0.3, Reserve: true})
+		if err != nil {
+			t.Fatalf("create d2: %v", err)
+		}
+		if path := b.State().Path; len(path) != 3 || path[1] != "conv2" {
+			t.Fatalf("d2 session routes %v, want over conv2 (p2->d2)", path)
+		}
+		if recover {
+			if err := m.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			m = newPersistent(t, dir, ManagerConfig{Counters: metrics.NewCounters()})
+			if errs := m.Recovery().ReplayErrors; len(errs) != 0 {
+				t.Fatalf("replay errors: %v", errs)
+			}
+			if pending := m.StormController().Status().PendingLinks; pending != 0 {
+				t.Fatalf("recovered with %d pending links, want the empty storm's links absorbed", pending)
+			}
+			a, _ = m.Get(a.ID())
+		}
+		defer m.Close()
+		sess, ctrl := fingerprints(t, m), stormFingerprint(t, m)
+		host, _ := chainProxy(t, a)
+		if err := a.ApplyFault(fault.Fault{Kind: fault.LinkDown, From: host, To: "d"}); err != nil {
+			t.Fatalf("next fault: %v", err)
+		}
+		if leak := stormLeak(m); leak != 0 {
+			t.Fatalf("leak of %v kbps", leak)
+		}
+		return sess, ctrl + stormFingerprint(t, m), m.StormController().Status().LastStorm
+	}
+	wantSess, wantCtrl, wantRep := run(t, false)
+	gotSess, gotCtrl, gotRep := run(t, true)
+	if gotCtrl != wantCtrl {
+		t.Errorf("recovered controller diverged from the live run:\n got %s\nwant %s", gotCtrl, wantCtrl)
+	}
+	for id, fp := range wantSess {
+		if gotSess[id] != fp {
+			t.Errorf("recovered session %s diverged:\n got %s\nwant %s", id, gotSess[id], fp)
+		}
+	}
+	if gotRep == nil || wantRep == nil || gotRep.Storm != wantRep.Storm || gotRep.AffectedClasses != wantRep.AffectedClasses ||
+		gotRep.ChangedLinks != wantRep.ChangedLinks || gotRep.AffectedClasses != 1 {
+		t.Fatalf("next storm after recovery = %+v, live %+v; want the same storm over one class", gotRep, wantRep)
+	}
+}
+
+// TestSnapshotCadenceCountsCommands pins SnapshotEvery to commands: a
+// reevaluate journals itself and its storm's record in one batch, and
+// the pair counts once, so whether a storm journaled a record never
+// moves the next snapshot.
+func TestSnapshotCadenceCountsCommands(t *testing.T) {
+	counters := metrics.NewCounters()
+	m := newPersistent(t, t.TempDir(), ManagerConfig{Counters: counters, SnapshotEvery: 4})
+	defer m.Close()
+	ms, err := m.Create(CreateSpec{Set: stormSet(), Floor: 0.3, Reserve: true})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, evalErr, logErr := ms.ReevaluateReason(ReevalManual); evalErr != nil || logErr != nil {
+			t.Fatalf("reevaluate %d: eval=%v log=%v", i, evalErr, logErr)
+		}
+		want := int64(0)
+		if i == 3 {
+			want = 1 // the fourth command
+		}
+		if got := counters.Get(metrics.CounterJournalSnapshots); got != want {
+			t.Fatalf("after %d commands (%d records): %d snapshots, want %d", i+1, 1+2*i, got, want)
 		}
 	}
 }

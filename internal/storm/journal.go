@@ -16,6 +16,9 @@ package storm
 // a reevaluate's class mark (NoteReplan). The host's next Storm
 // re-plans them from state, and the priority order is a function of
 // state, so the re-run reaches the state the uninterrupted run reached.
+// A storm that affected no class journals no record at all; the host
+// calls SettlePending after replaying each fault, which absorbs such a
+// fault's links exactly as the live storm did.
 //
 // Journals written before storms were single records carry each storm
 // as storm-begin, one storm-class per re-planned class and storm-end.

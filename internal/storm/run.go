@@ -3,7 +3,8 @@ package storm
 // run.go is the storm execution engine: given the pending changed-link
 // set, it computes the affected classes, scores and orders them by how
 // far below their floor the event pushed them, and re-plans each class
-// exactly once — Select per class, atomic hold swap per member.
+// exactly once — Select per class, one atomic hold swap per run of
+// members holding identical reservations.
 
 import (
 	"encoding/json"
@@ -74,7 +75,9 @@ type planItem struct {
 // marked it. Classes re-plan in priority order: furthest below their
 // QoS floor first. Returns the report and the storm's journal record
 // (RecordKind), which the host appends in the same batch as the command
-// that caused the storm; a nil report means nothing was pending.
+// that caused the storm. A nil report means no class was affected: the
+// pending links are absorbed, and no storm sequence, report or record is
+// spent on them (SettlePending reaches the same state on replay).
 //
 // The whole storm is one critical section: c.mu is held from absorbing
 // the pending set until the report is stored, so every other controller
@@ -83,19 +86,13 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	start := now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	changed := make(map[string][]overlay.LinkRef)
-	totalLinks := 0
-	for name, r := range c.regions {
-		if len(r.pending) > 0 {
-			changed[name] = sortLinks(r.pending)
-			totalLinks += len(r.pending)
-			r.pending = make(map[overlay.LinkRef]bool)
-		}
-	}
-	if totalLinks == 0 && len(c.replan) == 0 {
+	changed, totalLinks := c.pendingLocked()
+	c.clearPendingLocked()
+	affected := c.affectedLocked(changed)
+	if len(affected) == 0 {
 		return nil, nil, nil
 	}
-	items := c.scoreLocked(c.affectedLocked(changed))
+	items := c.scoreLocked(affected)
 	clear(c.replan)
 	c.stormSeq++
 	seq := c.stormSeq
@@ -138,6 +135,41 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	c.cfg.Counters.Observe(metrics.SampleStormRecoveryMs, rep.RecoveryMs)
 	data, err := json.Marshal(rec)
 	return rep, data, err
+}
+
+// SettlePending absorbs the pending changed-link set when it affects
+// no class — what Storm does with such a set, leaving no report and no
+// record behind. The host calls it after replaying a command that ran a
+// storm live, so recovery reaches the pending set the live run left: an
+// empty storm's links do not linger, while links whose storm record was
+// lost stay pending for the next Storm.
+func (c *Controller) SettlePending() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	changed, _ := c.pendingLocked()
+	if len(c.affectedLocked(changed)) == 0 {
+		c.clearPendingLocked()
+	}
+}
+
+// pendingLocked renders every region's pending set, sorted, with the
+// total number of links.
+func (c *Controller) pendingLocked() (map[string][]overlay.LinkRef, int) {
+	changed := make(map[string][]overlay.LinkRef)
+	total := 0
+	for name, r := range c.regions {
+		if len(r.pending) > 0 {
+			changed[name] = sortLinks(r.pending)
+			total += len(r.pending)
+		}
+	}
+	return changed, total
+}
+
+func (c *Controller) clearPendingLocked() {
+	for _, r := range c.regions {
+		clear(r.pending)
+	}
 }
 
 // affectedLocked selects the classes a changed-link set touches, plus
@@ -237,8 +269,8 @@ func (c *Controller) classGraphLocked(cls *Class) (*graph.Graph, error) {
 
 // planOneLocked re-plans one class: bring the class graph up to the
 // overlay as it is (including earlier classes' hold swaps in this same
-// storm), run Select once, and fan the result out to every member with
-// an atomic hold swap. A class whose graph cannot be built gets no
+// storm), run Select once, and fan the result out to the members with
+// one atomic hold swap per run. A class whose graph cannot be built gets no
 // Select and is recorded no-chain. Returns the outcome, the plan for
 // the storm record, and whether Select ran. Called with c.mu held.
 func (c *Controller) planOneLocked(seq int, it planItem) (*ClassOutcome, classPlan, bool) {
@@ -251,13 +283,13 @@ func (c *Controller) planOneLocked(seq int, it planItem) (*ClassOutcome, classPl
 	// are released only around the annotation and restored exactly —
 	// the graph keeps the freed-capacity snapshot, the overlay does not.
 	// Verify builds its oracle graph cold inside the same window.
-	saved := c.releaseMembersLocked(cls)
+	c.releaseMembersLocked(cls)
 	g, err := c.classGraphLocked(cls)
 	var fresh *graph.Graph
 	if c.cfg.Verify {
 		fresh, _ = graph.Build(cls.in) // a failed build fails every check
 	}
-	dropped := c.restoreMembersLocked(cls, saved)
+	dropped := c.restoreMembersLocked(cls)
 
 	var res *core.Result
 	degraded := false
@@ -295,57 +327,109 @@ func (c *Controller) planOneLocked(seq int, it planItem) (*ClassOutcome, classPl
 	return out, plan, err == nil
 }
 
-// releaseMembersLocked lifts every member's hold off the overlay,
-// returning the holds for exact restoration. Non-reserving members hold
-// nothing and are skipped here and in restoreMembersLocked.
-func (c *Controller) releaseMembersLocked(cls *Class) [][]overlay.Reservation {
+// releaseMembersLocked lifts every member's hold off the overlay, one
+// ReleaseChainN per run of identical holds (see holdRun). Non-reserving
+// members hold nothing and are skipped here and in
+// restoreMembersLocked. The holds stay on the members, which is what
+// restoreMembersLocked re-reserves.
+func (c *Controller) releaseMembersLocked(cls *Class) {
 	r := c.regions[cls.spec.Region]
-	saved := make([][]overlay.Reservation, len(cls.members))
-	for i, s := range cls.members {
-		if len(s.held) > 0 {
-			r.Net.ReleaseChain(s.held)
-			saved[i] = s.held
+	for i := 0; i < len(cls.members); {
+		hold := cls.members[i].held
+		if len(hold) == 0 {
+			i++
+			continue
 		}
+		j := holdRun(cls.members, i)
+		r.Net.ReleaseChainN(hold, j-i)
+		i = j
 	}
-	return saved
 }
 
 // restoreMembersLocked re-reserves the holds releaseMembersLocked
-// lifted. Restoration fails when the event took a held link down or
-// shrank it below the standing holds; such a member loses its hold (it
-// was dead bandwidth) and is marked degraded — the accounting stays
-// exact either way. It returns the members that lost their hold, which
-// the class's plan in the storm record carries so replay drops the
-// same holds.
-func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservation) []string {
+// lifted, one ReserveChainN per run. Restoration fails when the event
+// took a held link down or shrank it below the standing holds; such a
+// member loses its hold (it was dead bandwidth) and is marked degraded —
+// the accounting stays exact either way. A refused reservation leaves
+// the overlay untouched, so the rest of its run is refused too. It
+// returns the members that lost their hold, which the class's plan in
+// the storm record carries so replay drops the same holds.
+func (c *Controller) restoreMembersLocked(cls *Class) []string {
 	r := c.regions[cls.spec.Region]
 	var dropped []string
-	for i, hold := range saved {
+	for i := 0; i < len(cls.members); {
+		hold := cls.members[i].held
 		if len(hold) == 0 {
+			i++
 			continue
 		}
-		if err := r.Net.ReserveChain(hold); err != nil {
-			cls.members[i].held = nil
-			c.setDegradedLocked(cls.members[i], true)
-			dropped = append(dropped, cls.members[i].ID)
+		j := holdRun(cls.members, i)
+		k, _ := r.Net.ReserveChainN(hold, j-i)
+		for _, s := range cls.members[i+k : j] {
+			s.held = nil
+			c.setDegradedLocked(s, true)
+			dropped = append(dropped, s.ID)
 		}
+		i = j
 	}
 	return dropped
 }
 
 // dropHoldsLocked replays restoreMembersLocked's losses: each named
-// member's hold is released and the member marked degraded.
+// member's hold is released and the member marked degraded. Consecutive
+// names holding identical holds release with one ReleaseChainN.
 func (c *Controller) dropHoldsLocked(cls *Class, ids []string) {
 	r := c.regions[cls.spec.Region]
+	var hold []overlay.Reservation
+	n := 0
 	for _, id := range ids {
 		s, ok := c.memberIdx[id]
 		if !ok || s.class != cls {
 			continue
 		}
-		r.Net.ReleaseChain(s.held)
+		if n > 0 && !sameHold(s.held, hold) {
+			r.Net.ReleaseChainN(hold, n)
+			n = 0
+		}
+		hold = s.held
+		n++
 		s.held = nil
 		c.setDegradedLocked(s, true)
 	}
+	r.Net.ReleaseChainN(hold, n)
+}
+
+// holdRun returns the end of the run that starts at members[i]: the
+// maximal stretch of consecutive reserving members holding exactly what
+// members[i] holds. One overlay call moves a whole run, and it is exact:
+// the call does the float operations the per-member calls would, and a
+// refused reservation or swap restores every link it touched, so once
+// one member of a run fails every later member fails too.
+func holdRun(members []*Session, i int) int {
+	hold := members[i].held
+	j := i + 1
+	for j < len(members) && members[j].reserve && sameHold(members[j].held, hold) {
+		j++
+	}
+	return j
+}
+
+// sameHold reports whether two holds reserve the same links at the same
+// bitrates. Members a storm moved share one hold slice, so the common
+// case is one pointer comparison.
+func sameHold(a, b []overlay.Reservation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // verifyClassLocked is the naive-equivalence harness check: Select is
@@ -442,29 +526,42 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 		return out
 	}
 
+	// Every moved member shares newHolds: nothing writes into a hold in
+	// place, so one read-only slice serves the whole class.
 	r := c.regions[cls.spec.Region]
 	newHolds := c.chainReservations(cls)
-	for _, s := range cls.members {
-		// A non-reserving member holds nothing: it just rides the new
-		// chain.
-		if s.reserve {
-			hold := append([]overlay.Reservation(nil), newHolds...)
-			if err := r.Net.SwapChain(s.held, hold); err != nil {
-				// Atomicity: the swap released nothing and acquired
-				// nothing; the member keeps its old chain, degraded.
-				c.setDegradedLocked(s, true)
-				out.SwapFailed++
-				continue
-			}
-			s.held = hold
+	replanned := 0
+	for i := 0; i < len(cls.members); {
+		s := cls.members[i]
+		if !s.reserve {
+			// A non-reserving member holds nothing: it just rides the
+			// new chain.
+			c.setDegradedLocked(s, degraded)
+			s.swaps++
+			replanned++
+			i++
+			continue
 		}
-		c.setDegradedLocked(s, degraded)
-		s.swaps++
-		if !c.replaying {
-			c.cfg.Counters.Inc(metrics.CounterStormSessionsReplanned)
-			if degraded {
-				c.cfg.Counters.Inc(metrics.CounterStormDegraded)
-			}
+		j := holdRun(cls.members, i)
+		k, _ := r.Net.SwapChainN(s.held, newHolds, j-i)
+		for _, m := range cls.members[i : i+k] {
+			m.held = newHolds
+			c.setDegradedLocked(m, degraded)
+			m.swaps++
+		}
+		// Atomicity: a failed swap released nothing and acquired
+		// nothing; the member keeps its old chain, degraded.
+		for _, m := range cls.members[i+k : j] {
+			c.setDegradedLocked(m, true)
+		}
+		replanned += k
+		out.SwapFailed += j - i - k
+		i = j
+	}
+	if !c.replaying && replanned > 0 {
+		c.cfg.Counters.Add(metrics.CounterStormSessionsReplanned, int64(replanned))
+		if degraded {
+			c.cfg.Counters.Add(metrics.CounterStormDegraded, int64(replanned))
 		}
 	}
 	if degraded {

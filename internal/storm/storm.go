@@ -8,8 +8,8 @@
 // that fingerprint, runs Select once per class against the class graph
 // as the overlay is now (graph.Cache.BuildEx re-annotates every edge in
 // place when the overlay moved, rebuilds when its connectivity did), and
-// fans the chosen chain out to every member with an atomic per-session
-// hold swap (overlay.SwapChain — release old, acquire new, never a
+// fans the chosen chain out with one atomic swap per run of identical
+// holds (overlay.SwapChainN — release old, acquire new, never a
 // partial).
 //
 // Robustness properties:
@@ -28,6 +28,17 @@
 //     class the best below-floor chain is adopted (core.ErrBelowFloor);
 //     when no chain exists at all, members keep their old holds rather
 //     than being dropped.
+//   - Per-run hold moves: consecutive reserving members holding
+//     identical reservations form a run, and one overlay call releases,
+//     restores or swaps the whole run. The call does the float
+//     operations the per-member calls would, so every ledger stays
+//     bit-identical; and a refused reservation or swap restores every
+//     link it touched, so once one member of a run fails every later
+//     member fails too — the first failure ends the run, and runs are
+//     processed in member order, which is the per-member interleaving.
+//     A partly failed swap leaves two runs: the moved members, then
+//     those still on the old hold. Moved members share one read-only
+//     hold slice; only flags and counters are written per member.
 //   - Crash safety: each storm is one record the embedding host
 //     journals in the same batch as the command that caused it (see
 //     journal.go), so the journal never holds part of a storm. A crash
