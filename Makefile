@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-pipeline-json bench-snapshot pipeline-guard trace-overhead perfbench-check lint check ci
+.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-pipeline-json bench-snapshot bench-storm pipeline-guard trace-overhead perfbench-check lint check ci
 
 all: check
 
@@ -34,13 +34,18 @@ race-all:
 # parsing, profile-set decoding, format interning, storm record replay,
 # the session fault command and the journal's on-disk record scanner,
 # 10s each. go test fuzzes one target per package per run.
+# -fuzzminimizetime 10x bounds how long a worker minimizes each new
+# input: by default it may spend 60s on one, reporting no execs
+# meanwhile, and a target whose execs take milliseconds
+# (FuzzApplyFault opens a durable manager per exec) then spends the
+# whole 10s minimizing instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseFormat$$' -fuzztime 10s ./internal/media/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 10s ./internal/profile/
-	$(GO) test -run '^$$' -fuzz '^FuzzFormatInterning$$' -fuzztime 10s ./internal/graph/
-	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime 10s ./internal/storm/
-	$(GO) test -run '^$$' -fuzz '^FuzzApplyFault$$' -fuzztime 10s ./internal/session/
-	$(GO) test -run '^$$' -fuzz '^FuzzScanFile$$' -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFormat$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/media/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSet$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/profile/
+	$(GO) test -run '^$$' -fuzz '^FuzzFormatInterning$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/storm/
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyFault$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/session/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanFile$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/journal/
 
 # cluster-smoke runs seeded node-kill scenarios against a 3-replica
 # Figure 6 deployment: WAL shipping over real sockets, lease-expiry
@@ -100,6 +105,13 @@ bench-pipeline-json:
 # with allocation reporting, repeated for benchstat-comparable output.
 bench-snapshot:
 	$(GO) test -run '^$$' -bench 'ManagerSnapshot' -benchmem -count=5 ./internal/session/
+
+# bench-storm times one collapse storm of the fault-storm shape (4
+# regions × 8 classes × 32 reserving members; 8 classes and 256 members
+# re-planned per storm) with allocation reporting, repeated for
+# benchstat-comparable output.
+bench-storm:
+	$(GO) test -run '^$$' -bench 'StormCollapse' -benchmem -count=5 ./internal/storm/
 
 # pipeline-guard runs the data-plane regression guard: the batched Run
 # must stay >= 9.9x faster than the seed-protocol reference (23.5x

@@ -28,7 +28,8 @@ import (
 // Invalidation. A live overlay network carries a generation counter
 // (overlay.Network.Generation) bumped on every mutation. On a lookup
 // whose entry was built at an older generation, the cache compares two
-// signatures of the network's link table:
+// signatures of the network's link table (overlay.Network.Signatures,
+// hashed from the live link state):
 //
 //   - the connectivity signature (which links exist with positive
 //     bandwidth) — if it changed, host-pair reachability may have
@@ -117,7 +118,7 @@ func (c *Cache) Reset() {
 func (c *Cache) Invalidate(in Input) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.entries, fingerprintInput(&in))
+	delete(c.entries, InputKey(&in))
 }
 
 // BuildOutcome reports how a cache lookup was served: a plain hit, a
@@ -134,13 +135,15 @@ const (
 // when the structural inputs are unchanged. See the type comment for the
 // network-change rules.
 func (c *Cache) Build(in Input) (*Graph, error) {
-	g, _, err := c.BuildEx(in)
+	g, _, err := c.BuildKeyed(InputKey(&in), in)
 	return g, err
 }
 
-// BuildEx is Build plus the exact cache outcome, for instrumentation.
-func (c *Cache) BuildEx(in Input) (*Graph, BuildOutcome, error) {
-	key := fingerprintInput(&in)
+// BuildKeyed is Build for a caller that holds the input's key —
+// InputKey(&in), computed once while the input's structure stays put —
+// and reports the exact cache outcome, for instrumentation. A warm hit
+// and an in-place refresh allocate nothing.
+func (c *Cache) BuildKeyed(key uint64, in Input) (*Graph, BuildOutcome, error) {
 	var gen uint64
 	if in.Net != nil {
 		gen = in.Net.Generation()
@@ -155,7 +158,7 @@ func (c *Cache) BuildEx(in Input) (*Graph, BuildOutcome, error) {
 			c.mu.Unlock()
 			return g, OutcomeHit, nil
 		}
-		connSig, valueSig := networkSignatures(in.Net.Snapshot())
+		connSig, valueSig := in.Net.Signatures()
 		if connSig == e.connSig {
 			if valueSig != e.valueSig && !refreshEdgeQoS(e.g, &e.in) {
 				// A host pair lost connectivity despite an unchanged
@@ -184,7 +187,7 @@ func (c *Cache) BuildEx(in Input) (*Graph, BuildOutcome, error) {
 	}
 	e := &cacheEntry{g: g, in: in, netGen: gen}
 	if in.Net != nil {
-		e.connSig, e.valueSig = networkSignatures(in.Net.Snapshot())
+		e.connSig, e.valueSig = in.Net.Signatures()
 	}
 	c.mu.Lock()
 	c.touch(e)
@@ -280,25 +283,6 @@ func refreshEdgeQoS(g *Graph, in *Input) bool {
 		}
 	}
 	return true
-}
-
-// networkSignatures hashes a network snapshot into the connectivity
-// signature (link endpoints and bandwidth positivity) and the value
-// signature (exact QoS figures). Snapshot links are sorted, so the
-// hashes are deterministic.
-func networkSignatures(p profile.Network) (connSig, valueSig uint64) {
-	ch, vh := newFnv(), newFnv()
-	for _, l := range p.Links {
-		ch.str(l.From)
-		ch.str(l.To)
-		ch.bool(l.BandwidthKbps > 0)
-		vh.str(l.From)
-		vh.str(l.To)
-		vh.f64(l.BandwidthKbps)
-		vh.f64(l.DelayMs)
-		vh.f64(l.LossRate)
-	}
-	return ch.sum, vh.sum
 }
 
 // fnv is a tiny FNV-1a stream hasher over the canonical byte encodings
@@ -410,10 +394,10 @@ func (h *fnv) device(dev *profile.Device) {
 	}
 }
 
-// fingerprintInput keys a live-network build: every structural input plus
-// the network's identity (not its state — that is the generation
-// counter's job).
-func fingerprintInput(in *Input) uint64 {
+// InputKey is the cache key of a live-network build: every structural
+// input plus the network's identity (not its state — that is the
+// generation counter's job).
+func InputKey(in *Input) uint64 {
 	h := newFnv()
 	if in.Content != nil {
 		h.content(in.Content)

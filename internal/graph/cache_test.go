@@ -146,7 +146,7 @@ func TestCacheLinkDownRebuilds(t *testing.T) {
 	if err := net.FailLink("p1", "recv"); err != nil {
 		t.Fatal(err)
 	}
-	_, outcome, err := c.BuildEx(in)
+	_, outcome, err := c.BuildKeyed(InputKey(&in), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestCacheRefreshMatchesColdBuild(t *testing.T) {
 	if err := net.ReserveChain([]overlay.Reservation{{From: "p2", To: "recv", Kbps: 400}}); err != nil {
 		t.Fatal(err)
 	}
-	refreshed, outcome, err := c.BuildEx(in)
+	refreshed, outcome, err := c.BuildKeyed(InputKey(&in), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +394,8 @@ func TestCacheRefreshConcurrentWithBuild(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, _, err := c.BuildEx(in); err != nil {
-					t.Errorf("BuildEx: %v", err)
+				if _, _, err := c.BuildKeyed(InputKey(&in), in); err != nil {
+					t.Errorf("BuildKeyed: %v", err)
 					return
 				}
 			}
@@ -404,4 +404,35 @@ func TestCacheRefreshConcurrentWithBuild(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-mutatorDone
+}
+
+// TestCacheWarmPathsAllocateNothing: with the key held by the caller, a
+// warm hit and a value-only refresh — new signatures hashed from the
+// live overlay, every edge re-annotated in place — allocate nothing.
+func TestCacheWarmPathsAllocateNothing(t *testing.T) {
+	net := cacheNet()
+	c := NewCache(0)
+	in := cacheInput(net)
+	key := InputKey(&in)
+	if _, _, err := c.BuildKeyed(key, in); err != nil {
+		t.Fatal(err)
+	}
+	hit := testing.AllocsPerRun(200, func() {
+		if _, outcome, err := c.BuildKeyed(key, in); err != nil || outcome != OutcomeHit {
+			t.Fatalf("warm lookup = %s, %v; want %s", outcome, err, OutcomeHit)
+		}
+	})
+	kbps := 2000.0
+	refresh := testing.AllocsPerRun(200, func() {
+		kbps = 3000 - kbps // 1000 ↔ 2000: values move, connectivity does not
+		if err := net.SetBandwidth("sender", "p1", kbps); err != nil {
+			t.Fatal(err)
+		}
+		if _, outcome, err := c.BuildKeyed(key, in); err != nil || outcome != OutcomeRefresh {
+			t.Fatalf("lookup after a bandwidth change = %s, %v; want %s", outcome, err, OutcomeRefresh)
+		}
+	})
+	if hit != 0 || refresh != 0 {
+		t.Fatalf("allocs per lookup: hit %.1f, value-only refresh %.1f; want 0 and 0", hit, refresh)
+	}
 }

@@ -14,7 +14,9 @@ package overlay
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"qoschain/internal/profile"
@@ -28,9 +30,20 @@ type Network struct {
 	links map[edge]*linkState
 	subs  []chan Event
 	gen   uint64 // bumped on every mutation; see Generation
+
+	// ordered is links in (from, to) order for Signatures and Snapshot.
+	// It is built on first use and dropped when a link is added or
+	// removed, so an overlay that is never hashed never builds it.
+	ordered []orderedLink
+	orderOK bool
 }
 
 type edge struct{ from, to string }
+
+type orderedLink struct {
+	e edge
+	l *linkState
+}
 
 type linkState struct {
 	bandwidthKbps float64 // capacity
@@ -112,6 +125,7 @@ func (n *Network) AddLink(from, to string, bandwidthKbps, delayMs, lossRate floa
 	n.nodes[from] = true
 	n.nodes[to] = true
 	n.gen++
+	n.orderOK = false
 	n.links[edge{from, to}] = &linkState{
 		bandwidthKbps: bandwidthKbps,
 		delayMs:       delayMs,
@@ -134,6 +148,7 @@ func (n *Network) RemoveLink(from, to string) {
 	delete(n.links, edge{from, to})
 	if existed {
 		n.gen++
+		n.orderOK = false
 	}
 	subs := append([]chan Event(nil), n.subs...)
 	n.mu.Unlock()
@@ -330,29 +345,117 @@ func notify(subs []chan Event, ev Event) {
 	}
 }
 
-// Snapshot exports the current state as a static network profile. Failed
-// links and links touching failed hosts are excluded — they carry no
-// traffic until recovered.
-func (n *Network) Snapshot() profile.Network {
+// lockOrdered takes a lock under which n.ordered is current: the read
+// lock when the order is already built, otherwise the write lock after
+// building it. Release with unlockOrdered(write).
+func (n *Network) lockOrdered() (write bool) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	links := make([]profile.Link, 0, len(n.links))
-	for e, l := range n.links {
-		if !n.usableLocked(e, l) {
+	if n.orderOK {
+		return false
+	}
+	n.mu.RUnlock()
+	n.mu.Lock()
+	if !n.orderOK {
+		n.ordered = n.ordered[:0]
+		for e, l := range n.links {
+			n.ordered = append(n.ordered, orderedLink{e, l})
+		}
+		slices.SortFunc(n.ordered, func(a, b orderedLink) int {
+			if c := strings.Compare(a.e.from, b.e.from); c != 0 {
+				return c
+			}
+			return strings.Compare(a.e.to, b.e.to)
+		})
+		n.orderOK = true
+	}
+	return true
+}
+
+func (n *Network) unlockOrdered(write bool) {
+	if write {
+		n.mu.Unlock()
+	} else {
+		n.mu.RUnlock()
+	}
+}
+
+// Signatures hashes the usable links, in (from, to) order, into two
+// signatures: connSig covers which links carry positive available
+// bandwidth, valueSig their exact available bandwidth, delay and loss.
+// They are the hashes of Snapshot's links, read straight from the live
+// link state without copying it; graph.Cache compares them to tell a
+// topology change (rebuild) from a value change (refresh in place).
+func (n *Network) Signatures() (connSig, valueSig uint64) {
+	w := n.lockOrdered()
+	defer n.unlockOrdered(w)
+	ch, vh := newSigHash(), newSigHash()
+	for _, o := range n.ordered {
+		if !n.usableLocked(o.e, o.l) {
+			continue
+		}
+		avail := o.l.available()
+		ch.str(o.e.from)
+		ch.str(o.e.to)
+		ch.bool(avail > 0)
+		vh.str(o.e.from)
+		vh.str(o.e.to)
+		vh.f64(avail)
+		vh.f64(o.l.delayMs)
+		vh.f64(o.l.lossRate)
+	}
+	return ch.sum, vh.sum
+}
+
+// sigHash is the FNV-1a stream hasher Signatures folds links into; u64
+// folds a whole word per step.
+type sigHash struct{ sum uint64 }
+
+func newSigHash() sigHash { return sigHash{sum: 1469598103934665603} }
+
+func (h *sigHash) byte(b byte) {
+	h.sum ^= uint64(b)
+	h.sum *= 1099511628211
+}
+
+func (h *sigHash) u64(v uint64) {
+	h.sum ^= v
+	h.sum *= 1099511628211
+}
+
+func (h *sigHash) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
+}
+
+func (h *sigHash) f64(v float64) { h.u64(math.Float64bits(v)) }
+
+func (h *sigHash) bool(b bool) {
+	if b {
+		h.byte(1)
+	} else {
+		h.byte(0)
+	}
+}
+
+// Snapshot exports the current state as a static network profile, its
+// links in (from, to) order. Failed links and links touching failed
+// hosts are excluded — they carry no traffic until recovered.
+func (n *Network) Snapshot() profile.Network {
+	w := n.lockOrdered()
+	defer n.unlockOrdered(w)
+	links := make([]profile.Link, 0, len(n.ordered))
+	for _, o := range n.ordered {
+		if !n.usableLocked(o.e, o.l) {
 			continue
 		}
 		links = append(links, profile.Link{
-			From: e.from, To: e.to,
-			BandwidthKbps: l.available(),
-			DelayMs:       l.delayMs,
-			LossRate:      l.lossRate,
+			From: o.e.from, To: o.e.to,
+			BandwidthKbps: o.l.available(),
+			DelayMs:       o.l.delayMs,
+			LossRate:      o.l.lossRate,
 		})
 	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].From != links[j].From {
-			return links[i].From < links[j].From
-		}
-		return links[i].To < links[j].To
-	})
 	return profile.Network{Links: links}
 }

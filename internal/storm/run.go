@@ -251,19 +251,21 @@ func sortItems(items []planItem) {
 }
 
 // classGraphLocked brings the class graph up to the overlay as it is now:
-// graph.Cache.BuildEx serves the cached graph when the overlay has not
-// moved, re-annotates every edge in place when only link values moved,
-// and rebuilds when connectivity changed. Called with c.mu held.
+// graph.Cache.BuildKeyed, on the key the class holds, serves the cached
+// graph when the overlay has not moved, re-annotates every edge in place
+// when only link values moved, and rebuilds when connectivity changed.
+// Called with c.mu held.
 func (c *Controller) classGraphLocked(cls *Class) (*graph.Graph, error) {
 	r := c.regions[cls.spec.Region]
 	if cls.svcGen != r.svcGen {
 		// A service fault changed the region's pool since the class last
-		// planned: re-derive its alive services (a new cache key, so the
-		// build below starts fresh).
+		// planned: re-derive its alive services and, with them, its
+		// cache key (so the build below starts fresh).
 		cls.in.Services = r.services()
+		cls.gkey = graph.InputKey(&cls.in)
 		cls.svcGen = r.svcGen
 	}
-	g, _, err := c.cache.BuildEx(cls.in)
+	g, _, err := c.cache.BuildKeyed(cls.gkey, cls.in)
 	return g, err
 }
 

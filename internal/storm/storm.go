@@ -6,7 +6,7 @@
 // would pick for one is the chain it would pick for all. The storm
 // controller groups sessions into equivalence classes keyed by exactly
 // that fingerprint, runs Select once per class against the class graph
-// as the overlay is now (graph.Cache.BuildEx re-annotates every edge in
+// as the overlay is now (graph.Cache.BuildKeyed re-annotates every edge in
 // place when the overlay moved, rebuilds when its connectivity did), and
 // fans the chosen chain out with one atomic swap per run of identical
 // holds (overlay.SwapChainN — release old, acquire new, never a
@@ -140,6 +140,10 @@ type Class struct {
 	key    string
 	selcfg core.Config
 	in     graph.Input
+	// gkey is in's graph.Cache key (graph.InputKey), held so that a
+	// storm's graph refresh does not re-hash unchanged inputs; it is
+	// re-derived only with in.Services.
+	gkey uint64
 
 	current  *core.Result
 	kbps     float64
@@ -398,7 +402,8 @@ func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
 		SenderHost:   r.SenderHost,
 		ReceiverHost: receiverHost(&r.Region, &cls.spec),
 	}
-	g, err := c.cache.Build(cls.in)
+	cls.gkey = graph.InputKey(&cls.in)
+	g, _, err := c.cache.BuildKeyed(cls.gkey, cls.in)
 	if err != nil {
 		return nil, fmt.Errorf("storm: class %s: %w", key, err)
 	}
