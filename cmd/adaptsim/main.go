@@ -727,8 +727,8 @@ func runStorm(seed int64, sessions, regions, classes int, verify bool) {
 		rep.Replanned, rep.DegradedSessions, rep.SwapFailed,
 		fmt.Sprintf("%.3f", rep.LeakKbps))
 	tb.Render(os.Stdout)
-	fmt.Printf("\ngraph cache: %d in-place refreshes, %d full rebuilds\n",
-		rep.CacheRefreshes, rep.CacheRebuilds)
+	fmt.Printf("\ngraph cache: %d in-place refreshes, %d builds\n",
+		rep.CacheRefreshes, rep.CacheBuilds)
 	if verify {
 		fmt.Printf("equivalence: %d naive per-session checks, %d mismatches\n",
 			rep.NaiveChecks, rep.Mismatches)

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"qoschain/internal/media"
 	"qoschain/internal/overlay"
@@ -24,8 +25,9 @@ type Input struct {
 	Services []*service.Service
 	// Net supplies host-to-host available bandwidth. When nil, all
 	// edges get unlimited (+Inf) bandwidth — useful for pure-algorithm
-	// tests. With a network present, host pairs with no connectivity
-	// produce no edge at all.
+	// tests. With a network present, an edge whose host pair has no
+	// connectivity is masked: kept in the edge list, absent from the
+	// adjacency.
 	Net *overlay.Network
 	// SenderHost/ReceiverHost locate the special vertices.
 	SenderHost, ReceiverHost string
@@ -39,7 +41,9 @@ type Input struct {
 // variants to every service accepting that format, services to services
 // whose input format matches an output format, and services (and the
 // sender directly) to the receiver when the receiver can decode the
-// format.
+// format. Every such edge is added, annotated from the network; an edge
+// whose host pair the network cannot connect is added masked (see the
+// package comment).
 func Build(in Input) (*Graph, error) {
 	if in.Content == nil || in.Device == nil {
 		return nil, fmt.Errorf("graph: content and device profiles are required")
@@ -58,6 +62,8 @@ func Build(in Input) (*Graph, error) {
 	}
 
 	g := NewGraph(in.SenderHost, in.ReceiverHost)
+	g.nodeList = slices.Grow(g.nodeList, len(in.Services))
+	g.hostList = slices.Grow(g.hostList, len(in.Services))
 	for i := range in.Intermediaries {
 		inter := &in.Intermediaries[i]
 		g.SetHostResources(inter.Host, HostResources{CPUMips: inter.CPUMips, MemoryMB: inter.MemoryMB})
@@ -83,6 +89,19 @@ func Build(in Input) (*Graph, error) {
 		}
 	}
 
+	// Size the edge list once: every edge below joins a variant or a
+	// service output to an accepting service or to the receiver.
+	bound := 0
+	for _, v := range in.Content.Variants {
+		bound += len(acceptsFormat[v.Format]) + 1
+	}
+	for _, s := range in.Services {
+		for _, f := range s.Outputs {
+			bound += len(acceptsFormat[f]) + 1
+		}
+	}
+	g.all = make([]*Edge, 0, bound)
+
 	// Sender → services and sender → receiver, one edge per variant
 	// format accepted downstream. Two variants sharing a format would
 	// produce byte-identical edges; senderSeen drops the duplicates
@@ -102,38 +121,34 @@ func Build(in Input) (*Graph, error) {
 		senderSeen[k] = append(senderSeen[k], p)
 		return false
 	}
+	// addLink annotates an edge from the network and adds it, masked
+	// when the network cannot connect its host pair: the edge exists
+	// structurally and a later refresh may unmask it.
+	addLink := func(e *Edge, fromHost, toHost string) error {
+		var connected bool
+		e.BandwidthKbps, e.DelayMs, e.LossRate, connected = linkQoS(in.Net, fromHost, toHost)
+		return g.addEdge(e, !connected)
+	}
 	for _, variant := range in.Content.Variants {
 		for _, s := range acceptsFormat[variant.Format] {
 			if dupSender(NodeID(s.ID), variant.Format, variant.Params) {
 				continue
 			}
-			kbps, delay, loss, connected := linkQoS(in.Net, in.SenderHost, s.Host)
-			if !connected {
-				continue
-			}
-			if err := g.AddEdge(&Edge{
+			if err := addLink(&Edge{
 				From: SenderID, To: NodeID(s.ID),
-				Format:        variant.Format,
-				BandwidthKbps: kbps,
-				DelayMs:       delay,
-				LossRate:      loss,
-				SourceParams:  variant.Params.Clone(),
-			}); err != nil {
+				Format:       variant.Format,
+				SourceParams: variant.Params.Clone(),
+			}, in.SenderHost, s.Host); err != nil {
 				return nil, err
 			}
 		}
 		if in.Device.Decodes(variant.Format) && !dupSender(ReceiverID, variant.Format, variant.Params) {
-			if kbps, delay, loss, connected := linkQoS(in.Net, in.SenderHost, in.ReceiverHost); connected {
-				if err := g.AddEdge(&Edge{
-					From: SenderID, To: ReceiverID,
-					Format:        variant.Format,
-					BandwidthKbps: kbps,
-					DelayMs:       delay,
-					LossRate:      loss,
-					SourceParams:  variant.Params.Clone(),
-				}); err != nil {
-					return nil, err
-				}
+			if err := addLink(&Edge{
+				From: SenderID, To: ReceiverID,
+				Format:       variant.Format,
+				SourceParams: variant.Params.Clone(),
+			}, in.SenderHost, in.ReceiverHost); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -159,33 +174,15 @@ func Build(in Input) (*Graph, error) {
 					continue
 				}
 				svcSeen[k] = true
-				kbps, delay, loss, connected := linkQoS(in.Net, from.Host, to.Host)
-				if !connected {
-					continue
-				}
-				if err := g.AddEdge(&Edge{
-					From: NodeID(from.ID), To: NodeID(to.ID),
-					Format:        f,
-					BandwidthKbps: kbps,
-					DelayMs:       delay,
-					LossRate:      loss,
-				}); err != nil {
+				if err := addLink(&Edge{From: NodeID(from.ID), To: NodeID(to.ID), Format: f}, from.Host, to.Host); err != nil {
 					return nil, err
 				}
 			}
 			k := svcKey{NodeID(from.ID), ReceiverID, f}
 			if in.Device.Decodes(f) && !svcSeen[k] {
 				svcSeen[k] = true
-				if kbps, delay, loss, connected := linkQoS(in.Net, from.Host, in.ReceiverHost); connected {
-					if err := g.AddEdge(&Edge{
-						From: NodeID(from.ID), To: ReceiverID,
-						Format:        f,
-						BandwidthKbps: kbps,
-						DelayMs:       delay,
-						LossRate:      loss,
-					}); err != nil {
-						return nil, err
-					}
+				if err := addLink(&Edge{From: NodeID(from.ID), To: ReceiverID, Format: f}, from.Host, in.ReceiverHost); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -195,11 +192,11 @@ func Build(in Input) (*Graph, error) {
 }
 
 // linkQoS returns the bandwidth, one-way delay and loss the overlay
-// offers between two hosts, and whether an edge should exist at all:
-// disconnected hosts yield no edge. Delay uses the direct link when
-// present and the minimum-delay route otherwise. A nil network means
-// unconstrained connectivity. Shared by Build and the Cache's
-// bandwidth-only edge refresh.
+// offers between two hosts, and whether the hosts are connected at all:
+// an edge between disconnected hosts is masked. Delay uses the direct
+// link when present and the minimum-delay route otherwise. A nil network
+// means unconstrained connectivity. Shared by Build and the Cache's
+// in-place refresh.
 func linkQoS(net *overlay.Network, fromHost, toHost string) (kbps, delayMs, loss float64, connected bool) {
 	if net == nil {
 		return math.Inf(1), 0, 0, true

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"qoschain/internal/media"
+	"qoschain/internal/overlay"
 	"qoschain/internal/profile"
 	"qoschain/internal/satisfaction"
 	"qoschain/internal/service"
@@ -27,24 +28,19 @@ import (
 //
 // Invalidation. A live overlay network carries a generation counter
 // (overlay.Network.Generation) bumped on every mutation. On a lookup
-// whose entry was built at an older generation, the cache compares two
-// signatures of the network's link table (overlay.Network.Signatures,
-// hashed from the live link state):
-//
-//   - the connectivity signature (which links exist with positive
-//     bandwidth) — if it changed, host-pair reachability may have
-//     changed, so the graph is rebuilt from scratch;
-//   - the value signature (exact bandwidth/delay/loss) — if only it
-//     changed, the cached topology is still valid and the cache merely
-//     re-annotates every existing edge in place.
-//
-// Either way a lookup returns a graph whose every edge reads the overlay
-// as it is at that generation — the same annotations a cold Build would
-// give.
-//
-// This implements the rule that bandwidth fluctuation invalidates edges,
-// never topology. Explicit invalidation is available through Invalidate
-// and Reset.
+// whose entry was built at an older generation, the cache compares the
+// network's value signature (overlay.Network.Signature, hashed from the
+// live link state: every usable link's exact available bandwidth, delay
+// and loss). When it moved, the cached graph is refreshed in place:
+// every edge, masked ones included, is re-annotated from the overlay;
+// an edge whose host pair lost or regained connectivity flips its mask;
+// and when a mask flipped the live adjacency is rebuilt in insertion
+// order, reusing its slices. The graph's structure depends only on the
+// keyed inputs, so an overlay change never rebuilds: a refreshed graph
+// reads exactly like a cold Build of the overlay at that generation —
+// same edges, adjacency order and annotations — and a warm refresh
+// allocates nothing. A graph is built only on a first lookup of a key,
+// after eviction, or after Invalidate and Reset.
 //
 // Concurrency. The cache itself is safe for concurrent use. The returned
 // *Graph is shared between callers and refreshed in place: do not run a
@@ -62,10 +58,8 @@ type Cache struct {
 
 type cacheEntry struct {
 	g        *Graph
-	in       Input // inputs retained for rebuild and refresh
 	netGen   uint64
-	connSig  uint64
-	valueSig uint64
+	sig      uint64 // the network's value signature the graph was annotated at
 	lastUsed uint64
 }
 
@@ -89,8 +83,8 @@ type CacheStats struct {
 	Hits uint64
 	// Misses counts lookups that built a graph.
 	Misses uint64
-	// Refreshes counts hits that re-annotated edge QoS in place after a
-	// bandwidth-only network change.
+	// Refreshes counts hits on an entry built at an older network
+	// generation: the graph was brought up to the overlay in place.
 	Refreshes uint64
 	// Repairs is always 0: every refresh re-annotates every edge. It
 	// stays only because perfbench still reports it
@@ -151,32 +145,21 @@ func (c *Cache) BuildKeyed(key uint64, in Input) (*Graph, BuildOutcome, error) {
 
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		if in.Net == nil || gen == e.netGen {
-			c.hits++
-			c.touch(e)
-			g := e.g
-			c.mu.Unlock()
-			return g, OutcomeHit, nil
-		}
-		connSig, valueSig := in.Net.Signatures()
-		if connSig == e.connSig {
-			if valueSig != e.valueSig && !refreshEdgeQoS(e.g, &e.in) {
-				// A host pair lost connectivity despite an unchanged
-				// link set — fall through to a rebuild.
-				delete(c.entries, key)
-			} else {
-				e.valueSig = valueSig
-				e.netGen = gen
-				c.hits++
-				c.refreshes++
-				c.touch(e)
-				g := e.g
-				c.mu.Unlock()
-				return g, OutcomeRefresh, nil
+		outcome := OutcomeHit
+		if in.Net != nil && gen != e.netGen {
+			if sig := in.Net.Signature(); sig != e.sig {
+				refreshEdgeQoS(e.g, in.Net)
+				e.sig = sig
 			}
-		} else {
-			delete(c.entries, key)
+			e.netGen = gen
+			c.refreshes++
+			outcome = OutcomeRefresh
 		}
+		c.hits++
+		c.touch(e)
+		g := e.g
+		c.mu.Unlock()
+		return g, outcome, nil
 	}
 	c.misses++
 	c.mu.Unlock()
@@ -185,9 +168,9 @@ func (c *Cache) BuildKeyed(key uint64, in Input) (*Graph, BuildOutcome, error) {
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	e := &cacheEntry{g: g, in: in, netGen: gen}
+	e := &cacheEntry{g: g, netGen: gen}
 	if in.Net != nil {
-		e.connSig, e.valueSig = in.Net.Signatures()
+		e.sig = in.Net.Signature()
 	}
 	c.mu.Lock()
 	c.touch(e)
@@ -258,31 +241,23 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// refreshEdgeQoS re-annotates every edge of a cached graph with the
-// network's current bandwidth/delay/loss, leaving the topology alone.
-// It reports false when some edge's host pair is no longer connected —
-// the caller must rebuild.
-func refreshEdgeQoS(g *Graph, in *Input) bool {
-	for i := 0; i < g.NodeIndexCount(); i++ {
-		fromNode, ok := g.Node(g.NodeIDAt(i))
-		if !ok {
-			continue // pruned vertex
-		}
-		for _, e := range g.OutAt(i) {
-			toNode, ok := g.Node(e.To)
-			if !ok {
-				continue
-			}
-			kbps, delay, loss, connected := linkQoS(in.Net, fromNode.Host, toNode.Host)
-			if !connected {
-				return false
-			}
-			e.BandwidthKbps = kbps
-			e.DelayMs = delay
-			e.LossRate = loss
+// refreshEdgeQoS brings a cached graph up to the network as it is now:
+// it re-annotates every edge, masked ones included, flips the mask of
+// each edge whose host pair gained or lost connectivity, and rebuilds
+// the live adjacency when a mask flipped.
+func refreshEdgeQoS(g *Graph, net *overlay.Network) {
+	flipped := false
+	for _, e := range g.all {
+		kbps, delay, loss, connected := linkQoS(net, g.hostList[e.fromIdx], g.hostList[e.toIdx])
+		e.BandwidthKbps, e.DelayMs, e.LossRate = kbps, delay, loss
+		if e.down == connected {
+			e.down = !connected
+			flipped = true
 		}
 	}
-	return true
+	if flipped {
+		g.relink()
+	}
 }
 
 // fnv is a tiny FNV-1a stream hasher over the canonical byte encodings

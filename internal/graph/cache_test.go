@@ -88,73 +88,182 @@ func TestCacheBandwidthChangeRefreshesEdgesInPlace(t *testing.T) {
 	}
 }
 
-func TestCacheZeroCrossingRebuilds(t *testing.T) {
-	net := cacheNet()
-	c := NewCache(0)
-	in := cacheInput(net)
-	g1, err := c.Build(in)
+// DiffGraphs describes the first way in which got does not read like
+// want, or returns "": the same String and EdgeCount, the same Out and In
+// edges in the same order at every vertex with the same annotations, and
+// the same EdgeBetween answer for every edge either graph knows, masked
+// ones included. The refresh oracle (refresh_oracle_test.go) uses it to
+// hold a refreshed cached graph against a cold Build.
+func DiffGraphs(got, want *Graph) string {
+	if g, w := got.String(), want.String(); g != w {
+		return fmt.Sprintf("String:\n%s\nwant:\n%s", g, w)
+	}
+	if g, w := got.EdgeCount(), want.EdgeCount(); g != w {
+		return fmt.Sprintf("EdgeCount = %d, want %d", g, w)
+	}
+	for _, id := range want.NodeIDs() {
+		if d := diffEdges("Out("+string(id)+")", got.Out(id), want.Out(id)); d != "" {
+			return d
+		}
+		if d := diffEdges("In("+string(id)+")", got.In(id), want.In(id)); d != "" {
+			return d
+		}
+	}
+	for _, es := range [][]*Edge{got.all, want.all} {
+		for _, e := range es {
+			g, w := got.EdgeBetween(e.From, e.To, e.Format), want.EdgeBetween(e.From, e.To, e.Format)
+			what := fmt.Sprintf("EdgeBetween(%s, %s, %s)", e.From, e.To, e.Format)
+			if g == nil || w == nil {
+				if g != w {
+					return fmt.Sprintf("%s = %v, want %v", what, g, w)
+				}
+				continue
+			}
+			if d := diffEdges(what, []*Edge{g}, []*Edge{w}); d != "" {
+				return d
+			}
+		}
+	}
+	return ""
+}
+
+// diffEdges compares two edge lists position by position on identity
+// (endpoints, format, source parameters) and annotations.
+func diffEdges(what string, got, want []*Edge) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%s has %d edges, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.From != w.From || g.To != w.To || g.Format != w.Format || !g.SourceParams.Equal(w.SourceParams, 0) {
+			return fmt.Sprintf("%s[%d] = %s-[%s]->%s, want %s-[%s]->%s", what, i, g.From, g.Format, g.To, w.From, w.Format, w.To)
+		}
+		if g.BandwidthKbps != w.BandwidthKbps || g.DelayMs != w.DelayMs || g.LossRate != w.LossRate {
+			return fmt.Sprintf("%s[%d] %s->%s annotated %v/%v/%v, want %v/%v/%v", what, i, g.From, g.To,
+				g.BandwidthKbps, g.DelayMs, g.LossRate, w.BandwidthKbps, w.DelayMs, w.LossRate)
+		}
+	}
+	return ""
+}
+
+// refreshedLikeCold looks the input up in the cache and fails unless the
+// lookup refreshed the cached graph in place and the graph reads like a
+// cold Build of the overlay as it is now.
+func refreshedLikeCold(t *testing.T, c *Cache, in Input, cached *Graph) *Graph {
+	t.Helper()
+	g, outcome, err := c.BuildKeyed(InputKey(&in), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g1.Out(SenderID)) != 1 {
-		t.Fatalf("expected one sender edge, got %d", len(g1.Out(SenderID)))
+	if outcome != OutcomeRefresh || g != cached {
+		t.Fatalf("outcome = %s (same graph %v), want an in-place %s", outcome, g == cached, OutcomeRefresh)
 	}
-	// Bandwidth hitting zero disconnects the host pair: topology is no
-	// longer valid, the graph must be rebuilt without the edge.
+	cold, err := Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DiffGraphs(g, cold); d != "" {
+		t.Fatalf("refreshed graph differs from a cold build: %s", d)
+	}
+	return g
+}
+
+// TestCacheZeroCrossingRefreshesInPlace: available bandwidth hitting zero
+// disconnects a host pair. The cached graph masks the edge in place — it
+// is gone from Out, as in a cold build — and unmasks it when bandwidth
+// returns; neither crossing rebuilds.
+func TestCacheZeroCrossingRefreshesInPlace(t *testing.T) {
+	net := cacheNet()
+	c := NewCache(0)
+	in := cacheInput(net)
+	g, err := c.Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Out(SenderID)) != 1 {
+		t.Fatalf("expected one sender edge, got %d", len(g.Out(SenderID)))
+	}
 	if err := net.SetBandwidth("sender", "p1", 0); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := c.Build(in)
-	if err != nil {
+	refreshedLikeCold(t, c, in, g)
+	if len(g.Out(SenderID)) != 0 || g.EdgeCount() != 1 {
+		t.Fatalf("the disconnected edge is still live: Out(sender) %d, EdgeCount %d", len(g.Out(SenderID)), g.EdgeCount())
+	}
+	if err := net.SetBandwidth("sender", "p1", 2000); err != nil {
 		t.Fatal(err)
 	}
-	if g1 == g2 {
-		t.Fatal("connectivity change must rebuild, not refresh")
+	refreshedLikeCold(t, c, in, g)
+	if out := g.Out(SenderID); len(out) != 1 || out[0].BandwidthKbps != 2000 {
+		t.Fatalf("reconnected sender edge = %v, want one edge at 2000 kbps", out)
 	}
-	if len(g2.Out(SenderID)) != 0 {
-		t.Fatalf("rebuilt graph should drop the disconnected edge, has %d", len(g2.Out(SenderID)))
+	if st := c.Stats(); st.Misses != 1 || st.Refreshes != 2 {
+		t.Fatalf("stats = %+v, want 1 miss and 2 refreshes", st)
 	}
 }
 
-func TestCacheTopologyChangeRebuilds(t *testing.T) {
+// TestCacheTopologyChangeRefreshesInPlace: removing the link a graph
+// edge rides on masks that edge in place, and adding it back unmasks it.
+func TestCacheTopologyChangeRefreshesInPlace(t *testing.T) {
 	net := cacheNet()
 	c := NewCache(0)
 	in := cacheInput(net)
-	g1, err := c.Build(in)
+	g, err := c.Build(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.RemoveLink("p1", "recv")
-	g2, err := c.Build(in)
-	if err != nil {
-		t.Fatal(err)
+	refreshedLikeCold(t, c, in, g)
+	if len(g.Out("s1")) != 0 || len(g.In(ReceiverID)) != 0 {
+		t.Fatalf("the edge over the removed link is still live: Out(s1) %v", g.Out("s1"))
 	}
-	if g1 == g2 {
-		t.Fatal("link removal must rebuild the graph")
+	net.AddLink("p1", "recv", 1500, 5, 0)
+	refreshedLikeCold(t, c, in, g)
+	if len(g.Out("s1")) != 1 {
+		t.Fatalf("the edge over the re-added link is not live: Out(s1) %v", g.Out("s1"))
+	}
+	if st := c.Stats(); st.Misses != 1 {
+		t.Fatalf("stats = %+v: a topology change must not rebuild", st)
 	}
 }
 
-func TestCacheLinkDownRebuilds(t *testing.T) {
+// TestCacheLinkDownRefreshesInPlace: a failed link re-annotates the
+// edges over it from the route that remains, and once no route is left
+// masks them in place; the graph reads like a cold build throughout.
+func TestCacheLinkDownRefreshesInPlace(t *testing.T) {
 	net := threeProxyNet()
 	c := NewCache(0)
 	in := threeProxyInput(net)
-	if _, err := c.Build(in); err != nil {
-		t.Fatal(err)
-	}
-	// A failed link leaves the snapshot, changing the connectivity
-	// signature: the lookup must rebuild, never refresh in place.
-	if err := net.FailLink("p1", "recv"); err != nil {
-		t.Fatal(err)
-	}
-	_, outcome, err := c.BuildKeyed(InputKey(&in), in)
+	g, err := c.Build(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outcome != OutcomeMiss {
-		t.Fatalf("outcome = %s after a link failed, want %s (full rebuild)", outcome, OutcomeMiss)
+	toReceiver := func() *Edge { return g.EdgeBetween("s1", ReceiverID, media.Opaque(2)) }
+	if err := net.FailLink("p1", "recv"); err != nil {
+		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Refreshes != 0 {
-		t.Fatalf("stats = %+v: a topology change must never count as a refresh", st)
+	refreshedLikeCold(t, c, in, g)
+	if e := toReceiver(); e == nil || e.BandwidthKbps != 1400 {
+		t.Fatalf("s1->receiver = %v, want it routed over p3 at 1400 kbps", e)
+	}
+	if err := net.FailLink("p1", "p3"); err != nil {
+		t.Fatal(err)
+	}
+	refreshedLikeCold(t, c, in, g)
+	if e := toReceiver(); e != nil {
+		t.Fatalf("s1->receiver is still live with no route left: %v", e)
+	}
+	for _, e := range g.Out("s1") {
+		if e.To == ReceiverID {
+			t.Fatalf("the disconnected edge is still in Out(s1): %v", g.Out("s1"))
+		}
+	}
+	if err := net.RecoverLink("p1", "recv"); err != nil {
+		t.Fatal(err)
+	}
+	refreshedLikeCold(t, c, in, g)
+	if st := c.Stats(); st.Misses != 1 || st.Refreshes != 3 {
+		t.Fatalf("stats = %+v, want 1 miss and 3 refreshes", st)
 	}
 }
 
@@ -376,7 +485,7 @@ func TestCacheRefreshConcurrentWithBuild(t *testing.T) {
 	stop := make(chan struct{})
 	mutatorDone := make(chan struct{})
 	// Mutator: bandwidth wobbles on two links until the readers finish;
-	// every tenth step takes a link to zero and back, forcing rebuilds.
+	// every tenth step takes a link to zero and back, flipping masks.
 	go func() {
 		defer close(mutatorDone)
 		for i := 0; ; i++ {
@@ -407,8 +516,10 @@ func TestCacheRefreshConcurrentWithBuild(t *testing.T) {
 }
 
 // TestCacheWarmPathsAllocateNothing: with the key held by the caller, a
-// warm hit and a value-only refresh — new signatures hashed from the
-// live overlay, every edge re-annotated in place — allocate nothing.
+// warm hit, a value-only refresh — a new signature hashed from the live
+// overlay, every edge re-annotated in place — and a zero-crossing flip,
+// which masks and unmasks an edge and relinks the adjacency, allocate
+// nothing once warm.
 func TestCacheWarmPathsAllocateNothing(t *testing.T) {
 	net := cacheNet()
 	c := NewCache(0)
@@ -422,17 +533,30 @@ func TestCacheWarmPathsAllocateNothing(t *testing.T) {
 			t.Fatalf("warm lookup = %s, %v; want %s", outcome, err, OutcomeHit)
 		}
 	})
-	kbps := 2000.0
-	refresh := testing.AllocsPerRun(200, func() {
-		kbps = 3000 - kbps // 1000 ↔ 2000: values move, connectivity does not
+	// flip sets the sender uplink and looks the graph up, which must
+	// refresh it in place with wantOut live sender edges.
+	flip := func(kbps float64, wantOut int) {
 		if err := net.SetBandwidth("sender", "p1", kbps); err != nil {
 			t.Fatal(err)
 		}
-		if _, outcome, err := c.BuildKeyed(key, in); err != nil || outcome != OutcomeRefresh {
+		g, outcome, err := c.BuildKeyed(key, in)
+		if err != nil || outcome != OutcomeRefresh {
 			t.Fatalf("lookup after a bandwidth change = %s, %v; want %s", outcome, err, OutcomeRefresh)
 		}
+		if n := len(g.Out(SenderID)); n != wantOut {
+			t.Fatalf("at %v kbps the sender has %d live edges, want %d", kbps, n, wantOut)
+		}
+	}
+	kbps := 2000.0
+	refresh := testing.AllocsPerRun(200, func() {
+		kbps = 3000 - kbps // 1000 ↔ 2000: values move, no mask flips
+		flip(kbps, 1)
 	})
-	if hit != 0 || refresh != 0 {
-		t.Fatalf("allocs per lookup: hit %.1f, value-only refresh %.1f; want 0 and 0", hit, refresh)
+	zero := testing.AllocsPerRun(200, func() {
+		flip(0, 0)    // the uplink crosses zero: the edge is masked
+		flip(1000, 1) // and comes back
+	})
+	if hit != 0 || refresh != 0 || zero != 0 {
+		t.Fatalf("allocs per lookup: hit %.1f, value-only refresh %.1f, zero-crossing flip %.1f; want 0, 0 and 0", hit, refresh, zero)
 	}
 }

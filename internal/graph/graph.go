@@ -7,6 +7,14 @@
 // output link of one vertex to a same-format input link of another, and
 // carries the network bandwidth available between the two hosts
 // (Section 4.3).
+//
+// Structure and annotation are kept apart. Which edges exist depends only
+// on the profiles and the deployed services; the network only annotates
+// each edge with bandwidth, delay and loss, and masks the edges whose host
+// pair it cannot connect. A masked (down) edge stays in the graph's list of
+// all edges but is left out of the adjacency every reader sees (Out, In,
+// OutAt, EdgeCount, EdgeBetween, String), so a graph whose masks changed
+// reads exactly like one built without the masked edges.
 package graph
 
 import (
@@ -81,6 +89,9 @@ type Edge struct {
 	// TransmissionCost is an optional per-use monetary cost of the
 	// edge, added to the accumulated cost of Figure 4 Step 6.
 	TransmissionCost float64
+	// down masks the edge: its host pair is disconnected, so it is kept
+	// in the graph's edge list but left out of the adjacency.
+	down bool
 }
 
 // HostResources is the computing capacity of an intermediary host
@@ -96,6 +107,10 @@ type HostResources struct {
 // Graph is the adaptation graph.
 type Graph struct {
 	nodes map[NodeID]*Node
+	// all holds every edge, down ones included, in insertion order; out
+	// and in are the live adjacency derived from it (see relink), and
+	// edges counts the live edges.
+	all   []*Edge
 	out   map[NodeID][]*Edge
 	in    map[NodeID][]*Edge
 	edges int
@@ -107,14 +122,16 @@ type Graph struct {
 	// never reused, even after pruning removes a vertex.
 	nodeIdx   map[NodeID]int32
 	nodeList  []NodeID
+	hostList  []string // the host of each interned vertex, for refresh
 	formatIdx map[media.Format]int32
 	formats   []media.Format
 
 	// edgeIdx is a lazily built (from, to, format) → edge lookup table
-	// shared by concurrent readers (chain instantiation, mass failover
-	// re-instantiation). Structural mutations drop it; in-place edge
-	// updates (bandwidth refresh) keep it, since edge pointers are
-	// stable. See EdgeBetween.
+	// over every edge, down ones included, shared by concurrent readers
+	// (chain instantiation, mass failover re-instantiation). Structural
+	// mutations drop it; in-place edge updates (a refresh re-annotating
+	// edges and flipping masks) keep it, since edge pointers are stable.
+	// See EdgeBetween.
 	edgeIdx atomic.Pointer[map[edgeKey]*Edge]
 }
 
@@ -137,19 +154,20 @@ func NewGraph(senderHost, receiverHost string) *Graph {
 	}
 	g.nodes[SenderID] = &Node{ID: SenderID, Host: senderHost}
 	g.nodes[ReceiverID] = &Node{ID: ReceiverID, Host: receiverHost}
-	g.internNode(SenderID)   // index 0 == SenderIndex
-	g.internNode(ReceiverID) // index 1 == ReceiverIndex
+	g.internNode(SenderID, senderHost)     // index 0 == SenderIndex
+	g.internNode(ReceiverID, receiverHost) // index 1 == ReceiverIndex
 	return g
 }
 
-// internNode assigns the next dense index to a vertex.
-func (g *Graph) internNode(id NodeID) int32 {
+// internNode assigns the next dense index to a vertex on host.
+func (g *Graph) internNode(id NodeID, host string) int32 {
 	if i, ok := g.nodeIdx[id]; ok {
 		return i
 	}
 	i := int32(len(g.nodeList))
 	g.nodeIdx[id] = i
 	g.nodeList = append(g.nodeList, id)
+	g.hostList = append(g.hostList, host)
 	return i
 }
 
@@ -219,12 +237,16 @@ func (g *Graph) AddService(s *service.Service) error {
 		return fmt.Errorf("graph: duplicate vertex %q", id)
 	}
 	g.nodes[id] = &Node{ID: id, Service: s, Host: s.Host}
-	g.internNode(id)
+	g.internNode(id, s.Host)
 	return nil
 }
 
 // AddEdge inserts a directed edge. Both endpoints must exist.
-func (g *Graph) AddEdge(e *Edge) error {
+func (g *Graph) AddEdge(e *Edge) error { return g.addEdge(e, false) }
+
+// addEdge inserts an edge, masked when down: a masked edge joins the
+// edge list but not the adjacency.
+func (g *Graph) addEdge(e *Edge, down bool) error {
 	if _, ok := g.nodes[e.From]; !ok {
 		return fmt.Errorf("graph: edge from unknown vertex %q", e.From)
 	}
@@ -237,16 +259,44 @@ func (g *Graph) AddEdge(e *Edge) error {
 	e.fromIdx = g.nodeIdx[e.From]
 	e.toIdx = g.nodeIdx[e.To]
 	e.formatIdx = g.internFormat(e.Format)
-	g.out[e.From] = append(g.out[e.From], e)
-	g.in[e.To] = append(g.in[e.To], e)
-	g.edges++
+	e.down = down
+	g.all = append(g.all, e)
+	if !down {
+		g.out[e.From] = append(g.out[e.From], e)
+		g.in[e.To] = append(g.in[e.To], e)
+		g.edges++
+	}
 	g.edgeIdx.Store(nil)
 	return nil
 }
 
-// EdgeBetween returns the edge from→to carrying format, or nil. When
+// relink rebuilds the live adjacency from the edge list in insertion
+// order, leaving out every down edge — the adjacency a cold build over
+// the same masks produces. It reuses the adjacency slices, so once they
+// have grown to their structural size it allocates nothing.
+func (g *Graph) relink() {
+	for id, edges := range g.out {
+		g.out[id] = edges[:0]
+	}
+	for id, edges := range g.in {
+		g.in[id] = edges[:0]
+	}
+	g.edges = 0
+	for _, e := range g.all {
+		if e.down {
+			continue
+		}
+		g.out[e.From] = append(g.out[e.From], e)
+		g.in[e.To] = append(g.in[e.To], e)
+		g.edges++
+	}
+}
+
+// EdgeBetween returns the live edge from→to carrying format, or nil. When
 // parallel duplicates exist (only possible before Prune dedups them) the
 // first edge in adjacency order wins, matching a linear scan of Out.
+// Parallel edges share their host pair and so their mask: when the first
+// is down, all are, and EdgeBetween returns nil as a scan of Out would.
 // Lookups hit a lazily built index, so instantiating a chain — or
 // re-instantiating thousands of them during a mass failover — costs
 // O(1) per path step instead of a scan of the vertex's out-degree.
@@ -257,13 +307,11 @@ func (g *Graph) AddEdge(e *Edge) error {
 func (g *Graph) EdgeBetween(from, to NodeID, format media.Format) *Edge {
 	idx := g.edgeIdx.Load()
 	if idx == nil {
-		m := make(map[edgeKey]*Edge, g.edges)
-		for _, edges := range g.out {
-			for _, e := range edges {
-				k := edgeKey{e.From, e.To, e.Format}
-				if _, dup := m[k]; !dup {
-					m[k] = e
-				}
+		m := make(map[edgeKey]*Edge, len(g.all))
+		for _, e := range g.all {
+			k := edgeKey{e.From, e.To, e.Format}
+			if _, dup := m[k]; !dup {
+				m[k] = e
 			}
 		}
 		// Concurrent first builds may race benignly: each stores an
@@ -271,7 +319,10 @@ func (g *Graph) EdgeBetween(from, to NodeID, format media.Format) *Edge {
 		g.edgeIdx.Store(&m)
 		idx = &m
 	}
-	return (*idx)[edgeKey{from, to, format}]
+	if e := (*idx)[edgeKey{from, to, format}]; e != nil && !e.down {
+		return e
+	}
+	return nil
 }
 
 // SetHostResources declares an intermediary host's capacity. Hosts with
@@ -302,7 +353,7 @@ func (g *Graph) In(id NodeID) []*Edge { return g.in[id] }
 // NodeCount returns the number of vertices (including sender/receiver).
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 
-// EdgeCount returns the number of directed edges.
+// EdgeCount returns the number of live (unmasked) directed edges.
 func (g *Graph) EdgeCount() int { return g.edges }
 
 // NodeIDs returns all vertex IDs sorted, sender first and receiver last

@@ -11,101 +11,58 @@ package graph
 //  2. vertices unreachable from the sender;
 //  3. vertices from which the receiver is unreachable.
 //
-// It returns the number of edges removed. The sender and receiver are
-// never removed, even when disconnected.
+// It returns the number of live edges removed. The sender and receiver
+// are never removed, even when disconnected. Masked (down) edges are
+// dropped from the edge list too, so a later refresh can never bring back
+// an edge pruning would have removed.
 func (g *Graph) Prune() int {
-	// Pruning rewrites adjacency lists; drop the EdgeBetween index.
-	g.edgeIdx.Store(nil)
-	removed := g.dedupEdges()
+	before := g.edges
+	widest := g.widestParallel()
 
 	reachable := g.forwardReachable(SenderID)
 	coreach := g.backwardReachable(ReceiverID)
-
-	keep := func(id NodeID) bool {
-		if id == SenderID || id == ReceiverID {
-			return true
-		}
-		return reachable[id] && coreach[id]
-	}
-
-	drop := make(map[NodeID]bool)
 	for id := range g.nodes {
-		if !keep(id) {
-			drop[id] = true
+		if id == SenderID || id == ReceiverID || reachable[id] && coreach[id] {
+			continue
 		}
-	}
-	if len(drop) == 0 {
-		return removed
-	}
-	// Batch removal: delete dropped vertices and their outgoing edges,
-	// filter surviving adjacency lists once, then rebuild the incoming
-	// index in one pass (removing nodes one at a time would rebuild the
-	// index per node, turning pruning quadratic).
-	for id := range drop {
-		removed += len(g.out[id])
 		delete(g.nodes, id)
 		delete(g.out, id)
 		delete(g.in, id)
 	}
-	for id, edges := range g.out {
-		kept := edges[:0]
-		for _, e := range edges {
-			if drop[e.To] {
-				removed++
-				continue
-			}
+
+	// One pass over the edge list keeps the widest live edge of each
+	// parallel group between surviving vertices, then the adjacency is
+	// rebuilt from it (removing vertices one at a time would rebuild it
+	// per vertex, turning pruning quadratic).
+	kept := g.all[:0]
+	for _, e := range g.all {
+		_, from := g.nodes[e.From]
+		_, to := g.nodes[e.To]
+		if from && to && widest[edgeKey{e.From, e.To, e.Format}] == e {
 			kept = append(kept, e)
 		}
-		g.out[id] = kept
 	}
-	g.rebuildIn()
-	return removed
+	clear(g.all[len(kept):])
+	g.all = kept
+	g.edgeIdx.Store(nil)
+	g.relink()
+	return before - g.edges
 }
 
-// dedupEdges collapses parallel same-format edges to the widest one.
-func (g *Graph) dedupEdges() int {
-	removed := 0
-	for id, edges := range g.out {
-		type key struct {
-			to     NodeID
-			format string
-		}
-		best := make(map[key]*Edge, len(edges))
-		for _, e := range edges {
-			k := key{e.To, e.Format.String()}
-			if prev, ok := best[k]; !ok || e.BandwidthKbps > prev.BandwidthKbps {
-				best[k] = e
-			}
-		}
-		if len(best) == len(edges) {
+// widestParallel maps each (from, to, format) to its live edge with the
+// highest bandwidth, the first such edge on ties.
+func (g *Graph) widestParallel() map[edgeKey]*Edge {
+	best := make(map[edgeKey]*Edge, g.edges)
+	for _, e := range g.all {
+		if e.down {
 			continue
 		}
-		kept := make([]*Edge, 0, len(best))
-		for _, e := range edges {
-			k := key{e.To, e.Format.String()}
-			if best[k] == e {
-				kept = append(kept, e)
-			}
-		}
-		removed += len(edges) - len(kept)
-		g.out[id] = kept
-	}
-	if removed > 0 {
-		g.rebuildIn()
-	}
-	return removed
-}
-
-func (g *Graph) rebuildIn() {
-	g.in = make(map[NodeID][]*Edge, len(g.in))
-	count := 0
-	for _, edges := range g.out {
-		for _, e := range edges {
-			g.in[e.To] = append(g.in[e.To], e)
-			count++
+		k := edgeKey{e.From, e.To, e.Format}
+		if prev, ok := best[k]; !ok || e.BandwidthKbps > prev.BandwidthKbps {
+			best[k] = e
 		}
 	}
-	g.edges = count
+	return best
 }
 
 func (g *Graph) forwardReachable(start NodeID) map[NodeID]bool {

@@ -31,7 +31,7 @@ type Network struct {
 	subs  []chan Event
 	gen   uint64 // bumped on every mutation; see Generation
 
-	// ordered is links in (from, to) order for Signatures and Snapshot.
+	// ordered is links in (from, to) order for Signature and Snapshot.
 	// It is built on first use and dropped when a link is added or
 	// removed, so an overlay that is never hashed never builds it.
 	ordered []orderedLink
@@ -379,34 +379,29 @@ func (n *Network) unlockOrdered(write bool) {
 	}
 }
 
-// Signatures hashes the usable links, in (from, to) order, into two
-// signatures: connSig covers which links carry positive available
-// bandwidth, valueSig their exact available bandwidth, delay and loss.
-// They are the hashes of Snapshot's links, read straight from the live
-// link state without copying it; graph.Cache compares them to tell a
-// topology change (rebuild) from a value change (refresh in place).
-func (n *Network) Signatures() (connSig, valueSig uint64) {
+// Signature hashes the usable links, in (from, to) order, with their
+// exact available bandwidth, delay and loss: the hash of Snapshot's
+// links, read straight from the live link state without copying it.
+// graph.Cache compares it to tell whether a cached graph's annotations
+// and masks must be refreshed.
+func (n *Network) Signature() uint64 {
 	w := n.lockOrdered()
 	defer n.unlockOrdered(w)
-	ch, vh := newSigHash(), newSigHash()
+	h := newSigHash()
 	for _, o := range n.ordered {
 		if !n.usableLocked(o.e, o.l) {
 			continue
 		}
-		avail := o.l.available()
-		ch.str(o.e.from)
-		ch.str(o.e.to)
-		ch.bool(avail > 0)
-		vh.str(o.e.from)
-		vh.str(o.e.to)
-		vh.f64(avail)
-		vh.f64(o.l.delayMs)
-		vh.f64(o.l.lossRate)
+		h.str(o.e.from)
+		h.str(o.e.to)
+		h.f64(o.l.available())
+		h.f64(o.l.delayMs)
+		h.f64(o.l.lossRate)
 	}
-	return ch.sum, vh.sum
+	return h.sum
 }
 
-// sigHash is the FNV-1a stream hasher Signatures folds links into; u64
+// sigHash is the FNV-1a stream hasher Signature folds links into; u64
 // folds a whole word per step.
 type sigHash struct{ sum uint64 }
 
@@ -430,14 +425,6 @@ func (h *sigHash) str(s string) {
 }
 
 func (h *sigHash) f64(v float64) { h.u64(math.Float64bits(v)) }
-
-func (h *sigHash) bool(b bool) {
-	if b {
-		h.byte(1)
-	} else {
-		h.byte(0)
-	}
-}
 
 // Snapshot exports the current state as a static network profile, its
 // links in (from, to) order. Failed links and links touching failed

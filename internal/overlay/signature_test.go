@@ -13,7 +13,7 @@ import (
 )
 
 // refFnv is the graph cache's FNV-1a stream hasher, kept here so that
-// the reference below does not share code with Signatures.
+// the reference below does not share code with Signature.
 type refFnv struct{ sum uint64 }
 
 func (h *refFnv) byte(b byte) {
@@ -35,30 +35,19 @@ func (h *refFnv) str(s string) {
 
 func (h *refFnv) f64(v float64) { h.u64(math.Float64bits(v)) }
 
-func (h *refFnv) bool(b bool) {
-	if b {
-		h.byte(1)
-	} else {
-		h.byte(0)
-	}
-}
-
-// snapshotSignatures is the signature hash as the graph cache first
-// computed it: hash a sorted Snapshot's links. Signatures must equal it
+// snapshotSignature is the signature hash as the graph cache first
+// computed it: hash a sorted Snapshot's links. Signature must equal it
 // on every network state.
-func snapshotSignatures(p profile.Network) (connSig, valueSig uint64) {
-	ch, vh := refFnv{1469598103934665603}, refFnv{1469598103934665603}
+func snapshotSignature(p profile.Network) uint64 {
+	h := refFnv{1469598103934665603}
 	for _, l := range p.Links {
-		ch.str(l.From)
-		ch.str(l.To)
-		ch.bool(l.BandwidthKbps > 0)
-		vh.str(l.From)
-		vh.str(l.To)
-		vh.f64(l.BandwidthKbps)
-		vh.f64(l.DelayMs)
-		vh.f64(l.LossRate)
+		h.str(l.From)
+		h.str(l.To)
+		h.f64(l.BandwidthKbps)
+		h.f64(l.DelayMs)
+		h.f64(l.LossRate)
 	}
-	return ch.sum, vh.sum
+	return h.sum
 }
 
 // sortedSnapshot is Snapshot as it was before the links were kept in
@@ -145,7 +134,7 @@ func mutate(rng *rand.Rand, n *Network, hosts []string) string {
 }
 
 // TestSignaturesMatchSnapshotHash: over seeded random mutation
-// sequences, the signatures hashed from the live link state equal the
+// sequences, the signature hashed from the live link state equals the
 // hash of a sorted Snapshot after every step, and Snapshot, which no
 // longer sorts, equals the walk-and-sort export.
 func TestSignaturesMatchSnapshotHash(t *testing.T) {
@@ -162,11 +151,8 @@ func TestSignaturesMatchSnapshotHash(t *testing.T) {
 				continue // let mutations pile up between hashes
 			}
 			want := sortedSnapshot(n)
-			wantConn, wantValue := snapshotSignatures(want)
-			conn, value := n.Signatures()
-			if conn != wantConn || value != wantValue {
-				t.Fatalf("seed %d step %d (%s): Signatures = %x/%x, snapshot hash %x/%x",
-					seed, step, what, conn, value, wantConn, wantValue)
+			if got, wantSig := n.Signature(), snapshotSignature(want); got != wantSig {
+				t.Fatalf("seed %d step %d (%s): Signature = %x, snapshot hash %x", seed, step, what, got, wantSig)
 			}
 			if got := n.Snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d (%s): Snapshot = %v, want %v", seed, step, what, got.Links, want.Links)
@@ -175,36 +161,40 @@ func TestSignaturesMatchSnapshotHash(t *testing.T) {
 	}
 }
 
-// TestSignaturesTellConnectivityFromValues: a value change moves only
-// the value signature; a link whose available bandwidth reaches zero,
-// fails, or disappears moves both.
-func TestSignaturesTellConnectivityFromValues(t *testing.T) {
+// TestSignatureTracksLinkValues: the signature moves on every change a
+// cached graph must see — a new delay, a link whose available bandwidth
+// reaches zero, a failed link, a removed link — and returns to its old
+// value when the state it hashed comes back.
+func TestSignatureTracksLinkValues(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1000, 10, 0)
 	n.AddLink("b", "c", 1000, 10, 0)
-	conn0, value0 := n.Signatures()
+	sig0 := n.Signature()
 	_ = n.SetDelay("a", "b", 20)
-	conn1, value1 := n.Signatures()
-	if conn1 != conn0 || value1 == value0 {
-		t.Fatalf("delay change: conn %x→%x, value %x→%x; want only the value signature to move", conn0, conn1, value0, value1)
+	sig1 := n.Signature()
+	if sig1 == sig0 {
+		t.Fatal("a delay change left the signature unchanged")
 	}
 	_ = n.Reserve("a", "b", 1000)
-	if conn, _ := n.Signatures(); conn == conn1 {
-		t.Fatal("a fully reserved link left the connectivity signature unchanged")
+	if n.Signature() == sig1 {
+		t.Fatal("a fully reserved link left the signature unchanged")
 	}
 	n.Release("a", "b", 1000)
 	_ = n.SetDelay("a", "b", 10)
-	if conn, value := n.Signatures(); conn != conn0 || value != value0 {
-		t.Fatal("restoring the first state did not restore its signatures")
+	if n.Signature() != sig0 {
+		t.Fatal("restoring the first state did not restore its signature")
 	}
 	_ = n.FailLink("b", "c")
-	if conn, _ := n.Signatures(); conn == conn0 {
-		t.Fatal("a failed link left the connectivity signature unchanged")
+	if n.Signature() == sig0 {
+		t.Fatal("a failed link left the signature unchanged")
 	}
 	_ = n.RecoverLink("b", "c")
+	if n.Signature() != sig0 {
+		t.Fatal("recovering the link did not restore the signature")
+	}
 	n.RemoveLink("b", "c")
-	if conn, _ := n.Signatures(); conn == conn0 {
-		t.Fatal("a removed link left the connectivity signature unchanged")
+	if n.Signature() == sig0 {
+		t.Fatal("a removed link left the signature unchanged")
 	}
 }
 
@@ -219,10 +209,10 @@ func TestSignaturesAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		kbps = 3000 - kbps
 		_ = n.SetBandwidth("h3", "h4", kbps)
-		n.Signatures()
+		n.Signature()
 	})
 	if allocs != 0 {
-		t.Fatalf("Signatures allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("Signature allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -238,7 +228,7 @@ func TestSignaturesConcurrentWithTopologyChanges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				n.Signatures()
+				n.Signature()
 				if links := n.Snapshot().Links; !sort.SliceIsSorted(links, func(i, j int) bool {
 					return links[i].From < links[j].From || links[i].From == links[j].From && links[i].To < links[j].To
 				}) {

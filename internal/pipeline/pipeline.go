@@ -274,6 +274,9 @@ func (o Options) batch() int {
 // Stage targets: the final delivered parameters (res.Params) bound every
 // stage — a stage never has to emit more than the chain ultimately
 // delivers, which matches the optimizer's choice of per-edge parameters.
+//
+// A chain whose service does not accept the format its upstream sends
+// fails the build: the stages' per-frame path does not check formats.
 func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, error) {
 	if res == nil || !res.Found {
 		return nil, fmt.Errorf("pipeline: no chain to instantiate")
@@ -340,6 +343,11 @@ func FromResult(g *graph.Graph, res *core.Result, opts Options) (*Pipeline, erro
 		node, _ := g.Node(res.Path[i])
 		if node == nil || node.Service == nil {
 			continue // receiver
+		}
+		// A stage's batched path trusts its input format; check the
+		// wiring here, once per chain, instead of once per frame.
+		if inFormat := res.Formats[i-1]; !node.Service.Accepts(inFormat) {
+			return nil, fmt.Errorf("pipeline: mis-wired chain: service %s does not accept %s", node.Service.ID, inFormat)
 		}
 		outFormat := res.Formats[i] // format leaving this service
 		target := res.Params.Min(node.Service.Caps)

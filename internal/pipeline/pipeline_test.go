@@ -161,6 +161,36 @@ func TestPipelineFromResultErrors(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsMisWiredChain: a chain whose service does not
+// accept the format its upstream sends fails the build, since the
+// stages' batched path no longer checks formats frame by frame.
+func TestPipelineRejectsMisWiredChain(t *testing.T) {
+	g := graph.NewGraph("s", "r")
+	t1 := service.FormatConverter("t1", media.Opaque(1), media.Opaque(2))
+	if err := g.AddService(t1); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*graph.Edge{
+		{From: graph.SenderID, To: "t1", Format: media.Opaque(3), BandwidthKbps: 3000,
+			SourceParams: media.Params{media.ParamFrameRate: 30}},
+		{From: "t1", To: graph.ReceiverID, Format: media.Opaque(2), BandwidthKbps: 3000},
+	} {
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := &core.Result{
+		Found:   true,
+		Path:    []graph.NodeID{graph.SenderID, "t1", graph.ReceiverID},
+		Formats: []media.Format{media.Opaque(3), media.Opaque(2)},
+		Params:  media.Params{media.ParamFrameRate: 30},
+	}
+	_, err := FromResult(g, res, Options{})
+	if err == nil || !strings.Contains(err.Error(), "mis-wired") {
+		t.Fatalf("FromResult on a mis-wired chain: err = %v, want a mis-wired chain error", err)
+	}
+}
+
 func TestPipelineOnTable1Chain(t *testing.T) {
 	g, err := paperexample.Table1Graph(true)
 	if err != nil {

@@ -73,7 +73,7 @@ type StormReport struct {
 	RecoveryMs       float64 `json:"recoveryMs"`
 	LeakKbps         float64 `json:"leakKbps"`
 	CacheRefreshes   uint64  `json:"cacheRefreshes"`
-	CacheRebuilds    uint64  `json:"cacheRebuilds"`
+	CacheBuilds      uint64  `json:"cacheBuilds"`
 	Err              string  `json:"err,omitempty"`
 }
 
@@ -258,7 +258,7 @@ func RunStorm(spec StormSpec) (*StormReport, error) {
 	rep.LeakKbps = auditLeak(ctrl, regions)
 	stats := ctrl.CacheStats()
 	rep.CacheRefreshes = stats.Refreshes
-	rep.CacheRebuilds = stats.Misses
+	rep.CacheBuilds = stats.Misses
 	if rep.LeakKbps != 0 {
 		rep.Err = fmt.Sprintf("post-storm leak of %.3f kbps", rep.LeakKbps)
 	}

@@ -41,6 +41,12 @@ func TestRunStormSmall(t *testing.T) {
 	if rep.CacheRefreshes == 0 {
 		t.Fatal("storm never refreshed a cached class graph in place")
 	}
+	// Classes of one region share a graph key, and an overlay change
+	// never rebuilds: one build per region, however the storm moved
+	// the links.
+	if rep.CacheBuilds != 2 {
+		t.Fatalf("CacheBuilds = %d, want one per region (2)", rep.CacheBuilds)
+	}
 	if got := counters.Get(metrics.CounterStormSelectCalls); got != int64(rep.SelectCalls) {
 		t.Fatalf("storm.select_calls = %d, report says %d", got, rep.SelectCalls)
 	}

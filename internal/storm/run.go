@@ -252,9 +252,10 @@ func sortItems(items []planItem) {
 
 // classGraphLocked brings the class graph up to the overlay as it is now:
 // graph.Cache.BuildKeyed, on the key the class holds, serves the cached
-// graph when the overlay has not moved, re-annotates every edge in place
-// when only link values moved, and rebuilds when connectivity changed.
-// Called with c.mu held.
+// graph when the overlay has not moved, and otherwise refreshes it in
+// place — every edge re-annotated, edges whose host pair lost or regained
+// connectivity masked or unmasked. Only a new key (re-derived services)
+// or an evicted entry builds a graph. Called with c.mu held.
 func (c *Controller) classGraphLocked(cls *Class) (*graph.Graph, error) {
 	r := c.regions[cls.spec.Region]
 	if cls.svcGen != r.svcGen {

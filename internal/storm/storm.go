@@ -6,8 +6,9 @@
 // would pick for one is the chain it would pick for all. The storm
 // controller groups sessions into equivalence classes keyed by exactly
 // that fingerprint, runs Select once per class against the class graph
-// as the overlay is now (graph.Cache.BuildKeyed re-annotates every edge in
-// place when the overlay moved, rebuilds when its connectivity did), and
+// as the overlay is now (graph.Cache.BuildKeyed builds a class graph
+// once, then re-annotates every edge in place when the overlay moved and
+// masks the edges whose host pair it can no longer connect), and
 // fans the chosen chain out with one atomic swap per run of identical
 // holds (overlay.SwapChainN — release old, acquire new, never a
 // partial).
@@ -768,7 +769,7 @@ func (c *Controller) HeldKbps(regionName string) float64 {
 }
 
 // CacheStats exposes the planner cache counters (in-place refreshes vs
-// rebuilds).
+// builds).
 func (c *Controller) CacheStats() graph.CacheStats { return c.cache.Stats() }
 
 // Fingerprint renders the controller's deterministic state — every

@@ -166,8 +166,13 @@ func NewStage(svc *service.Service, outFormat media.Format, target media.Params,
 }
 
 // Process consumes one frame and returns the trans-coded output frames
-// (zero when the frame is decimated away by frame-rate reduction).
+// (zero when the frame is decimated away by frame-rate reduction, or
+// dropped because the service does not accept its format).
 func (s *Stage) Process(f Frame) []Frame {
+	if !s.svc.Accepts(f.Format) {
+		s.reject(&f)
+		return nil
+	}
 	out := s.ProcessAppend(&f, nil)
 	if len(out) == 0 {
 		return nil
@@ -179,16 +184,22 @@ func (s *Stage) Process(f Frame) []Frame {
 // returning it. It is the allocation-free form the batched pipeline
 // drives: f points into the input batch, out is a reused batch buffer
 // whose new slot is written in place, and with a cache attached the
-// payload traffic recycles instead of allocating.
+// payload traffic recycles instead of allocating. Unlike Process it does
+// not check the frame's format: the pipeline checks once, when it builds
+// the chain, that every stage accepts its upstream's format, so each
+// frame reaching a stage carries one.
 func (s *Stage) ProcessAppend(f *Frame, out []Frame) []Frame {
 	s.consumed++
-	if !s.svc.Accepts(f.Format) {
-		// A mis-wired chain: drop rather than corrupt.
-		s.dropped++
-		s.cache.Put(f.Payload)
-		return out
-	}
 	return s.emit(f, s.out, out)
+}
+
+// reject drops a frame whose format the service does not accept: a
+// frame handed to Process by a mis-wired caller is dropped rather than
+// corrupted.
+func (s *Stage) reject(f *Frame) {
+	s.consumed++
+	s.dropped++
+	s.cache.Put(f.Payload)
 }
 
 // Service returns the stage's service description.
@@ -214,6 +225,10 @@ func NewKeyframeStage(svc *service.Service, outFormat media.Format, target media
 
 // Process forwards only keyframes, then applies the base trans-coding.
 func (k *KeyframeStage) Process(f Frame) []Frame {
+	if !k.svc.Accepts(f.Format) {
+		k.reject(&f)
+		return nil
+	}
 	out := k.ProcessAppend(&f, nil)
 	if len(out) == 0 {
 		return nil
@@ -222,7 +237,8 @@ func (k *KeyframeStage) Process(f Frame) []Frame {
 }
 
 // ProcessAppend forwards only keyframes, then applies the base
-// trans-coding.
+// trans-coding; like Stage.ProcessAppend it leaves the format check to
+// the chain's build.
 func (k *KeyframeStage) ProcessAppend(f *Frame, out []Frame) []Frame {
 	if !f.Keyframe {
 		k.consumed++
