@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-pipeline-json bench-snapshot bench-storm pipeline-guard trace-overhead perfbench-check lint check ci
+.PHONY: all build test vet race race-all fuzz-smoke cluster-smoke storm-smoke storm-cluster-smoke bench bench-select bench-pipeline bench-pipeline-json bench-snapshot bench-storm pipeline-guard trace-overhead perfbench-check reachability lint check ci
 
 all: check
 
@@ -124,6 +124,15 @@ pipeline-guard:
 # paper plus the extension experiments).
 bench:
 	$(GO) test -run 'TestNone' -bench . -benchmem ./
+
+# reachability lists the exported functions and methods under internal/
+# that no non-test file outside perfbench/ references (a name-based scan,
+# see scripts/reachability/main.go) and fails when one appears that is
+# not on the committed allowlist. The list may shrink, never grow:
+# delete or call new dead exports, and drop allowlist entries the scan
+# reports as gone.
+reachability:
+	$(GO) run ./scripts/reachability -allow scripts/reachability/allowlist.txt
 
 # lint runs staticcheck and govulncheck when they are installed, and
 # skips each gracefully when not (CI installs both; local machines may

@@ -1,10 +1,10 @@
 // Package admission is the serving layer's overload protection: the
 // request-admission discipline that keeps a burst of compose/session
-// traffic from oversubscribing overlay links, piling onto the planner,
-// or hanging on a slow registry. The paper composes each chain under
-// per-link bandwidth and cost budgets (Section 4.3); this package
-// applies the same budget thinking at the boundary where requests enter
-// the system, in four layers:
+// traffic from oversubscribing overlay links or piling onto the
+// planner. The paper composes each chain under per-link bandwidth and
+// cost budgets (Section 4.3); this package applies the same budget
+// thinking at the boundary where requests enter the system, in three
+// layers:
 //
 //  1. Limiter — a deadline-aware concurrency limiter with a bounded
 //     FIFO queue. Requests beyond the in-flight cap wait in arrival
@@ -16,10 +16,6 @@
 //     holds a chain's per-edge bandwidth before activation and rejects
 //     compositions that would oversubscribe live reservations
 //     (internal/overlay; sessions wire it through Config.ReserveBandwidth).
-//  4. Breaker — a success-rate circuit breaker (closed/open/half-open)
-//     guarding slow or failed downstreams such as federation remotes;
-//     an open breaker sheds calls instantly so callers fall back (the
-//     registry serves its last-known-good directory).
 //
 // Everything is deterministic under an injected Clock: tests and the
 // adaptsim -overload scenario drive a VirtualClock step by step and get
@@ -43,10 +39,6 @@ var ErrOverloaded = errors.New("admission: overloaded")
 // ErrRateLimited is returned when a client exhausted its token bucket.
 // It wraps ErrOverloaded so a single errors.Is covers every shed path.
 var ErrRateLimited = &wrappedErr{msg: "admission: client rate limited", wraps: ErrOverloaded}
-
-// ErrBreakerOpen is returned when a circuit breaker sheds a call while
-// open. It wraps ErrOverloaded.
-var ErrBreakerOpen = &wrappedErr{msg: "admission: circuit breaker open", wraps: ErrOverloaded}
 
 // wrappedErr is a sentinel error that also matches a broader sentinel.
 type wrappedErr struct {

@@ -324,3 +324,12 @@ func TestConcurrentAcquireNoLeaks(t *testing.T) {
 	}
 	t.Errorf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
+
+func TestVirtualClockAdvance(t *testing.T) {
+	c := NewVirtualClock(time.Time{})
+	start := c.Now()
+	c.Advance(3 * time.Second)
+	if got := c.Now().Sub(start); got != 3*time.Second {
+		t.Errorf("Advance moved %v, want 3s", got)
+	}
+}

@@ -86,6 +86,22 @@ func deploy(t *testing.T) *deployment {
 	}
 }
 
+// discover finds the deployment's services through the wire-protocol
+// registry. A failed query fails the test, and so does any answer other
+// than the three advertised services: a session composed from a partial
+// discovery would fail later for a reason the test could not name.
+func discover(t *testing.T, d *deployment) []*service.Service {
+	t.Helper()
+	services, err := graph.Discover(d.client, d.content, 0)
+	if err != nil {
+		t.Fatalf("discovery failed: %v", err)
+	}
+	if len(services) != 3 {
+		t.Fatalf("discovered %d services %v, want 3 (direct, stage1, stage2)", len(services), services)
+	}
+	return services
+}
+
 // table1StyleConfig is the linear frame-rate objective shared by the
 // end-to-end tests.
 func table1StyleConfig() core.Config {
@@ -98,11 +114,7 @@ func TestEndToEndDiscoverComposeStream(t *testing.T) {
 	d := deploy(t)
 
 	// 1. Discover services through the wire-protocol registry.
-	src := registry.NewRemoteSource(d.client)
-	services := graph.Discover(src, d.content, 0)
-	if len(services) != 3 {
-		t.Fatalf("discovered %d services, want 3", len(services))
-	}
+	services := discover(t, d)
 
 	// 2. Build the adaptation graph over the live overlay and select.
 	g, err := graph.Build(graph.Input{
@@ -142,8 +154,7 @@ func TestEndToEndDiscoverComposeStream(t *testing.T) {
 
 func TestEndToEndSessionAdapts(t *testing.T) {
 	d := deploy(t)
-	src := registry.NewRemoteSource(d.client)
-	services := graph.Discover(src, d.content, 0)
+	services := discover(t, d)
 
 	sess, err := session.New(session.Config{
 		Content: d.content, Device: d.device,
@@ -178,8 +189,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	d := deploy(t)
 	// The HTTP API takes a full profile set; assemble one matching the
 	// deployment (the intermediary list mirrors what the registry holds).
-	src := registry.NewRemoteSource(d.client)
-	services := graph.Discover(src, d.content, 0)
+	services := discover(t, d)
 	byHost := map[string][]*service.Service{}
 	for _, svc := range services {
 		byHost[svc.Host] = append(byHost[svc.Host], svc)
@@ -224,5 +234,17 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 	if math.Abs(body.Satisfaction-0.8) > 1e-6 {
 		t.Errorf("HTTP satisfaction = %v", body.Satisfaction)
+	}
+}
+
+// TestEndToEndDiscoverFailsWhenRegistryDown closes the registry before
+// discovery: the lookup must fail loudly rather than hand the composer
+// an empty service list.
+func TestEndToEndDiscoverFailsWhenRegistryDown(t *testing.T) {
+	d := deploy(t)
+	d.registry.Close()
+	services, err := graph.Discover(d.client, d.content, 0)
+	if err == nil {
+		t.Fatalf("discovery against a closed registry returned %d services and no error", len(services))
 	}
 }

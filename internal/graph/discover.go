@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
 
 	"qoschain/internal/media"
@@ -9,10 +10,10 @@ import (
 )
 
 // Directory is the service-discovery query graph construction needs: who
-// accepts a given format. registry.Registry, registry.Federation and
-// registry.RemoteSource all satisfy it.
+// accepts a given format. A query either answers or fails; a registry
+// client (registry.Client) satisfies it.
 type Directory interface {
-	ByInput(media.Format) []*service.Service
+	ByInput(media.Format) ([]*service.Service, error)
 }
 
 // Discover collects the trans-coding services relevant to adapting the
@@ -25,9 +26,12 @@ type Directory interface {
 // This is how a deployment actually obtains the Build input: rather than
 // enumerating every advertised service, only those reachable from the
 // content's formats matter — everything else could never join a chain.
-func Discover(dir Directory, content *profile.Content, maxDepth int) []*service.Service {
+//
+// The first failed query fails the discovery: a partial service list
+// would compose a worse chain without anyone knowing it.
+func Discover(dir Directory, content *profile.Content, maxDepth int) ([]*service.Service, error) {
 	if dir == nil || content == nil {
-		return nil
+		return nil, nil
 	}
 	seenFormats := make(media.FormatSet)
 	frontier := make([]media.Format, 0, len(content.Variants))
@@ -41,7 +45,11 @@ func Discover(dir Directory, content *profile.Content, maxDepth int) []*service.
 	for depth := 0; len(frontier) > 0 && (maxDepth <= 0 || depth < maxDepth); depth++ {
 		var next []media.Format
 		for _, f := range frontier {
-			for _, svc := range dir.ByInput(f) {
+			svcs, err := dir.ByInput(f)
+			if err != nil {
+				return nil, fmt.Errorf("graph: discovering services accepting %s: %w", f, err)
+			}
+			for _, svc := range svcs {
 				if _, ok := found[svc.ID]; ok {
 					continue
 				}
@@ -61,5 +69,5 @@ func Discover(dir Directory, content *profile.Content, maxDepth int) []*service.
 		out = append(out, svc)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, nil
 }

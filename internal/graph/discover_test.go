@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -10,7 +11,33 @@ import (
 	"qoschain/internal/service"
 )
 
-func discoveryRegistry(t *testing.T) *registry.Registry {
+// localDirectory answers Discover's queries from an in-memory registry,
+// whose lookups cannot fail.
+type localDirectory struct{ *registry.Registry }
+
+func (d localDirectory) ByInput(f media.Format) ([]*service.Service, error) {
+	return d.Registry.ByInput(f), nil
+}
+
+// failingDirectory answers its first ok queries from dir and fails every
+// later one.
+type failingDirectory struct {
+	dir     Directory
+	ok      int
+	queries int
+}
+
+var errDirectoryDown = errors.New("directory down")
+
+func (d *failingDirectory) ByInput(f media.Format) ([]*service.Service, error) {
+	d.queries++
+	if d.queries > d.ok {
+		return nil, errDirectoryDown
+	}
+	return d.dir.ByInput(f)
+}
+
+func discoveryRegistry(t *testing.T) localDirectory {
 	t.Helper()
 	reg := registry.New()
 	adds := []*service.Service{
@@ -27,7 +54,7 @@ func discoveryRegistry(t *testing.T) *registry.Registry {
 			t.Fatal(err)
 		}
 	}
-	return reg
+	return localDirectory{reg}
 }
 
 func mpegContent() *profile.Content {
@@ -38,7 +65,10 @@ func mpegContent() *profile.Content {
 
 func TestDiscoverBFS(t *testing.T) {
 	reg := discoveryRegistry(t)
-	found := Discover(reg, mpegContent(), 0)
+	found, err := Discover(reg, mpegContent(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(found) != 2 {
 		t.Fatalf("Discover found %d services, want 2 (hop1, hop2)", len(found))
 	}
@@ -49,17 +79,20 @@ func TestDiscoverBFS(t *testing.T) {
 
 func TestDiscoverDepthBound(t *testing.T) {
 	reg := discoveryRegistry(t)
-	found := Discover(reg, mpegContent(), 1)
+	found, err := Discover(reg, mpegContent(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(found) != 1 || found[0].ID != "hop1" {
 		t.Fatalf("depth-1 discovery = %v", found)
 	}
 }
 
 func TestDiscoverNilInputs(t *testing.T) {
-	if got := Discover(nil, mpegContent(), 0); got != nil {
+	if got, err := Discover(nil, mpegContent(), 0); got != nil || err != nil {
 		t.Error("nil directory should discover nothing")
 	}
-	if got := Discover(discoveryRegistry(t), nil, 0); got != nil {
+	if got, err := Discover(discoveryRegistry(t), nil, 0); got != nil || err != nil {
 		t.Error("nil content should discover nothing")
 	}
 }
@@ -70,7 +103,10 @@ func TestDiscoverThenBuild(t *testing.T) {
 	device := &profile.Device{ID: "d", Software: profile.Software{
 		Decoders: []media.Format{media.VideoH263},
 	}}
-	services := Discover(reg, content, 0)
+	services, err := Discover(reg, content, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := Build(Input{Content: content, Device: device, Services: services})
 	if err != nil {
 		t.Fatal(err)
@@ -83,15 +119,19 @@ func TestDiscoverThenBuild(t *testing.T) {
 	}
 }
 
-func TestDiscoverFromFederation(t *testing.T) {
-	a, b := registry.New(), registry.New()
-	s1 := service.FormatConverter("hop1", media.VideoMPEG1, media.VideoMJPEG)
-	s2 := service.FormatConverter("hop2", media.VideoMJPEG, media.VideoH263)
-	_ = a.Register(s1, 0)
-	_ = b.Register(s2, 0)
-	fed := registry.NewFederation(a, b)
-	found := Discover(fed, mpegContent(), 0)
-	if len(found) != 2 {
-		t.Fatalf("federated discovery = %d services, want 2", len(found))
+// TestDiscoverFailedQueryIsAnError has the directory answer the first
+// query (MPEG-1 → hop1) and fail the second (MJPEG): Discover must
+// report the failure, not return the shorter list hop1 alone.
+func TestDiscoverFailedQueryIsAnError(t *testing.T) {
+	dir := &failingDirectory{dir: discoveryRegistry(t), ok: 1}
+	found, err := Discover(dir, mpegContent(), 0)
+	if !errors.Is(err, errDirectoryDown) {
+		t.Fatalf("Discover = %v, %v; want an error wrapping %v", found, err, errDirectoryDown)
+	}
+	if found != nil {
+		t.Errorf("a failed discovery returned services %v", found)
+	}
+	if dir.queries != 2 {
+		t.Errorf("directory saw %d queries, want 2 (the second failed)", dir.queries)
 	}
 }

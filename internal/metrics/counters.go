@@ -118,11 +118,6 @@ const (
 	// activation because their chain would oversubscribe reserved
 	// overlay bandwidth.
 	CounterCapacityRejected = "admission.capacity_rejected"
-	// CounterBreakerOpened/HalfOpen/Closed count circuit breaker state
-	// transitions.
-	CounterBreakerOpened   = "admission.breaker_opened"
-	CounterBreakerHalfOpen = "admission.breaker_half_open"
-	CounterBreakerClosed   = "admission.breaker_closed"
 	// SampleReservedKbps observes the per-link bandwidth each admitted
 	// chain reserved.
 	SampleReservedKbps = "admission.reserved_kbps"

@@ -51,7 +51,6 @@ func RegisterWellKnown(r *Registry) {
 		CounterAdmissionAdmitted, CounterAdmissionQueued,
 		CounterAdmissionShedQueueFull, CounterAdmissionShedExpired,
 		CounterAdmissionRateLimited, CounterCapacityRejected,
-		CounterBreakerOpened, CounterBreakerHalfOpen, CounterBreakerClosed,
 		CounterJournalAppends, CounterJournalSyncs, CounterJournalSnapshots,
 		CounterJournalReplayed, CounterJournalTruncatedBytes,
 		CounterRecoverySessions, CounterRecoveryErrors, CounterRecoveryReconciled,

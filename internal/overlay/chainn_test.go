@@ -151,10 +151,9 @@ func TestChainNStopsAtFirstFailure(t *testing.T) {
 	}
 }
 
-// TestChainNAllocatesNothingUnwatched holds the run calls to zero
-// allocations when nobody watches the network: links resolve into a
-// stack buffer and no event or subscriber copy is made.
-func TestChainNAllocatesNothingUnwatched(t *testing.T) {
+// TestChainNAllocatesNothing holds the run calls to zero allocations:
+// links resolve into a stack buffer.
+func TestChainNAllocatesNothing(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 0, 0)
 	n.AddLink("b", "c", 1e9, 0, 0)

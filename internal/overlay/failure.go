@@ -9,66 +9,35 @@ import "fmt"
 // routing, Snapshot — and Reserve refuses it, but Release still works so
 // sessions can withdraw cleanly from a crashed chain.
 
-// FailHost marks a host as crashed. Every link touching it stops carrying
-// traffic and watchers receive a zero-bandwidth event per affected link.
-// Failing an unknown or already-down host is an error.
+// FailHost marks a host as crashed: every link touching it stops
+// carrying traffic. Failing an unknown or already-down host is an error.
 func (n *Network) FailHost(id string) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if !n.nodes[id] {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no host %s", id)
 	}
 	if n.down[id] {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: host %s is already down", id)
-	}
-	// Collect the links that were usable and now go dark.
-	var affected []edge
-	for e, l := range n.links {
-		if (e.from == id || e.to == id) && n.usableLocked(e, l) {
-			affected = append(affected, e)
-		}
 	}
 	n.down[id] = true
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	for _, e := range affected {
-		notify(subs, Event{From: e.from, To: e.to, BandwidthKbps: 0})
-	}
 	return nil
 }
 
 // RecoverHost brings a crashed host back. Links to still-healthy
-// neighbors resume at their retained characteristics and watchers receive
-// the restored bandwidth per link.
+// neighbors resume at their retained characteristics.
 func (n *Network) RecoverHost(id string) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if !n.nodes[id] {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no host %s", id)
 	}
 	if !n.down[id] {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: host %s is not down", id)
 	}
 	delete(n.down, id)
 	n.gen++
-	type restored struct {
-		e    edge
-		kbps float64
-	}
-	var affected []restored
-	for e, l := range n.links {
-		if (e.from == id || e.to == id) && n.usableLocked(e, l) {
-			affected = append(affected, restored{e, l.available()})
-		}
-	}
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	for _, r := range affected {
-		notify(subs, Event{From: r.e.from, To: r.e.to, BandwidthKbps: r.kbps})
-	}
 	return nil
 }
 
@@ -92,47 +61,35 @@ func (n *Network) DownHosts() []string {
 }
 
 // FailLink marks the directed link as down, retaining its configuration
-// for recovery. Watchers receive a zero-bandwidth event.
+// for recovery.
 func (n *Network) FailLink(from, to string) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	l, ok := n.links[edge{from, to}]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %s->%s", from, to)
 	}
 	if l.down {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: link %s->%s is already down", from, to)
 	}
 	l.down = true
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	notify(subs, Event{From: from, To: to, BandwidthKbps: 0})
 	return nil
 }
 
 // RecoverLink brings a failed link back at its retained characteristics.
 func (n *Network) RecoverLink(from, to string) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	l, ok := n.links[edge{from, to}]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %s->%s", from, to)
 	}
 	if !l.down {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: link %s->%s is not down", from, to)
 	}
 	l.down = false
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	avail := 0.0
-	if n.usableLocked(edge{from, to}, l) {
-		avail = l.available()
-	}
-	n.mu.Unlock()
-	notify(subs, Event{From: from, To: to, BandwidthKbps: avail})
 	return nil
 }
 
@@ -157,28 +114,19 @@ func (n *Network) Usable(from, to string) bool {
 	return ok && n.usableLocked(e, l)
 }
 
-// SetLoss updates an existing link's loss rate — a loss spike. Watchers
-// receive an event carrying the link's current bandwidth so that sessions
-// whose chain crosses the link re-evaluate.
+// SetLoss updates an existing link's loss rate — a loss spike.
 func (n *Network) SetLoss(from, to string, rate float64) error {
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("overlay: loss rate %v outside [0,1]", rate)
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	l, ok := n.links[edge{from, to}]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %s->%s", from, to)
 	}
 	l.lossRate = rate
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	avail := 0.0
-	if n.usableLocked(edge{from, to}, l) {
-		avail = l.available()
-	}
-	n.mu.Unlock()
-	notify(subs, Event{From: from, To: to, BandwidthKbps: avail})
 	return nil
 }
 
@@ -188,19 +136,12 @@ func (n *Network) SetDelay(from, to string, delayMs float64) error {
 		return fmt.Errorf("overlay: negative delay %v", delayMs)
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	l, ok := n.links[edge{from, to}]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %s->%s", from, to)
 	}
 	l.delayMs = delayMs
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	avail := 0.0
-	if n.usableLocked(edge{from, to}, l) {
-		avail = l.available()
-	}
-	n.mu.Unlock()
-	notify(subs, Event{From: from, To: to, BandwidthKbps: avail})
 	return nil
 }

@@ -57,26 +57,6 @@ func TestRecoverHostRestoresState(t *testing.T) {
 	}
 }
 
-func TestFailHostEvents(t *testing.T) {
-	n := failoverNet()
-	events, cancel := n.Watch(8)
-	defer cancel()
-	if err := n.FailHost("a"); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]float64{}
-	for i := 0; i < 2; i++ {
-		ev := <-events
-		seen[ev.From+"->"+ev.To] = ev.BandwidthKbps
-	}
-	if v, ok := seen["s->a"]; !ok || v != 0 {
-		t.Errorf("expected zero-bandwidth event for s->a, got %v", seen)
-	}
-	if v, ok := seen["a->r"]; !ok || v != 0 {
-		t.Errorf("expected zero-bandwidth event for a->r, got %v", seen)
-	}
-}
-
 func TestFailHostErrors(t *testing.T) {
 	n := failoverNet()
 	if err := n.FailHost("nope"); err == nil {

@@ -28,7 +28,6 @@ type Network struct {
 	nodes map[string]bool
 	down  map[string]bool // crashed hosts (fault injection)
 	links map[edge]*linkState
-	subs  []chan Event
 	gen   uint64 // bumped on every mutation; see Generation
 
 	// ordered is links in (from, to) order for Signature and Snapshot.
@@ -61,14 +60,6 @@ func (l *linkState) available() float64 {
 		return 0
 	}
 	return a
-}
-
-// Event describes a change to the overlay, delivered to watchers.
-type Event struct {
-	// From/To identify the changed link.
-	From, To string
-	// BandwidthKbps is the new available bandwidth.
-	BandwidthKbps float64
 }
 
 // New returns an empty overlay network.
@@ -140,20 +131,14 @@ func (n *Network) AddDuplexLink(a, b string, bandwidthKbps, delayMs, lossRate fl
 	n.AddLink(b, a, bandwidthKbps, delayMs, lossRate)
 }
 
-// RemoveLink deletes the directed link and notifies watchers with zero
-// bandwidth.
+// RemoveLink deletes the directed link.
 func (n *Network) RemoveLink(from, to string) {
 	n.mu.Lock()
-	_, existed := n.links[edge{from, to}]
-	delete(n.links, edge{from, to})
-	if existed {
+	defer n.mu.Unlock()
+	if _, existed := n.links[edge{from, to}]; existed {
+		delete(n.links, edge{from, to})
 		n.gen++
 		n.orderOK = false
-	}
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	if existed {
-		notify(subs, Event{From: from, To: to, BandwidthKbps: 0})
 	}
 }
 
@@ -215,26 +200,19 @@ func (n *Network) Reserve(from, to string, kbps float64) error {
 		return fmt.Errorf("overlay: reservation must be positive, got %v", kbps)
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	l, ok := n.links[edge{from, to}]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %s->%s", from, to)
 	}
 	if !n.usableLocked(edge{from, to}, l) {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: link %s->%s is down", from, to)
 	}
 	if l.available() < kbps-1e-9 {
-		avail := l.available()
-		n.mu.Unlock()
-		return fmt.Errorf("overlay: link %s->%s has %.1f kbps available, need %.1f", from, to, avail, kbps)
+		return fmt.Errorf("overlay: link %s->%s has %.1f kbps available, need %.1f", from, to, l.available(), kbps)
 	}
 	l.reservedKbps += kbps
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	avail := l.available()
-	n.mu.Unlock()
-	notify(subs, Event{From: from, To: to, BandwidthKbps: avail})
 	return nil
 }
 
@@ -242,40 +220,27 @@ func (n *Network) Reserve(from, to string, kbps float64) error {
 // the reservation at zero.
 func (n *Network) Release(from, to string, kbps float64) {
 	n.mu.Lock()
-	l, ok := n.links[edge{from, to}]
-	if ok {
+	defer n.mu.Unlock()
+	if l, ok := n.links[edge{from, to}]; ok {
 		l.reservedKbps -= kbps
 		if l.reservedKbps < 0 {
 			l.reservedKbps = 0
 		}
 		n.gen++
 	}
-	var subs []chan Event
-	var avail float64
-	if ok {
-		subs = append([]chan Event(nil), n.subs...)
-		avail = l.available()
-	}
-	n.mu.Unlock()
-	if ok {
-		notify(subs, Event{From: from, To: to, BandwidthKbps: avail})
-	}
 }
 
-// SetBandwidth updates the available bandwidth of an existing link and
-// notifies watchers. It returns an error for unknown links.
+// SetBandwidth updates the capacity of an existing link. It returns an
+// error for unknown links.
 func (n *Network) SetBandwidth(from, to string, kbps float64) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	l, ok := n.links[edge{from, to}]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %s->%s", from, to)
 	}
 	l.bandwidthKbps = kbps
 	n.gen++
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	notify(subs, Event{From: from, To: to, BandwidthKbps: kbps})
 	return nil
 }
 
@@ -312,37 +277,6 @@ func (n *Network) AvailableBandwidth(from, to string) float64 {
 		return l.available()
 	}
 	return n.widestLocked(from, to)
-}
-
-// Watch registers a watcher channel that receives every subsequent
-// bandwidth change. The channel has the given buffer; events to a full
-// channel are dropped (watchers are advisory, never blocking the
-// simulator). Call the returned cancel function to unsubscribe.
-func (n *Network) Watch(buffer int) (<-chan Event, func()) {
-	ch := make(chan Event, buffer)
-	n.mu.Lock()
-	n.subs = append(n.subs, ch)
-	n.mu.Unlock()
-	cancel := func() {
-		n.mu.Lock()
-		for i, c := range n.subs {
-			if c == ch {
-				n.subs = append(n.subs[:i], n.subs[i+1:]...)
-				break
-			}
-		}
-		n.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-func notify(subs []chan Event, ev Event) {
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
 }
 
 // lockOrdered takes a lock under which n.ordered is current: the read

@@ -66,39 +66,17 @@ func TestWidestBandwidthPrefersFatPath(t *testing.T) {
 	}
 }
 
-func TestSetBandwidthAndWatch(t *testing.T) {
+func TestSetBandwidth(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1000, 0, 0)
-	ch, cancel := n.Watch(4)
-	defer cancel()
 	if err := n.SetBandwidth("a", "b", 250); err != nil {
 		t.Fatal(err)
-	}
-	ev := <-ch
-	if ev.From != "a" || ev.To != "b" || ev.BandwidthKbps != 250 {
-		t.Errorf("event = %+v", ev)
 	}
 	if got := n.AvailableBandwidth("a", "b"); got != 250 {
 		t.Errorf("bandwidth after set = %v", got)
 	}
 	if err := n.SetBandwidth("x", "y", 1); err == nil {
 		t.Error("setting unknown link should fail")
-	}
-}
-
-func TestWatchCancelStopsDelivery(t *testing.T) {
-	n := New()
-	n.AddLink("a", "b", 1000, 0, 0)
-	ch, cancel := n.Watch(1)
-	cancel()
-	_ = n.SetBandwidth("a", "b", 100)
-	select {
-	case _, open := <-ch:
-		if open {
-			t.Error("cancelled watcher should receive nothing")
-		}
-	default:
-		// nothing delivered: correct
 	}
 }
 
@@ -116,25 +94,24 @@ func TestScaleBandwidth(t *testing.T) {
 	}
 }
 
+// TestRemoveLinkNotifies checks that a removal is announced through the
+// generation graph caches watch, and that a second removal is a no-op.
 func TestRemoveLinkNotifies(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1000, 0, 0)
-	ch, cancel := n.Watch(1)
-	defer cancel()
+	before := n.Generation()
 	n.RemoveLink("a", "b")
-	ev := <-ch
-	if ev.BandwidthKbps != 0 {
-		t.Errorf("remove event should carry zero bandwidth, got %v", ev.BandwidthKbps)
+	if n.Generation() == before {
+		t.Error("removal must bump the generation")
 	}
 	if got := n.AvailableBandwidth("a", "b"); got != 0 {
 		t.Errorf("bandwidth after removal = %v", got)
 	}
-	// Removing again is a no-op without an event.
+	// Removing again changes nothing.
+	after := n.Generation()
 	n.RemoveLink("a", "b")
-	select {
-	case <-ch:
-		t.Error("second removal should not notify")
-	default:
+	if n.Generation() != after {
+		t.Error("second removal should not bump the generation")
 	}
 }
 
@@ -360,23 +337,6 @@ func TestReserveSurvivesFluctuation(t *testing.T) {
 	}
 	if got := n.AvailableBandwidth("a", "b"); got != 200 {
 		t.Errorf("available = %v, want 200", got)
-	}
-}
-
-func TestReserveNotifiesWatchers(t *testing.T) {
-	n := New()
-	n.AddLink("a", "b", 1000, 0, 0)
-	ch, cancel := n.Watch(2)
-	defer cancel()
-	if err := n.Reserve("a", "b", 250); err != nil {
-		t.Fatal(err)
-	}
-	if ev := <-ch; ev.BandwidthKbps != 750 {
-		t.Errorf("reserve event bandwidth = %v, want 750", ev.BandwidthKbps)
-	}
-	n.Release("a", "b", 250)
-	if ev := <-ch; ev.BandwidthKbps != 1000 {
-		t.Errorf("release event bandwidth = %v, want 1000", ev.BandwidthKbps)
 	}
 }
 

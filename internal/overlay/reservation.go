@@ -85,7 +85,7 @@ func (n *Network) ReserveChainN(rs []Reservation, count int) (int, error) {
 	if len(need) > 0 {
 		n.gen += uint64(done)
 	}
-	n.unlockNotify(done > 0, need)
+	n.mu.Unlock()
 	return done, err
 }
 
@@ -113,7 +113,7 @@ func (n *Network) ReleaseChainN(rs []Reservation, count int) int {
 	if len(shares) > 0 {
 		n.gen += uint64(count)
 	}
-	n.unlockNotify(true, shares)
+	n.mu.Unlock()
 	return count
 }
 
@@ -168,7 +168,7 @@ func (n *Network) SwapChainN(release, acquire []Reservation, count int) (int, er
 	if len(rel)+len(acq) > 0 {
 		n.gen += uint64(done)
 	}
-	n.unlockNotify(done > 0, rel, acq)
+	n.mu.Unlock()
 	return done, err
 }
 
@@ -264,39 +264,6 @@ func restoreShares(shares []linkShare) {
 			s.l.reservedKbps = s.prior
 		}
 	}
-}
-
-// unlockNotify releases n.mu and, when changed, tells the watchers each
-// touched link's new available bandwidth, once per link. Nothing is
-// copied when nobody watches.
-func (n *Network) unlockNotify(changed bool, groups ...[]linkShare) {
-	if !changed || len(n.subs) == 0 {
-		n.mu.Unlock()
-		return
-	}
-	var events []Event
-	for _, shares := range groups {
-		for _, s := range shares {
-			if s.l == nil || seenEvent(events, s.e) {
-				continue
-			}
-			events = append(events, Event{From: s.e.from, To: s.e.to, BandwidthKbps: s.l.available()})
-		}
-	}
-	subs := append([]chan Event(nil), n.subs...)
-	n.mu.Unlock()
-	for _, ev := range events {
-		notify(subs, ev)
-	}
-}
-
-func seenEvent(events []Event, e edge) bool {
-	for _, ev := range events {
-		if ev.From == e.from && ev.To == e.to {
-			return true
-		}
-	}
-	return false
 }
 
 // TotalReservedKbps sums the live reservations across all links — the

@@ -108,25 +108,27 @@ func TestReserveChainRejectsDownAndMissingLinks(t *testing.T) {
 	}
 }
 
-func TestReserveChainNotifiesWatchersAndBumpsGeneration(t *testing.T) {
+func TestReserveChainBumpsGeneration(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1000, 0, 0)
 	before := n.Generation()
-	ch, cancel := n.Watch(4)
-	defer cancel()
 	rs := []Reservation{{From: "a", To: "b", Kbps: 250}}
 	if err := n.ReserveChain(rs); err != nil {
 		t.Fatal(err)
 	}
-	if ev := <-ch; ev.BandwidthKbps != 750 {
-		t.Errorf("reserve event bandwidth = %v, want 750", ev.BandwidthKbps)
+	if got := n.AvailableBandwidth("a", "b"); got != 750 {
+		t.Errorf("available after reserve = %v, want 750", got)
 	}
 	if n.Generation() == before {
 		t.Error("reserve must bump the generation (graph caches must invalidate)")
 	}
+	before = n.Generation()
 	n.ReleaseChain(rs)
-	if ev := <-ch; ev.BandwidthKbps != 1000 {
-		t.Errorf("release event bandwidth = %v, want 1000", ev.BandwidthKbps)
+	if got := n.AvailableBandwidth("a", "b"); got != 1000 {
+		t.Errorf("available after release = %v, want 1000", got)
+	}
+	if n.Generation() == before {
+		t.Error("release must bump the generation")
 	}
 }
 

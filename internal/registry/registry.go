@@ -58,22 +58,6 @@ type Entry struct {
 	Expires time.Time
 }
 
-// EventKind distinguishes watcher notifications.
-type EventKind int
-
-// Watcher event kinds.
-const (
-	EventRegistered EventKind = iota
-	EventDeregistered
-	EventExpired
-)
-
-// Event notifies watchers of registry changes.
-type Event struct {
-	Kind    EventKind
-	Service service.ID
-}
-
 // Registry is a concurrency-safe service registry with leases.
 type Registry struct {
 	clock Clock
@@ -84,7 +68,6 @@ type Registry struct {
 	// construction queries.
 	byInput  map[media.Format]map[service.ID]bool
 	byOutput map[media.Format]map[service.ID]bool
-	subs     []chan Event
 	// members is the cluster-membership table (see membership.go).
 	members map[string]*memberEntry
 }
@@ -115,14 +98,12 @@ func (r *Registry) Register(s *service.Service, lease time.Duration) error {
 	}
 	cp := s.Clone()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if old, exists := r.entries[cp.ID]; exists {
 		r.unindexLocked(old.Service)
 	}
 	r.entries[cp.ID] = &Entry{Service: cp, Expires: expires}
 	r.indexLocked(cp)
-	subs := append([]chan Event(nil), r.subs...)
-	r.mu.Unlock()
-	notify(subs, Event{Kind: EventRegistered, Service: cp.ID})
 	return nil
 }
 
@@ -146,17 +127,13 @@ func (r *Registry) Renew(id service.ID, lease time.Duration) error {
 // Deregister removes the service.
 func (r *Registry) Deregister(id service.ID) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	e, ok := r.entries[id]
-	if ok {
-		r.unindexLocked(e.Service)
-		delete(r.entries, id)
-	}
-	subs := append([]chan Event(nil), r.subs...)
-	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("registry: unknown service %s", id)
 	}
-	notify(subs, Event{Kind: EventDeregistered, Service: id})
+	r.unindexLocked(e.Service)
+	delete(r.entries, id)
 	return nil
 }
 
@@ -212,47 +189,22 @@ func (r *Registry) Len() int {
 }
 
 // Sweep removes expired entries (service registrations and cluster
-// members alike) and notifies watchers; it returns the number removed.
-// Queries already ignore expired entries, so Sweep exists to reclaim
-// memory, emit EventExpired, and make member expiry observable.
+// members alike) and returns the number removed. Queries already ignore
+// expired entries, so Sweep exists to reclaim memory and make member
+// expiry observable.
 func (r *Registry) Sweep() int {
 	now := r.clock.Now()
 	r.mu.Lock()
-	var expired []service.ID
+	defer r.mu.Unlock()
+	expired := 0
 	for id, e := range r.entries {
 		if r.expiredLocked(e, now) {
-			expired = append(expired, id)
+			expired++
 			r.unindexLocked(e.Service)
 			delete(r.entries, id)
 		}
 	}
-	expiredMembers := r.sweepMembersLocked(now)
-	subs := append([]chan Event(nil), r.subs...)
-	r.mu.Unlock()
-	for _, id := range expired {
-		notify(subs, Event{Kind: EventExpired, Service: id})
-	}
-	return len(expired) + expiredMembers
-}
-
-// Watch subscribes to registry events; the channel has the given buffer
-// and full channels drop events. Call cancel to unsubscribe.
-func (r *Registry) Watch(buffer int) (<-chan Event, func()) {
-	ch := make(chan Event, buffer)
-	r.mu.Lock()
-	r.subs = append(r.subs, ch)
-	r.mu.Unlock()
-	cancel := func() {
-		r.mu.Lock()
-		for i, c := range r.subs {
-			if c == ch {
-				r.subs = append(r.subs[:i], r.subs[i+1:]...)
-				break
-			}
-		}
-		r.mu.Unlock()
-	}
-	return ch, cancel
+	return expired + r.sweepMembersLocked(now)
 }
 
 func (r *Registry) collect(index map[media.Format]map[service.ID]bool, f media.Format) []*service.Service {
@@ -300,14 +252,5 @@ func (r *Registry) unindexLocked(s *service.Service) {
 	}
 	for _, f := range s.Outputs {
 		delete(r.byOutput[f], s.ID)
-	}
-}
-
-func notify(subs []chan Event, ev Event) {
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-		}
 	}
 }

@@ -162,35 +162,21 @@ func TestSweep(t *testing.T) {
 	r := NewWithClock(clock)
 	_ = r.Register(conv("c1", media.ImageJPEG, media.ImageGIF), time.Minute)
 	_ = r.Register(conv("c2", media.TextHTML, media.TextWML), 0)
-	ch, cancel := r.Watch(4)
-	defer cancel()
 	clock.Advance(2 * time.Minute)
 	if n := r.Sweep(); n != 1 {
 		t.Errorf("Sweep removed %d, want 1", n)
 	}
-	ev := <-ch
-	if ev.Kind != EventExpired || ev.Service != "c1" {
-		t.Errorf("expected expiry event for c1, got %+v", ev)
+	if _, ok := r.Lookup("c1"); ok {
+		t.Error("expired c1 should be gone after the sweep")
+	}
+	if _, ok := r.Lookup("c2"); !ok {
+		t.Error("unexpiring c2 should survive the sweep")
 	}
 	if r.Len() != 1 {
 		t.Errorf("Len after sweep = %d, want 1", r.Len())
 	}
 	if n := r.Sweep(); n != 0 {
 		t.Errorf("second sweep removed %d, want 0", n)
-	}
-}
-
-func TestWatchEvents(t *testing.T) {
-	r := New()
-	ch, cancel := r.Watch(4)
-	defer cancel()
-	_ = r.Register(conv("c1", media.ImageJPEG, media.ImageGIF), 0)
-	if ev := <-ch; ev.Kind != EventRegistered || ev.Service != "c1" {
-		t.Errorf("register event = %+v", ev)
-	}
-	_ = r.Deregister("c1")
-	if ev := <-ch; ev.Kind != EventDeregistered {
-		t.Errorf("deregister event = %+v", ev)
 	}
 }
 

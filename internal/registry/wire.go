@@ -304,7 +304,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 
 // DialContext connects under a context: cancellation or deadline expiry
 // aborts the connection attempt. The context does not bound later round
-// trips — use SetTimeout or the *Context query variants for that.
+// trips — use SetTimeout or the *Context variants for that.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -413,12 +413,7 @@ func (c *Client) RenewContext(ctx context.Context, id service.ID, lease time.Dur
 
 // Lookup fetches one advertisement.
 func (c *Client) Lookup(id service.ID) (*service.Service, error) {
-	return c.LookupContext(context.Background(), id)
-}
-
-// LookupContext is Lookup under a context.
-func (c *Client) LookupContext(ctx context.Context, id service.ID) (*service.Service, error) {
-	resp, err := c.roundTrip(ctx, request{Op: "lookup", ID: id})
+	resp, err := c.roundTrip(context.Background(), request{Op: "lookup", ID: id})
 	if err != nil {
 		return nil, err
 	}
@@ -428,14 +423,10 @@ func (c *Client) LookupContext(ctx context.Context, id service.ID) (*service.Ser
 	return resp.Services[0], nil
 }
 
-// ByInput queries services accepting a format.
+// ByInput queries services accepting a format. It satisfies
+// graph.Directory.
 func (c *Client) ByInput(f media.Format) ([]*service.Service, error) {
-	return c.ByInputContext(context.Background(), f)
-}
-
-// ByInputContext is ByInput under a context.
-func (c *Client) ByInputContext(ctx context.Context, f media.Format) ([]*service.Service, error) {
-	resp, err := c.roundTrip(ctx, request{Op: "byinput", Format: f.String()})
+	resp, err := c.roundTrip(context.Background(), request{Op: "byinput", Format: f.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -444,12 +435,7 @@ func (c *Client) ByInputContext(ctx context.Context, f media.Format) ([]*service
 
 // ByOutput queries services producing a format.
 func (c *Client) ByOutput(f media.Format) ([]*service.Service, error) {
-	return c.ByOutputContext(context.Background(), f)
-}
-
-// ByOutputContext is ByOutput under a context.
-func (c *Client) ByOutputContext(ctx context.Context, f media.Format) ([]*service.Service, error) {
-	resp, err := c.roundTrip(ctx, request{Op: "byoutput", Format: f.String()})
+	resp, err := c.roundTrip(context.Background(), request{Op: "byoutput", Format: f.String()})
 	if err != nil {
 		return nil, err
 	}
@@ -458,12 +444,7 @@ func (c *Client) ByOutputContext(ctx context.Context, f media.Format) ([]*servic
 
 // All lists every live advertisement.
 func (c *Client) All() ([]*service.Service, error) {
-	return c.AllContext(context.Background())
-}
-
-// AllContext is All under a context.
-func (c *Client) AllContext(ctx context.Context) ([]*service.Service, error) {
-	resp, err := c.roundTrip(ctx, request{Op: "all"})
+	resp, err := c.roundTrip(context.Background(), request{Op: "all"})
 	if err != nil {
 		return nil, err
 	}

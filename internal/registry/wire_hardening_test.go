@@ -5,9 +5,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"qoschain/internal/media"
-	"qoschain/internal/service"
 )
 
 // silentListener accepts connections and reads requests but never
@@ -69,7 +66,7 @@ func TestClientContextCancellationUnblocks(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = c.AllContext(ctx)
+	_, err = c.MembersContext(ctx)
 	if err == nil {
 		t.Fatal("cancelled query must fail")
 	}
@@ -85,7 +82,7 @@ func TestClientContextAlreadyCancelled(t *testing.T) {
 	_, c := startServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.AllContext(ctx); err == nil {
+	if _, err := c.MembersContext(ctx); err == nil {
 		t.Error("pre-cancelled context must fail immediately")
 	}
 }
@@ -96,44 +93,10 @@ func TestClientRecoversAfterTimeout(t *testing.T) {
 	_, c := startServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := c.AllContext(ctx); err != nil {
+	if _, err := c.MembersContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.All(); err != nil {
 		t.Fatalf("plain call after bounded call: %v", err)
-	}
-}
-
-func TestRemoteSourceServesLastKnownGoodWhenDown(t *testing.T) {
-	srv, c := startServer(t)
-	conv := service.FormatConverter("t1", media.VideoMPEG1, media.VideoH263)
-	if err := c.Register(conv, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	src := NewRemoteSource(c)
-
-	// Warm the cache while the registry is healthy.
-	if got := src.ByInput(media.VideoMPEG1); len(got) != 1 {
-		t.Fatalf("live query = %v", got)
-	}
-	if got := src.All(); len(got) != 1 {
-		t.Fatalf("live all = %v", got)
-	}
-	if src.Stale() || src.LastError() != nil {
-		t.Fatal("healthy source must not be stale")
-	}
-
-	// Kill the registry: queries serve the last known good answers and
-	// flag staleness instead of returning nothing.
-	srv.Close()
-	if got := src.ByInput(media.VideoMPEG1); len(got) != 1 || got[0].ID != "t1" {
-		t.Errorf("stale query = %v, want cached t1", got)
-	}
-	if !src.Stale() || src.LastError() == nil {
-		t.Error("source must mark itself stale with the remote error")
-	}
-	// A query never answered while healthy degrades to empty.
-	if got := src.ByOutput(media.VideoMPEG1); got != nil {
-		t.Errorf("uncached query = %v, want nil", got)
 	}
 }

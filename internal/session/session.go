@@ -1,8 +1,8 @@
 // Package session manages the lifetime of one adaptation session: it
-// composes the initial trans-coding chain, watches the overlay network,
-// and re-runs the QoS selection algorithm when the network drifts away
-// from what the current chain was negotiated for — the dynamic adaptation
-// to "fluctuating network resources" Section 3 calls for.
+// composes the initial trans-coding chain over the overlay network and
+// re-runs the QoS selection algorithm when the network drifts away from
+// what the current chain was negotiated for — the dynamic adaptation to
+// "fluctuating network resources" Section 3 calls for.
 package session
 
 import (
@@ -25,7 +25,8 @@ type Config struct {
 	Content  *profile.Content
 	Device   *profile.Device
 	Services []*service.Service
-	// Net is the live overlay the session watches.
+	// Net is the live overlay the session composes over and re-evaluates
+	// against.
 	Net *overlay.Network
 	// SenderHost/ReceiverHost locate the endpoints on the overlay.
 	SenderHost, ReceiverHost string

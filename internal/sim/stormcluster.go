@@ -429,7 +429,7 @@ func RunStormCluster(spec StormClusterSpec) (*StormClusterReport, error) {
 		return rep, nil
 	}
 
-	// Federation: every member's registry merged under a node label,
+	// Federated exposition: every member's registry merged under a node label,
 	// plus the storm./qos. aggregates.
 	fedResp, err := http.Get(rbase + "/cluster/metrics")
 	if err != nil {
