@@ -32,8 +32,8 @@ race-all:
 
 # fuzz-smoke runs every fuzz target for a short, fixed time: format
 # parsing, profile-set decoding, format interning, storm record replay,
-# the session fault command and the journal's on-disk record scanner,
-# 10s each. go test fuzzes one target per package per run.
+# the session fault command, session command replay and the journal's
+# on-disk record scanner, 10s each. go test fuzzes one target per package per run.
 # -fuzzminimizetime 10x bounds how long a worker minimizes each new
 # input: by default it may spend 60s on one, reporting no execs
 # meanwhile, and a target whose execs take milliseconds
@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFormatInterning$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/storm/
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyFault$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/session/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/session/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanFile$$' -fuzztime 10s -fuzzminimizetime 10x ./internal/journal/
 
 # cluster-smoke runs seeded node-kill scenarios against a 3-replica

@@ -55,53 +55,58 @@ func extWordsFor(formatCount int) int {
 
 // wordArena bump-allocates overflow word slices in large slabs so that
 // graphs with >64 formats pay one slab allocation per ~1024 masks instead
-// of one per relaxation.
+// of one per relaxation. reset rewinds it to its first slab: the slabs
+// are kept for the next Select on the same scratch, and alloc hands
+// their words out zeroed.
 type wordArena struct {
-	slab []uint64
+	slabs [][]uint64
+	slab  int // index of the slab being filled
+	used  int // words handed out from it
 }
 
 func (a *wordArena) alloc(words int) []uint64 {
 	if words == 0 {
 		return nil
 	}
-	if len(a.slab) < words {
-		n := 1024
-		if n < words {
-			n = words
-		}
-		a.slab = make([]uint64, n)
+	for a.slab < len(a.slabs) && len(a.slabs[a.slab])-a.used < words {
+		a.slab++
+		a.used = 0
 	}
-	s := a.slab[:words:words]
-	a.slab = a.slab[words:]
+	if a.slab == len(a.slabs) {
+		a.slabs = append(a.slabs, make([]uint64, max(1024, words)))
+	}
+	s := a.slabs[a.slab][a.used : a.used+words : a.used+words]
+	a.used += words
+	clear(s)
 	return s
 }
 
+func (a *wordArena) reset() { a.slab, a.used = 0, 0 }
+
 // labelArena bump-allocates labels in chunks. Labels live until Select
 // returns (they back the expanded set and path reconstruction), so the
-// arena never frees individually — dropping the arena frees everything.
-// Chunks are never moved, so label pointers stay stable.
+// arena never frees individually; reset rewinds it to its first chunk
+// for the next Select on the same scratch. Chunks are never moved, so
+// label pointers stay stable.
 type labelArena struct {
-	chunk []label
-	used  int
-	// size is the length of the next chunk; 0 means labelChunkSize.
-	// Select sizes the first chunk to the graph's vertex count (capped
-	// at labelChunkSize): a Select rarely relabels a vertex, so a small
-	// graph's labels fit one small chunk.
-	size int
+	chunks [][]label
+	chunk  int // index of the chunk being filled
+	used   int // labels handed out from it
 }
 
 const labelChunkSize = 256
 
 func (a *labelArena) alloc() *label {
-	if a.used == len(a.chunk) {
-		if a.size <= 0 {
-			a.size = labelChunkSize
-		}
-		a.chunk = make([]label, a.size)
+	if a.chunk < len(a.chunks) && a.used == len(a.chunks[a.chunk]) {
+		a.chunk++
 		a.used = 0
-		a.size = labelChunkSize
 	}
-	l := &a.chunk[a.used]
+	if a.chunk == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]label, labelChunkSize))
+	}
+	l := &a.chunks[a.chunk][a.used]
 	a.used++
 	return l
 }
+
+func (a *labelArena) reset() { a.chunk, a.used = 0, 0 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"qoschain/internal/graph"
 	"qoschain/internal/media"
@@ -14,20 +15,23 @@ import (
 // allocations (the caps clone plus Profile.Optimize's internals)
 // dominated its allocation profile.
 //
-// Not safe for concurrent use; each Select run builds its own.
+// Not safe for concurrent use; it lives in a Select scratch, which one
+// run owns at a time.
 type edgeEvaluator struct {
 	g    *graph.Graph
-	cfg  *Config
-	opt  *satisfaction.Optimizer
+	cfg  Config
+	opt  satisfaction.Optimizer
 	caps media.Params // scratch, rebuilt per eval
 }
 
-func newEdgeEvaluator(g *graph.Graph, cfg *Config) *edgeEvaluator {
-	return &edgeEvaluator{
-		g:    g,
-		cfg:  cfg,
-		opt:  satisfaction.NewOptimizer(cfg.Profile),
-		caps: make(media.Params, 8),
+// reset points the evaluator at a graph and configuration, keeping its
+// scratch maps.
+func (ev *edgeEvaluator) reset(g *graph.Graph, cfg *Config) {
+	ev.g = g
+	ev.cfg = *cfg
+	ev.opt.Reset(cfg.Profile)
+	if ev.caps == nil {
+		ev.caps = make(media.Params, 8)
 	}
 }
 
@@ -121,7 +125,10 @@ func minInto(p, other media.Params) {
 // edgeEvaluator internally; this wrapper returns freshly allocated
 // params.
 func EvalEdge(g *graph.Graph, cfg Config, upstreamParams media.Params, upstreamCost float64, e *graph.Edge) (params media.Params, sat, cost float64, ok bool) {
-	ev := newEdgeEvaluator(g, &cfg)
+	s := getScratch()
+	defer s.release()
+	ev := &s.ev
+	ev.reset(g, &cfg)
 	params, sat, cost, ok = ev.eval(upstreamParams, upstreamCost, e)
 	if ok {
 		params = params.Clone()
@@ -139,15 +146,16 @@ func EvalPath(g *graph.Graph, cfg Config, edges []*graph.Edge) (params media.Par
 	if len(edges) == 0 || edges[0].From != graph.SenderID {
 		return nil, 0, 0, false
 	}
-	ev := newEdgeEvaluator(g, &cfg)
-	seen := make(map[media.Format]bool, len(edges))
+	s := getScratch()
+	defer s.release()
+	ev := &s.ev
+	ev.reset(g, &cfg)
 	params = edges[0].SourceParams
 	at := graph.SenderID
-	for _, e := range edges {
-		if e.From != at || seen[e.Format] {
+	for i, e := range edges {
+		if e.From != at || slices.ContainsFunc(edges[:i], func(p *graph.Edge) bool { return p.Format == e.Format }) {
 			return nil, 0, 0, false
 		}
-		seen[e.Format] = true
 		params, sat, cost, ok = ev.eval(params, cost, e)
 		if !ok {
 			return nil, 0, 0, false

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"qoschain/internal/graph"
 	"qoschain/internal/media"
@@ -154,10 +155,22 @@ func Select(g *graph.Graph, cfg Config) (*Result, error) {
 // a request whose budget ran out stops consuming planner time. The
 // per-round check is one channel poll — negligible against a round's
 // relaxation work.
+//
+// A run takes its working memory from a pool of scratches (see
+// scratch), so a warm Select allocates only what it returns: the
+// Result with its path, formats and params, the trace rounds when
+// asked for, and the error.
 func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if len(cfg.Profile.Functions) == 0 {
 		return nil, fmt.Errorf("core: config has an empty satisfaction profile")
 	}
+	s := getScratch()
+	defer s.release()
+	return s.run(ctx, g, cfg)
+}
+
+// run is one Select over g on this scratch.
+func (s *scratch) run(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	done := ctx.Done()
 
 	// One whole-selection span whenever the request carries a trace; the
@@ -171,97 +184,14 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 	traceRounds := cfg.Trace && tr != nil
 	var roundSpan *trace.Span
 
-	n := g.NodeIndexCount()
-	labels := make([]*label, n)   // CS: candidate labels, indexed by vertex
-	expanded := make([]*label, n) // VT labels, for reconstruction
-	inVT := make([]bool, n)
-	numCandidates := 0
-	useHeap := !cfg.Scan
-	var candidates candidateHeap
-	larena := labelArena{size: min(n, labelChunkSize)}
-	var warena wordArena
-	extWords := extWordsFor(g.FormatCount())
-	ev := newEdgeEvaluator(g, &cfg)
-
-	vtOrder := []graph.NodeID{graph.SenderID}
-	inVT[graph.SenderIndex] = true
-	var seq int32
+	s.start(g, &cfg)
+	labels, expanded := s.labels, s.expanded
 
 	res := &Result{}
 
-	// relax recomputes the label of e.To through e and keeps it when it
-	// beats the current one (Figure 4 Steps 2 and 8, with Equation 2 as
-	// the per-candidate optimization).
-	relax := func(from int32, e *graph.Edge) {
-		to := e.ToIndex()
-		if inVT[to] {
-			return
-		}
-		var upstreamParams media.Params
-		var upstreamCost float64
-		var upstreamFormats formatMask
-		if from == graph.SenderIndex {
-			upstreamParams = e.SourceParams
-		} else {
-			ul := expanded[from]
-			if ul == nil {
-				return
-			}
-			upstreamParams = ul.params
-			upstreamCost = ul.cost
-			upstreamFormats = ul.formats
-		}
-		// Distinct-format acyclicity rule (Section 4.2): a format may
-		// not repeat along a path.
-		fIdx := e.FormatIndex()
-		if upstreamFormats.has(fIdx) {
-			return
-		}
-
-		// Per-candidate optimization under the Equation 2 bandwidth
-		// constraint and the budget (Figure 4 Step 2).
-		params, sat, cost, ok := ev.eval(upstreamParams, upstreamCost, e)
-		if !ok {
-			return
-		}
-		cur := labels[to]
-		if cur != nil && sat <= cur.sat {
-			return
-		}
-		// Persist the evaluator's scratch params, recycling the map of
-		// the label being defeated (it is unreachable once replaced —
-		// stale heap entries never read params).
-		var kept media.Params
-		if cur != nil {
-			kept = cur.params
-			clear(kept)
-			for k, v := range params {
-				kept[k] = v
-			}
-		} else {
-			kept = params.Clone()
-			numCandidates++
-		}
-		seq++
-		l := larena.alloc()
-		*l = label{
-			sat:     sat,
-			params:  kept,
-			parent:  from,
-			edge:    e,
-			cost:    cost,
-			formats: upstreamFormats.with(fIdx, &warena, extWords),
-			seq:     seq,
-		}
-		labels[to] = l
-		if useHeap {
-			candidates.push(heapEntry{idx: int32(to), l: l})
-		}
-	}
-
 	// Step 1–2: seed CS with the sender's neighbors.
 	for _, e := range g.OutAt(graph.SenderIndex) {
-		relax(graph.SenderIndex, e)
+		s.relax(graph.SenderIndex, e)
 	}
 
 	round := 0
@@ -281,7 +211,7 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 			}
 		}
 		// Step 3: no candidates left → failure.
-		if numCandidates == 0 {
+		if s.numCandidates == 0 {
 			res.Found = false
 			roundSpan.End(trace.Str("outcome", "no_chain"))
 			selSpan.End(trace.Int("rounds", round-1), trace.Str("outcome", "no_chain"))
@@ -297,9 +227,9 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 		// candidate.
 		best := int32(-1)
 		var bestL *label
-		if useHeap {
-			for candidates.len() > 0 {
-				e := candidates.pop()
+		if s.useHeap {
+			for s.heap.len() > 0 {
+				e := s.heap.pop()
 				if labels[e.idx] == e.l {
 					best, bestL = e.idx, e.l
 					break
@@ -334,7 +264,7 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 			}
 			res.Rounds = append(res.Rounds, Round{
 				Number:       round,
-				Considered:   append([]graph.NodeID(nil), vtOrder...),
+				Considered:   append([]graph.NodeID(nil), s.vtOrder...),
 				Candidates:   candidateIDs(labels, g),
 				Selected:     g.NodeIDAt(int(best)),
 				Path:         path,
@@ -345,9 +275,11 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 
 		// Step 4–5: move the selection from CS to VT.
 		labels[best] = nil
-		numCandidates--
-		inVT[best] = true
-		vtOrder = append(vtOrder, g.NodeIDAt(int(best)))
+		s.numCandidates--
+		s.inVT[best] = true
+		if cfg.Trace {
+			s.vtOrder = append(s.vtOrder, g.NodeIDAt(int(best)))
+		}
 		res.Expanded++
 
 		// Step 7: receiver selected → reconstruct and report.
@@ -355,7 +287,7 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 		if best == graph.ReceiverIndex {
 			res.Found = true
 			res.Satisfaction = bestL.sat
-			res.Params = bestL.params
+			res.Params = bestL.params.Clone()
 			res.Cost = bestL.cost
 			res.Path, res.Formats = reconstruct(best, bestL, expanded, g)
 			roundSpan.End(trace.Str("selected", string(graph.ReceiverID)))
@@ -372,11 +304,161 @@ func SelectCtx(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error)
 
 		// Step 8: relax the neighbors of the selected service.
 		for _, e := range g.OutAt(int(best)) {
-			relax(best, e)
+			s.relax(best, e)
 		}
 		if traceRounds {
 			roundSpan.End(trace.Str("selected", string(g.NodeIDAt(int(best)))))
 		}
+	}
+}
+
+// scratch is the working memory of one Select run: the per-vertex CS
+// and VT slices, the candidate heap, the label and overflow-word
+// arenas, the labels' params maps and the edge evaluator with its
+// optimizer. Select takes one from scratchPool and puts it back when
+// it returns, so a warm run reuses all of it; nothing a Result holds
+// points into a scratch (its params are a clone, its path and formats
+// fresh slices).
+type scratch struct {
+	labels        []*label // CS: candidate labels, indexed by vertex
+	expanded      []*label // VT labels, for reconstruction
+	inVT          []bool
+	vtOrder       []graph.NodeID // VT in insertion order (trace only)
+	heap          candidateHeap
+	larena        labelArena
+	warena        wordArena
+	extWords      int
+	maps          []media.Params // label params maps; the first nmaps are in use
+	nmaps         int
+	numCandidates int
+	seq           int32
+	useHeap       bool
+	ev            edgeEvaluator
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release drops the evaluator's references to the caller's graph and
+// configuration and returns the scratch to the pool. Labels left in the
+// arena still point at the graph's edges until the next run overwrites
+// them or the pool drops the scratch at a GC.
+func (s *scratch) release() {
+	s.ev.g = nil
+	s.ev.cfg = Config{}
+	scratchPool.Put(s)
+}
+
+// start readies the scratch for a run over g: the per-vertex slices
+// sized to the graph and cleared, the heap, arenas and maps rewound.
+func (s *scratch) start(g *graph.Graph, cfg *Config) {
+	n := g.NodeIndexCount()
+	s.labels = resetSlice(s.labels, n)
+	s.expanded = resetSlice(s.expanded, n)
+	s.inVT = resetSlice(s.inVT, n)
+	s.inVT[graph.SenderIndex] = true
+	s.vtOrder = append(s.vtOrder[:0], graph.SenderID)
+	s.heap.es = s.heap.es[:0]
+	s.larena.reset()
+	s.warena.reset()
+	s.extWords = extWordsFor(g.FormatCount())
+	s.nmaps = 0
+	s.numCandidates = 0
+	s.seq = 0
+	s.useHeap = !cfg.Scan
+	s.ev.reset(g, cfg)
+}
+
+// resetSlice returns buf resized to n zero elements, reusing its array
+// when it is large enough.
+func resetSlice[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// paramsMap hands out the next label params map, emptied.
+func (s *scratch) paramsMap() media.Params {
+	if s.nmaps == len(s.maps) {
+		s.maps = append(s.maps, make(media.Params, 8))
+	}
+	m := s.maps[s.nmaps]
+	s.nmaps++
+	clear(m)
+	return m
+}
+
+// relax recomputes the label of e.To through e and keeps it when it
+// beats the current one (Figure 4 Steps 2 and 8, with Equation 2 as
+// the per-candidate optimization).
+func (s *scratch) relax(from int32, e *graph.Edge) {
+	to := e.ToIndex()
+	if s.inVT[to] {
+		return
+	}
+	var upstreamParams media.Params
+	var upstreamCost float64
+	var upstreamFormats formatMask
+	if from == graph.SenderIndex {
+		upstreamParams = e.SourceParams
+	} else {
+		ul := s.expanded[from]
+		if ul == nil {
+			return
+		}
+		upstreamParams = ul.params
+		upstreamCost = ul.cost
+		upstreamFormats = ul.formats
+	}
+	// Distinct-format acyclicity rule (Section 4.2): a format may
+	// not repeat along a path.
+	fIdx := e.FormatIndex()
+	if upstreamFormats.has(fIdx) {
+		return
+	}
+
+	// Per-candidate optimization under the Equation 2 bandwidth
+	// constraint and the budget (Figure 4 Step 2).
+	params, sat, cost, ok := s.ev.eval(upstreamParams, upstreamCost, e)
+	if !ok {
+		return
+	}
+	cur := s.labels[to]
+	if cur != nil && sat <= cur.sat {
+		return
+	}
+	// Persist the evaluator's scratch params, recycling the map of
+	// the label being defeated (it is unreachable once replaced —
+	// stale heap entries never read params).
+	var kept media.Params
+	if cur != nil {
+		kept = cur.params
+		clear(kept)
+	} else {
+		kept = s.paramsMap()
+		s.numCandidates++
+	}
+	for k, v := range params {
+		kept[k] = v
+	}
+	s.seq++
+	l := s.larena.alloc()
+	*l = label{
+		sat:     sat,
+		params:  kept,
+		parent:  from,
+		edge:    e,
+		cost:    cost,
+		formats: upstreamFormats.with(fIdx, &s.warena, s.extWords),
+		seq:     s.seq,
+	}
+	s.labels[to] = l
+	if s.useHeap {
+		s.heap.push(heapEntry{idx: int32(to), l: l})
 	}
 }
 
@@ -427,28 +509,30 @@ func pathTo(idx int32, l *label, expanded []*label, g *graph.Graph) ([]graph.Nod
 }
 
 // reconstruct follows parents from the receiver back to the sender
-// (Figure 4 Step 10) and returns the path plus the per-edge formats.
+// (Figure 4 Step 10) and returns the path plus the per-edge formats. A
+// first walk counts the hops, so each slice is allocated once at its
+// final length and filled from the back.
 func reconstruct(idx int32, l *label, expanded []*label, g *graph.Graph) ([]graph.NodeID, []media.Format) {
-	var revPath []graph.NodeID
-	var revFormats []media.Format
-	cur, curL := idx, l
-	for curL != nil {
-		revPath = append(revPath, g.NodeIDAt(int(cur)))
-		revFormats = append(revFormats, curL.edge.Format)
+	hops := 0
+	for cur, curL := idx, l; curL != nil; curL = expanded[cur] {
+		hops++
 		cur = curL.parent
 		if cur == graph.SenderIndex {
 			break
 		}
-		curL = expanded[cur]
 	}
-	revPath = append(revPath, graph.SenderID)
-	path := make([]graph.NodeID, 0, len(revPath))
-	for i := len(revPath) - 1; i >= 0; i-- {
-		path = append(path, revPath[i])
-	}
-	formats := make([]media.Format, 0, len(revFormats))
-	for i := len(revFormats) - 1; i >= 0; i-- {
-		formats = append(formats, revFormats[i])
+	path := make([]graph.NodeID, hops+1)
+	formats := make([]media.Format, hops)
+	path[0] = graph.SenderID
+	i := hops
+	for cur, curL := idx, l; curL != nil; curL = expanded[cur] {
+		path[i] = g.NodeIDAt(int(cur))
+		formats[i-1] = curL.edge.Format
+		i--
+		cur = curL.parent
+		if cur == graph.SenderIndex {
+			break
+		}
 	}
 	return path, formats
 }

@@ -22,12 +22,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 
 	"qoschain"
 	"qoschain/internal/core"
@@ -436,10 +438,31 @@ func paramMap(p media.Params) map[string]float64 {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	je := jsonEncoders.Get().(*jsonEncoder)
+	je.buf.Reset()
+	if je.enc.Encode(v) == nil {
+		_, _ = w.Write(je.buf.Bytes())
+	}
+	if je.buf.Cap() <= 64<<10 { // a rare large body is not kept
+		jsonEncoders.Put(je)
+	}
 }
+
+// jsonEncoder is an indenting JSON encoder with the buffer it writes
+// into. writeJSON takes one from jsonEncoders per response, so the
+// encoder's indentation scratch and the buffer are reused instead of
+// allocated per response; the body is the bytes a fresh encoder writes.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	je := &jsonEncoder{}
+	je.enc = json.NewEncoder(&je.buf)
+	je.enc.SetIndent("", "  ")
+	return je
+}}
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": strings.TrimSpace(msg)})

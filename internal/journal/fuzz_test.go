@@ -48,7 +48,7 @@ func fuzzJournal(f *testing.F) ([]byte, []Record) {
 // nothing to truncate.
 func FuzzScanFile(f *testing.F) {
 	valid, want := fuzzJournal(f)
-	torn := encodeRecord(4, Chain{}, []byte("torn"))
+	torn := appendRecord(nil, 4, Chain{}, []byte("torn"))
 	f.Add([]byte(nil), false)
 	f.Add([]byte{0}, false)
 	f.Add(torn, false)

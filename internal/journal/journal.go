@@ -25,10 +25,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 const (
@@ -54,15 +56,21 @@ type Chain [sha256.Size]byte
 
 // next folds one record into the chain.
 func (c Chain) next(seq uint64, data []byte) Chain {
-	h := sha256.New()
-	h.Write(c[:])
-	var seqb [8]byte
-	binary.LittleEndian.PutUint64(seqb[:], seq)
-	h.Write(seqb[:])
-	h.Write(data)
 	var out Chain
-	copy(out[:], h.Sum(nil))
+	copy(out[:], c.sum(sha256.New(), nil, seq, data))
 	return out
+}
+
+// sum returns the chain hash after c of the record (seq, data),
+// computed with h, a SHA-256 hash it resets first, in b's array (b's
+// contents are overwritten).
+func (c *Chain) sum(h hash.Hash, b []byte, seq uint64, data []byte) []byte {
+	h.Reset()
+	h.Write(c[:])
+	b = binary.LittleEndian.AppendUint64(b[:0], seq)
+	h.Write(b)
+	h.Write(data)
+	return h.Sum(b[:0])
 }
 
 // Record is one recovered journal entry.
@@ -81,18 +89,26 @@ type Journal struct {
 	dirty bool
 	fp    *FailPoints
 	dead  error // set once a failpoint fired or the file failed
+
+	// Append's scratch: the chain hash and the encoded record, reused
+	// so an append allocates nothing once they have grown.
+	h   hash.Hash
+	sum []byte
+	buf []byte
 }
 
-// encodeRecord renders the on-disk bytes of one record.
-func encodeRecord(seq uint64, chain Chain, data []byte) []byte {
+// appendRecord appends the on-disk bytes of one record to dst.
+func appendRecord(dst []byte, seq uint64, chain Chain, data []byte) []byte {
 	payload := len(data) + 8 + 32
-	buf := make([]byte, 8+payload)
+	start := len(dst)
+	dst = slices.Grow(dst, 8+payload)[:start+8+payload]
+	buf := dst[start:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(payload))
 	binary.LittleEndian.PutUint64(buf[8:16], seq)
 	copy(buf[16:48], chain[:])
 	copy(buf[48:], data)
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[8:], castagnoli))
-	return buf
+	return dst
 }
 
 // Create starts a fresh journal file at the given chain position. The
@@ -260,8 +276,14 @@ func (j *Journal) Append(data []byte) (uint64, error) {
 		return 0, ce
 	}
 	seq := j.seq + 1
-	chain := j.chain.next(seq, data)
-	rec := encodeRecord(seq, chain, data)
+	if j.h == nil {
+		j.h = sha256.New()
+	}
+	var chain Chain
+	j.sum = j.chain.sum(j.h, j.sum, seq, data)
+	copy(chain[:], j.sum)
+	j.buf = appendRecord(j.buf[:0], seq, chain, data)
+	rec := j.buf
 	if ce := j.fp.hit(FPTornAppend); ce != nil {
 		// Simulate a kill mid-write: half the record reaches the file.
 		j.f.Write(rec[:len(rec)/2]) //nolint:errcheck // crashing anyway

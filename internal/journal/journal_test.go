@@ -85,7 +85,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := encodeRecord(sr.LastSeq+1, sr.LastChain.next(sr.LastSeq+1, []byte("torn")), []byte("torn"))
+	rec := appendRecord(nil, sr.LastSeq+1, sr.LastChain.next(sr.LastSeq+1, []byte("torn")), []byte("torn"))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -202,12 +202,12 @@ func TestChainHashDetectsSplicedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spliced := encodeRecord(2, sr.BaseChain.next(2, []byte("evil")), []byte("evil"))
+	spliced := appendRecord(nil, 2, sr.BaseChain.next(2, []byte("evil")), []byte("evil"))
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := encodeRecord(1, sr.BaseChain.next(1, []byte("aaaa")), []byte("aaaa"))
+	first := appendRecord(nil, 1, sr.BaseChain.next(1, []byte("aaaa")), []byte("aaaa"))
 	buf = append(buf[:headerSize+len(first)], spliced...)
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
@@ -507,5 +507,23 @@ func TestSnapshotFileLayout(t *testing.T) {
 	}
 	if s.Seq != 42 || s.Chain != chain || !bytes.Equal(s.Data, data) {
 		t.Fatalf("read back seq %d chain %x data %q", s.Seq, s.Chain, s.Data)
+	}
+}
+
+// TestAppendWarmAllocatesNothing pins Append's scratch reuse: once its
+// hash and record buffer have grown, appending a record allocates
+// nothing.
+func TestAppendWarmAllocatesNothing(t *testing.T) {
+	j, err := Create(filepath.Join(t.TempDir(), walName(0)), 0, Chain{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	data := bytes.Repeat([]byte("x"), 2000)
+	if _, err := j.Append(data); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { j.Append(data) }); n != 0 { //nolint:errcheck
+		t.Fatalf("warm Append allocates %.0f times, want 0", n)
 	}
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -36,6 +37,8 @@ type Log struct {
 	j        *Journal
 	fp       *FailPoints
 	counters *metrics.Counters
+	// snapW buffers snapshot writes; Snapshot resets it onto each file.
+	snapW *bufio.Writer
 }
 
 // Options tunes OpenLog.
@@ -234,13 +237,19 @@ func (l *Log) Append(records ...[]byte) (uint64, error) {
 // current sequence and rotates the journal: a fresh generation starts at
 // the snapshot, and older generations and snapshots are deleted. On a
 // crash mid-rotation the old generation is still complete, so recovery
-// replays through it without the snapshot's help.
-func (l *Log) Snapshot(data []byte) error {
+// replays through it without the snapshot's help. The snapshot's
+// payload is the parts, concatenated: a caller whose state is already
+// encoded in pieces hands them over as they are, and they reach the file
+// through one reused buffer instead of being joined first.
+func (l *Log) Snapshot(parts ...[]byte) error {
 	if err := l.j.Sync(); err != nil {
 		return err
 	}
 	seq, chain := l.j.LastSeq(), l.j.LastChain()
-	if _, err := WriteSnapshot(l.dir, seq, chain, data, l.fp); err != nil {
+	if l.snapW == nil {
+		l.snapW = bufio.NewWriterSize(nil, 64<<10)
+	}
+	if _, err := writeSnapshot(l.dir, seq, chain, parts, l.snapW, l.fp); err != nil {
 		return err
 	}
 	if ce := l.fp.hit(FPSnapshotRename); ce != nil {

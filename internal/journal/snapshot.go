@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,14 +45,28 @@ func parseSnapshotName(name string) (uint64, bool) {
 // WriteSnapshot durably publishes a snapshot of the state machine at the
 // given chain position and returns its path.
 func WriteSnapshot(dir string, seq uint64, chain Chain, data []byte, fp *FailPoints) (string, error) {
+	return writeSnapshot(dir, seq, chain, [][]byte{data}, nil, fp)
+}
+
+// writeSnapshot is WriteSnapshot of the payload the parts concatenate
+// to. With w non-nil the parts go to the file through w, reset onto it,
+// so many small parts cost few writes; without, each part is one write.
+func writeSnapshot(dir string, seq uint64, chain Chain, parts [][]byte, w *bufio.Writer, fp *FailPoints) (string, error) {
 	// Header and payload are written separately so the payload is never
 	// copied; the CRC covers the length field followed by the payload.
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	var hdr [snapHeader]byte
 	copy(hdr[:], snapMagic)
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
 	copy(hdr[16:48], chain[:])
-	binary.LittleEndian.PutUint32(hdr[52:56], uint32(len(data)))
-	crc := crc32.Update(crc32.Checksum(hdr[52:56], castagnoli), castagnoli, data)
+	binary.LittleEndian.PutUint32(hdr[52:56], uint32(size))
+	crc := crc32.Checksum(hdr[52:56], castagnoli)
+	for _, p := range parts {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
 	binary.LittleEndian.PutUint32(hdr[48:52], crc)
 
 	path := filepath.Join(dir, snapshotName(seq))
@@ -59,9 +75,23 @@ func WriteSnapshot(dir string, seq uint64, chain Chain, data []byte, fp *FailPoi
 	if err != nil {
 		return "", fmt.Errorf("journal: snapshot: %w", err)
 	}
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = f.Write(data)
+	var out io.Writer = f
+	if w != nil {
+		w.Reset(f)
+		out = w
+	}
+	_, err = out.Write(hdr[:])
+	for _, p := range parts {
+		if err != nil {
+			break
+		}
+		_, err = out.Write(p)
+	}
+	if w != nil {
+		if err == nil {
+			err = w.Flush()
+		}
+		w.Reset(nil)
 	}
 	if err == nil {
 		err = f.Sync()

@@ -22,16 +22,7 @@ type Set struct {
 // Validate validates every member profile and cross-profile consistency:
 // intermediary hosts must be distinct.
 func (s *Set) Validate() error {
-	if err := s.User.Validate(); err != nil {
-		return err
-	}
-	if err := s.Content.Validate(); err != nil {
-		return err
-	}
-	if err := s.Context.Validate(); err != nil {
-		return err
-	}
-	if err := s.Device.Validate(); err != nil {
+	if err := s.ValidatePerUser(); err != nil {
 		return err
 	}
 	if err := s.Network.Validate(); err != nil {
@@ -49,6 +40,23 @@ func (s *Set) Validate() error {
 		hosts[in.Host] = true
 	}
 	return nil
+}
+
+// ValidatePerUser validates the per-user half of the set: the user,
+// content, context and device profiles. The other half, the network and
+// intermediary profiles, describes infrastructure that every user of a
+// region shares.
+func (s *Set) ValidatePerUser() error {
+	if err := s.User.Validate(); err != nil {
+		return err
+	}
+	if err := s.Content.Validate(); err != nil {
+		return err
+	}
+	if err := s.Context.Validate(); err != nil {
+		return err
+	}
+	return s.Device.Validate()
 }
 
 // Encode writes the set as indented JSON.

@@ -31,17 +31,18 @@ func TestMembershipRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
+	ctx := context.Background()
 	lease := 5 * time.Second
 	for _, m := range []Member{
 		{ID: "n2", Addr: "127.0.0.1:8002", Host: "p2"},
 		{ID: "n1", Addr: "127.0.0.1:8001", Host: "p1"},
 		{ID: "n3", Addr: "127.0.0.1:8003", Host: "p3"},
 	} {
-		if err := c.Join(m, lease); err != nil {
+		if err := c.JoinContext(ctx, m, lease); err != nil {
 			t.Fatalf("join %s: %v", m.ID, err)
 		}
 	}
-	ms, err := c.Members()
+	ms, err := c.MembersContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func TestMembershipRoundTrip(t *testing.T) {
 
 	// Renew keeps a member alive across its original lease.
 	clock.Advance(4 * time.Second)
-	if err := c.RenewMember("n1", lease); err != nil {
+	if err := c.RenewMemberContext(ctx, "n1", lease); err != nil {
 		t.Fatalf("renew: %v", err)
 	}
 	clock.Advance(2 * time.Second) // n2/n3 leases now expired
 	if n := reg.Sweep(); n != 2 {
 		t.Fatalf("Sweep removed %d, want 2", n)
 	}
-	ms, err = c.Members()
+	ms, err = c.MembersContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +71,10 @@ func TestMembershipRoundTrip(t *testing.T) {
 	}
 
 	// An expired member cannot renew; it must rejoin.
-	if err := c.RenewMember("n2", lease); err == nil {
+	if err := c.RenewMemberContext(ctx, "n2", lease); err == nil {
 		t.Fatal("renewing an expired member succeeded")
 	}
-	if err := c.Join(Member{ID: "n2", Addr: "127.0.0.1:8002"}, lease); err != nil {
+	if err := c.JoinContext(ctx, Member{ID: "n2", Addr: "127.0.0.1:8002"}, lease); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
 
@@ -81,7 +82,7 @@ func TestMembershipRoundTrip(t *testing.T) {
 	if err := c.Leave("n1"); err != nil {
 		t.Fatal(err)
 	}
-	ms, _ = c.Members()
+	ms, _ = c.MembersContext(ctx)
 	if len(ms) != 1 || ms[0].ID != "n2" {
 		t.Fatalf("post-leave members = %+v", ms)
 	}

@@ -302,26 +302,11 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	return newClient(conn, timeout), nil
 }
 
-// DialContext connects under a context: cancellation or deadline expiry
-// aborts the connection attempt. The context does not bound later round
-// trips — use SetTimeout or the *Context variants for that.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("registry: dialing %s: %w", addr, err)
-	}
-	return newClient(conn, 0), nil
-}
-
 func newClient(conn net.Conn, timeout time.Duration) *Client {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	return &Client{conn: conn, enc: json.NewEncoder(conn), sc: sc, timeout: timeout}
 }
-
-// SetTimeout changes the per-round-trip I/O bound (0 disables it).
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
@@ -400,27 +385,10 @@ func (c *Client) Deregister(id service.ID) error {
 	return err
 }
 
-// Renew extends a lease.
-func (c *Client) Renew(id service.ID, lease time.Duration) error {
-	return c.RenewContext(context.Background(), id, lease)
-}
-
-// RenewContext is Renew under a context.
+// RenewContext extends a lease.
 func (c *Client) RenewContext(ctx context.Context, id service.ID, lease time.Duration) error {
 	_, err := c.roundTrip(ctx, request{Op: "renew", ID: id, LeaseMs: lease.Milliseconds()})
 	return err
-}
-
-// Lookup fetches one advertisement.
-func (c *Client) Lookup(id service.ID) (*service.Service, error) {
-	resp, err := c.roundTrip(context.Background(), request{Op: "lookup", ID: id})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Services) == 0 {
-		return nil, fmt.Errorf("registry: empty lookup response for %s", id)
-	}
-	return resp.Services[0], nil
 }
 
 // ByInput queries services accepting a format. It satisfies
@@ -451,32 +419,13 @@ func (c *Client) All() ([]*service.Service, error) {
 	return resp.Services, nil
 }
 
-// Len returns the number of live advertisements.
-func (c *Client) Len() (int, error) {
-	resp, err := c.roundTrip(context.Background(), request{Op: "len"})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
-}
-
-// Join advertises a cluster member under a lease.
-func (c *Client) Join(m Member, lease time.Duration) error {
-	return c.JoinContext(context.Background(), m, lease)
-}
-
-// JoinContext is Join under a context.
+// JoinContext advertises a cluster member under a lease.
 func (c *Client) JoinContext(ctx context.Context, m Member, lease time.Duration) error {
 	_, err := c.roundTrip(ctx, request{Op: "join", Member: &m, LeaseMs: lease.Milliseconds()})
 	return err
 }
 
-// RenewMember extends a member's lease.
-func (c *Client) RenewMember(id string, lease time.Duration) error {
-	return c.RenewMemberContext(context.Background(), id, lease)
-}
-
-// RenewMemberContext is RenewMember under a context.
+// RenewMemberContext extends a member's lease.
 func (c *Client) RenewMemberContext(ctx context.Context, id string, lease time.Duration) error {
 	_, err := c.roundTrip(ctx, request{Op: "mrenew", MemberID: id, LeaseMs: lease.Milliseconds()})
 	return err
@@ -488,12 +437,7 @@ func (c *Client) Leave(id string) error {
 	return err
 }
 
-// Members lists the live cluster membership.
-func (c *Client) Members() ([]Member, error) {
-	return c.MembersContext(context.Background())
-}
-
-// MembersContext is Members under a context.
+// MembersContext lists the live cluster membership.
 func (c *Client) MembersContext(ctx context.Context) ([]Member, error) {
 	resp, err := c.roundTrip(ctx, request{Op: "members"})
 	if err != nil {

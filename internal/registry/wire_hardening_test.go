@@ -45,7 +45,7 @@ func TestClientTimeoutFailsFastOnHungServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	if _, err := c.Len(); err == nil {
+	if _, err := c.All(); err == nil {
 		t.Fatal("hung server must time out")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

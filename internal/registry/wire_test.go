@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -26,13 +27,26 @@ func startServer(t *testing.T) (*Server, *Client) {
 	return srv, c
 }
 
+// lookup sends the wire protocol's lookup op, which no Client method
+// wraps.
+func lookup(c *Client, id service.ID) (*service.Service, error) {
+	resp, err := c.roundTrip(context.Background(), request{Op: "lookup", ID: id})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Services) == 0 {
+		return nil, fmt.Errorf("empty lookup response for %s", id)
+	}
+	return resp.Services[0], nil
+}
+
 func TestWireRegisterLookup(t *testing.T) {
 	_, c := startServer(t)
 	s := service.FormatConverter("c1", media.ImageJPEG, media.ImageGIF)
 	if err := c.Register(s, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Lookup("c1")
+	got, err := lookup(c, "c1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +57,7 @@ func TestWireRegisterLookup(t *testing.T) {
 
 func TestWireLookupUnknown(t *testing.T) {
 	_, c := startServer(t)
-	if _, err := c.Lookup("ghost"); err == nil {
+	if _, err := lookup(c, "ghost"); err == nil {
 		t.Error("lookup of unknown service should fail")
 	}
 }
@@ -75,19 +89,19 @@ func TestWireQueries(t *testing.T) {
 	if len(all) != 3 {
 		t.Errorf("All = %d, want 3", len(all))
 	}
-	n, err := c.Len()
+	resp, err := c.roundTrip(context.Background(), request{Op: "len"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Errorf("Len = %d, want 3", n)
+	if resp.Count != 3 {
+		t.Errorf("len op = %d, want 3", resp.Count)
 	}
 }
 
 func TestWireDeregisterRenew(t *testing.T) {
 	_, c := startServer(t)
 	_ = c.Register(service.FormatConverter("c1", media.ImageJPEG, media.ImageGIF), time.Minute)
-	if err := c.Renew("c1", time.Hour); err != nil {
+	if err := c.RenewContext(context.Background(), "c1", time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Deregister("c1"); err != nil {
@@ -115,7 +129,7 @@ func TestWireMultipleClients(t *testing.T) {
 	if err := c1.Register(service.HTMLToWML("h1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.Lookup("h1")
+	got, err := lookup(c2, "h1")
 	if err != nil {
 		t.Fatal(err)
 	}

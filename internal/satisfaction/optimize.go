@@ -263,20 +263,31 @@ func maxFeasibleValue(req Request, base media.Params, name media.Param, hi float
 // continuousLadder discretizes [0, upper] into gridSteps+1 ascending
 // values (always including 0 and upper).
 func continuousLadder(upper float64) []float64 {
+	return appendContinuousLadder(nil, upper)
+}
+
+// appendContinuousLadder appends continuousLadder(upper) to dst.
+func appendContinuousLadder(dst []float64, upper float64) []float64 {
 	if upper <= 0 {
-		return []float64{0}
+		return append(dst, 0)
 	}
-	lad := make([]float64, gridSteps+1)
 	for i := 0; i <= gridSteps; i++ {
-		lad[i] = upper * float64(i) / gridSteps
+		dst = append(dst, upper*float64(i)/gridSteps)
 	}
-	return lad
+	return dst
 }
 
 // ladderUpTo returns the sorted domain values <= upper (always at least
 // the smallest value, so descent has a floor).
 func ladderUpTo(values []float64, upper float64) []float64 {
-	sorted := append([]float64(nil), values...)
+	return appendLadderUpTo(nil, values, upper)
+}
+
+// appendLadderUpTo appends ladderUpTo(values, upper) to dst.
+func appendLadderUpTo(dst, values []float64, upper float64) []float64 {
+	start := len(dst)
+	dst = append(dst, values...)
+	sorted := dst[start:]
 	sortFloats(sorted)
 	out := sorted[:0]
 	for _, v := range sorted {
@@ -285,21 +296,28 @@ func ladderUpTo(values []float64, upper float64) []float64 {
 		}
 	}
 	if len(out) == 0 {
-		return sorted[:1]
+		return dst[:start+1]
 	}
-	return out
+	return dst[:start+len(out)]
 }
 
 // snapDown returns the largest domain value <= upper, or the smallest
 // domain value when none qualifies.
 func snapDown(values []float64, upper float64) float64 {
-	sorted := append([]float64(nil), values...)
-	sortFloats(sorted)
-	best := sorted[0]
-	for _, v := range sorted {
-		if v <= upper+1e-12 {
-			best = v
+	// Ties resolve as in ladderUpTo's stable ascending sort: the floor
+	// is the first smallest value, the snap the last largest
+	// qualifying one.
+	best, low, found := 0.0, values[0], false
+	for _, v := range values {
+		if v < low {
+			low = v
 		}
+		if v <= upper+1e-12 && (!found || v >= best) {
+			best, found = v, true
+		}
+	}
+	if !found {
+		return low
 	}
 	return best
 }

@@ -2,6 +2,8 @@ package satisfaction
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +238,59 @@ func TestOptimizeMonotoneInBandwidthQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fixedOrderBitrate charges 20 + 100 kbps per frame per second + 5
+// per kilopixel, summed in that order.
+type fixedOrderBitrate struct{}
+
+func (fixedOrderBitrate) RequiredKbps(p media.Params) float64 {
+	return 20 + 100*p.Get(media.ParamFrameRate) + 5*p.Get(media.ParamResolution)
+}
+
+// TestOptimizerResetMatchesProfileOptimize runs one Optimizer through
+// random requests over profiles of one and two parameters, weighted and
+// not, with continuous and discrete domains, switching profiles with
+// Reset between calls. Every answer must equal Profile.Optimize's, bit
+// for bit: the reused maps and ladders carry nothing between calls.
+func TestOptimizerResetMatchesProfileOptimize(t *testing.T) {
+	fps := Linear{M: 0, I: 30}
+	res := Linear{M: 0, I: 300}
+	profiles := []Profile{
+		NewProfile(map[media.Param]Function{media.ParamFrameRate: fps}),
+		NewProfile(map[media.Param]Function{media.ParamFrameRate: fps, media.ParamResolution: res}),
+		{
+			Functions: map[media.Param]Function{media.ParamFrameRate: fps, media.ParamResolution: res},
+			Weights:   map[media.Param]float64{media.ParamFrameRate: 3, media.ParamResolution: 1},
+		},
+	}
+	// A LinearBitrate of two entries sums in map order, which can move
+	// the last bit between two calls; this model sums in one order.
+	bitrate := fixedOrderBitrate{}
+	domains := []map[media.Param]Domain{
+		nil,
+		{media.ParamResolution: {Values: []float64{320, 40, 160, 80}}},
+		{media.ParamFrameRate: {Values: []float64{5, 30, 15, 10, 15}}},
+	}
+	rng := rand.New(rand.NewSource(3))
+	o := &Optimizer{}
+	for i := 0; i < 2000; i++ {
+		p := profiles[rng.Intn(len(profiles))]
+		o.Reset(p)
+		req := Request{
+			Caps: media.Params{
+				media.ParamFrameRate:  float64(rng.Intn(40)),
+				media.ParamResolution: float64(rng.Intn(400)),
+			},
+			Domains:   domains[rng.Intn(len(domains))],
+			Bitrate:   bitrate,
+			Bandwidth: float64(rng.Intn(5000)),
+		}
+		want, wantSat, wantOK := p.Optimize(req)
+		got, gotSat, gotOK := o.Optimize(req)
+		if gotOK != wantOK || gotSat != wantSat || !reflect.DeepEqual(map[media.Param]float64(got), map[media.Param]float64(want)) {
+			t.Fatalf("call %d: Optimizer = %v %v %v, Profile.Optimize = %v %v %v", i, got, gotSat, gotOK, want, wantSat, wantOK)
+		}
 	}
 }

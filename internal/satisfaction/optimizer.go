@@ -2,16 +2,18 @@ package satisfaction
 
 import (
 	"math"
+	"slices"
 
 	"qoschain/internal/media"
 )
 
 // Optimizer runs the per-candidate optimization of Profile.Optimize with
-// all scratch state (parameter maps, satisfaction buffers) reused across
-// calls. The selection algorithm performs one optimization per edge
-// relaxation, and the per-call map allocations of Profile.Optimize
-// dominate its allocation profile on large graphs; an Optimizer amortizes
-// them to zero.
+// all scratch state (parameter maps, ladders, satisfaction buffers)
+// reused across calls. The selection algorithm performs one
+// optimization per edge relaxation, and the per-call map allocations of
+// Profile.Optimize dominate its allocation profile on large graphs; an
+// Optimizer amortizes them to zero, and Reset carries that scratch over
+// to the next profile.
 //
 // The arithmetic is identical to Profile.Optimize — same evaluation
 // order, same ladders, same binary search — so results are bit-identical
@@ -24,34 +26,45 @@ type Optimizer struct {
 	names   []media.Param
 	weights []float64 // aligned with names; nil when the profile is unweighted
 
-	// Scratch, reused across Optimize calls.
-	assign media.Params
-	upper  media.Params
-	zero   media.Params
-	trial  media.Params
-	sbuf   []float64
+	// Scratch, reused across Optimize calls and profiles.
+	assign  media.Params
+	upper   media.Params
+	zero    media.Params
+	trial   media.Params
+	sbuf    []float64
+	wbuf    []float64
+	ladders map[media.Param][]float64
+	idx     map[media.Param]int
 }
 
-// NewOptimizer prepares an optimizer for the profile. The profile's
-// Functions and Weights maps must not be modified afterwards.
-func NewOptimizer(p Profile) *Optimizer {
-	names := p.Params()
-	o := &Optimizer{
-		p:      p,
-		names:  names,
-		assign: make(media.Params, len(names)),
-		upper:  make(media.Params, len(names)),
-		zero:   make(media.Params, len(names)),
-		trial:  make(media.Params, len(names)),
-		sbuf:   make([]float64, len(names)),
+// Reset prepares the optimizer for a profile, keeping its scratch maps
+// and buffers from the profile before. The zero Optimizer is ready for
+// Reset. The profile's Functions and Weights maps must not change while
+// the optimizer uses them.
+func (o *Optimizer) Reset(p Profile) {
+	o.p = p
+	o.names = o.names[:0]
+	for name := range p.Functions {
+		o.names = append(o.names, name)
 	}
+	slices.Sort(o.names)
+	if o.assign == nil {
+		o.assign = make(media.Params, len(o.names))
+		o.upper = make(media.Params, len(o.names))
+		o.zero = make(media.Params, len(o.names))
+		o.trial = make(media.Params, len(o.names))
+		o.ladders = make(map[media.Param][]float64, len(o.names))
+		o.idx = make(map[media.Param]int, len(o.names))
+	}
+	o.sbuf = slices.Grow(o.sbuf[:0], len(o.names))[:len(o.names)]
+	o.weights = nil
 	if p.Weights != nil {
-		o.weights = make([]float64, len(names))
-		for i, name := range names {
-			o.weights[i] = p.Weights[name]
+		o.wbuf = slices.Grow(o.wbuf[:0], len(o.names))[:len(o.names)]
+		for i, name := range o.names {
+			o.wbuf[i] = p.Weights[name]
 		}
+		o.weights = o.wbuf
 	}
-	return o
 }
 
 // Params returns the profile's scored parameter names in sorted order.
@@ -134,18 +147,18 @@ func (o *Optimizer) Optimize(req Request) (best media.Params, sat float64, ok bo
 	}
 
 	// Multi-parameter (or discrete) case: greedy marginal descent over
-	// ladders, then continuous refinement. This path is rare (it needs
-	// an infeasible multi-parameter ideal), so the ladder slices are
-	// allocated per call like Profile.Optimize does.
-	ladders := make(map[media.Param][]float64, len(names))
-	idx := make(map[media.Param]int, len(names))
+	// ladders, then continuous refinement. Each name's ladder is
+	// rebuilt into the slice it had last time, holding the values
+	// continuousLadder and ladderUpTo return.
+	ladders, idx := o.ladders, o.idx
+	clear(idx)
 	for _, name := range names {
 		d := req.Domains[name]
-		var lad []float64
+		lad := ladders[name][:0]
 		if d.Continuous() {
-			lad = continuousLadder(upper[name])
+			lad = appendContinuousLadder(lad, upper[name])
 		} else {
-			lad = ladderUpTo(d.Values, upper[name])
+			lad = appendLadderUpTo(lad, d.Values, upper[name])
 		}
 		ladders[name] = lad
 		idx[name] = len(lad) - 1

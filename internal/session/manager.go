@@ -22,6 +22,9 @@ package session
 // each command as the bytes it journaled, so a snapshot splices those
 // bytes into its payload instead of re-encoding the history; recovery
 // decodes the snapshot once and keeps its command array as one entry.
+// The log holds each region's infrastructure once: the first create of
+// a region journals the whole profile set, and every later one names
+// the region and carries only the per-user profiles (createRecord).
 //
 // One mutex orders commands: each runs apply → storm → journal under
 // it, so journal order is application order and no other command's
@@ -61,10 +64,14 @@ var ErrUnknownSession = errors.New("session: unknown session")
 // as fatal — a restart recovers to the last fsynced record.
 var ErrJournal = errors.New("session: journal write failed")
 
-// CreateSpec is everything needed to (re)build one managed session — the
-// journaled creation command.
+// CreateSpec is everything needed to build one managed session. The
+// journal records it as a createRecord: whole for the first create of a
+// region, and without the region's network and intermediaries after
+// that.
 type CreateSpec struct {
-	// Set is the full profile set the session composes over.
+	// Set is the full profile set the session composes over. Its network
+	// and intermediary profiles name the session's region: sessions
+	// created over the same infrastructure share one region overlay.
 	Set profile.Set `json:"set"`
 	// Floor is the class's QoS floor: below it the class is degraded.
 	Floor float64 `json:"floor,omitempty"`
@@ -104,10 +111,10 @@ type ManagerConfig struct {
 
 // walEvent is the journaled wire form of one command.
 type walEvent struct {
-	Op     string       `json:"op"` // create | fault | reevaluate | delete
-	ID     string       `json:"id"`
-	Create *CreateSpec  `json:"create,omitempty"`
-	Fault  *fault.Fault `json:"fault,omitempty"`
+	Op     string        `json:"op"` // create | fault | reevaluate | delete
+	ID     string        `json:"id"`
+	Create *createRecord `json:"create,omitempty"`
+	Fault  *fault.Fault  `json:"fault,omitempty"`
 	// Reason attributes a reevaluate command to its driver — "manual"
 	// (client request), "fault" (post-recovery reconciliation) or
 	// "storm" (mass re-composition) — so traces can tell storm-driven
@@ -121,6 +128,33 @@ type walEvent struct {
 	// through storm.Controller.ReplayRecord.
 	Kind string          `json:"kind,omitempty"`
 	Data json.RawMessage `json:"data,omitempty"`
+}
+
+// createRecord is the journaled form of a create command. The paper's
+// network and intermediary profiles (Section 4.3) describe a region's
+// shared infrastructure, the bulk of a profile set, so the journal
+// holds them once per region:
+//
+//   - The first create journaled for a region carries the whole set in
+//     Set and no region name: the bytes a CreateSpec encodes to, so
+//     every journal written before regions were named reads the same.
+//   - Every later create of that region carries Region, the region's
+//     name, and the per-user half of the set — User, Content, Context
+//     and Device — with no Set. Replay resolves the name to the
+//     infrastructure of the region's first create (see
+//     Manager.regionSets); a name it does not know is a replay error.
+//
+// Floor, Contact and Reserve are CreateSpec's, in either form.
+type createRecord struct {
+	Region  string           `json:"region,omitempty"`
+	Set     *profile.Set     `json:"set,omitempty"`
+	User    *profile.User    `json:"user,omitempty"`
+	Content *profile.Content `json:"content,omitempty"`
+	Context *profile.Context `json:"context,omitempty"`
+	Device  *profile.Device  `json:"device,omitempty"`
+	Floor   float64          `json:"floor,omitempty"`
+	Contact string           `json:"contact,omitempty"`
+	Reserve bool             `json:"reserve,omitempty"`
 }
 
 // RecoveryReport summarizes what a Manager rebuilt at startup; adaptd
@@ -181,6 +215,17 @@ type Manager struct {
 	storm   *storm.Controller
 	ordered []json.RawMessage
 	cmdMu   sync.Mutex
+	// snapParts is the snapshot payload's parts, kept between snapshots
+	// so a snapshot allocates no slice of them.
+	snapParts [][]byte
+
+	// regionSets maps each region whose infrastructure the command log
+	// holds to the full set of the region's first journaled create; a
+	// later create of the region journals only its name (createRecord).
+	// It is set on journaling or replaying a full-set create, never from
+	// the controller's regions: a create whose build fails after
+	// registering its region journals nothing. Guarded by m.mu.
+	regionSets map[string]*profile.Set
 }
 
 // Managed is one manager-owned session: a member of a storm equivalence
@@ -210,9 +255,10 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg.SnapshotEvery = 64
 	}
 	m := &Manager{
-		cfg:      cfg,
-		sessions: make(map[string]*Managed),
-		recovery: &RecoveryReport{},
+		cfg:        cfg,
+		sessions:   make(map[string]*Managed),
+		recovery:   &RecoveryReport{},
+		regionSets: make(map[string]*profile.Set),
 	}
 	// The embedded controller's storm records journal in this
 	// manager's WAL; it is rebuilt from them on recovery.
@@ -320,10 +366,17 @@ func (m *Manager) replayCommand(ev walEvent, raw json.RawMessage, seq uint64) {
 			m.replayError(fmt.Sprintf("journal seq %d: create without spec", seq))
 			return
 		}
-		ms, err := m.build(ev.ID, *ev.Create)
+		spec, err := m.resolveCreate(ev.Create)
+		var ms *Managed
+		if err == nil {
+			ms, err = m.build(ev.ID, spec, ev.Create.Region)
+		}
 		if err != nil {
 			m.replayError(fmt.Sprintf("journal seq %d: create %s: %v", seq, ev.ID, err))
 			return
+		}
+		if ev.Create.Set != nil {
+			m.noteRegionSet(ms.region, ev.Create.Set)
 		}
 		m.sessions[ev.ID] = ms
 		m.bumpSeq(ev.ID)
@@ -352,6 +405,61 @@ func (m *Manager) replayCommand(ev walEvent, raw json.RawMessage, seq uint64) {
 	default:
 		m.replayError(fmt.Sprintf("journal seq %d: unknown op %q", seq, ev.Op))
 	}
+}
+
+// resolveCreate turns a journaled create back into the spec it was
+// made from. A full-set record is its own spec; a named one takes its
+// network and intermediaries from the region's first create.
+func (m *Manager) resolveCreate(rec *createRecord) (CreateSpec, error) {
+	spec := CreateSpec{Floor: rec.Floor, Contact: rec.Contact, Reserve: rec.Reserve}
+	if rec.Region == "" {
+		if rec.Set == nil {
+			return spec, fmt.Errorf("create carries neither a profile set nor a region")
+		}
+		spec.Set = *rec.Set
+		return spec, nil
+	}
+	infra := m.regionSets[rec.Region]
+	if infra == nil {
+		return spec, fmt.Errorf("create names region %s, which no earlier create carried", rec.Region)
+	}
+	if rec.Set != nil || rec.User == nil || rec.Content == nil || rec.Device == nil {
+		return spec, fmt.Errorf("create naming region %s must carry user, content and device profiles and no set", rec.Region)
+	}
+	spec.Set = profile.Set{
+		User:           *rec.User,
+		Content:        *rec.Content,
+		Device:         *rec.Device,
+		Network:        infra.Network,
+		Intermediaries: infra.Intermediaries,
+	}
+	if rec.Context != nil {
+		spec.Set.Context = *rec.Context
+	}
+	return spec, nil
+}
+
+// noteRegionSet records that the command log holds region's
+// infrastructure, in set, unless an earlier create already carried it.
+func (m *Manager) noteRegionSet(region string, set *profile.Set) {
+	if m.regionSets[region] == nil {
+		m.regionSets[region] = set
+	}
+}
+
+// createRecordFor is the journal form of a live create of spec in
+// region: whole when the command log does not hold the region yet, and
+// named after that. Callers hold m.mu.
+func (m *Manager) createRecordFor(region string, spec *CreateSpec) *createRecord {
+	rec := &createRecord{Floor: spec.Floor, Contact: spec.Contact, Reserve: spec.Reserve}
+	if m.regionSets[region] == nil {
+		rec.Set = &spec.Set
+		m.noteRegionSet(region, &spec.Set)
+		return rec
+	}
+	rec.Region = region
+	rec.User, rec.Content, rec.Context, rec.Device = &spec.Set.User, &spec.Set.Content, &spec.Set.Context, &spec.Set.Device
+	return rec
 }
 
 // bumpSeq keeps the ID counter ahead of every replayed session ID.
@@ -401,36 +509,39 @@ func (m *Manager) journalCommand(ev walEvent, rec json.RawMessage) error {
 // spliced in as journaled, or {"seq":N} when the log is empty: the
 // bytes json.Marshal writes for a {Seq int; Ordered []walEvent
 // `json:",omitempty"`} document of the same commands, without
-// re-encoding any of them. snapshotBody is the reader of this layout.
+// re-encoding any of them. The entries go to the log as parts of the
+// payload, so a snapshot joins nothing in memory. snapshotBody is the
+// reader of this layout.
 func (m *Manager) snapshotLocked() error {
 	if m.log == nil {
 		return nil
 	}
 	head := `{"seq":` + strconv.Itoa(m.seq)
-	var data []byte
+	parts := m.snapParts[:0]
 	if len(m.ordered) == 0 {
-		data = []byte(head + "}")
+		parts = append(parts, []byte(head+"}"))
 	} else {
-		head += `,"ordered":[`
-		size := len(head) + len(m.ordered) + 1 // commas plus "]}"
-		for _, e := range m.ordered {
-			size += len(e)
-		}
-		data = append(make([]byte, 0, size), head...)
+		parts = append(parts, []byte(head+`,"ordered":[`))
 		for i, e := range m.ordered {
 			if i > 0 {
-				data = append(data, ',')
+				parts = append(parts, comma)
 			}
-			data = append(data, e...)
+			parts = append(parts, e)
 		}
-		data = append(data, "]}"...)
+		parts = append(parts, closeOrdered)
 	}
-	if err := m.log.Snapshot(data); err != nil {
+	m.snapParts = parts
+	err := m.log.Snapshot(parts...)
+	clear(parts)
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	m.eventsSince = 0
 	return nil
 }
+
+// The separators snapshotLocked splices between and after the entries.
+var comma, closeOrdered = []byte(","), []byte("]}")
 
 // snapshotBody returns the command array body of a snapshot payload
 // whose seq field decoded to seq: the bytes between the brackets of
@@ -489,14 +600,14 @@ func (m *Manager) CreateCtx(ctx context.Context, spec CreateSpec) (*Managed, err
 	m.seq++
 	id := fmt.Sprintf("%ss%d", m.cfg.IDPrefix, m.seq)
 	m.mu.Unlock()
-	ms, err := m.build(id, spec)
+	ms, err := m.build(id, spec, "")
 	if err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sessions[id] = ms
-	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec}, nil)
+	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: m.createRecordFor(ms.region, &spec)}, nil)
 }
 
 // journalTraced wraps journalCommand in a "journal.append" span when the

@@ -73,10 +73,19 @@ func stormRegionName(set *profile.Set) string {
 // equivalence class under the given ID — the single path live creation
 // and replay share, so they cannot diverge. Region and class
 // registration are idempotent; only the first session of a fingerprint
-// pays for a Select.
-func (m *Manager) build(id string, spec CreateSpec) (*Managed, error) {
+// pays for a Select. region is empty for a spec whose region build
+// derives from its infrastructure; replay passes the name a journaled
+// create carries, whose infrastructure the region's first create
+// already validated, so only the per-user profiles are checked.
+func (m *Manager) build(id string, spec CreateSpec, region string) (*Managed, error) {
 	set := spec.Set
-	if err := set.Validate(); err != nil {
+	var err error
+	if region == "" {
+		err = set.Validate()
+	} else {
+		err = set.ValidatePerUser()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	satProfile, err := set.User.SatisfactionProfile(profile.ContactClass(spec.Contact))
@@ -86,7 +95,10 @@ func (m *Manager) build(id string, spec CreateSpec) (*Managed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	regionName := stormRegionName(&set)
+	regionName := region
+	if regionName == "" {
+		regionName = stormRegionName(&set)
+	}
 	if !m.storm.HasRegion(regionName) {
 		net, err := overlay.FromProfile(set.Network)
 		if err != nil {

@@ -17,7 +17,10 @@ package storm
 // command's commit and the storm's) has no replayed flight; the
 // follower's Reconcile re-runs it live under the same storm sequence.
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // flightKeep bounds the ring — enough for a harness run's full storm
 // history without unbounded growth on a long-lived daemon.
@@ -80,16 +83,23 @@ func (fr *flightRecorder) get(seq int) *Flight {
 	return nil
 }
 
-// begin opens a flight for a storm.
+// begin opens a flight for a storm. Once the ring is full, the flight
+// it drops is reused, events array and all: Flights hands out copies,
+// so nothing outside the recorder holds it.
 func (fr *flightRecorder) begin(seq, links, classes int, replayed bool) {
-	f := &Flight{
+	var f *Flight
+	if len(fr.flights) == flightKeep {
+		f = fr.flights[0]
+		copy(fr.flights, fr.flights[1:])
+		fr.flights = fr.flights[:flightKeep-1]
+	} else {
+		f = &Flight{}
+	}
+	*f = Flight{
 		Storm: seq, Begin: now(), Links: links, Classes: classes,
-		Events: []FlightEvent{{Kind: "begin", Replayed: replayed}},
+		Events: append(slices.Grow(f.Events[:0], classes+2), FlightEvent{Kind: "begin", Replayed: replayed}),
 	}
 	fr.flights = append(fr.flights, f)
-	if len(fr.flights) > flightKeep {
-		fr.flights = fr.flights[len(fr.flights)-flightKeep:]
-	}
 }
 
 // class records one class fan-out.

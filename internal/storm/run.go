@@ -9,6 +9,7 @@ package storm
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"sort"
 
 	"qoschain/internal/core"
@@ -75,9 +76,12 @@ type planItem struct {
 // marked it. Classes re-plan in priority order: furthest below their
 // QoS floor first. Returns the report and the storm's journal record
 // (RecordKind), which the host appends in the same batch as the command
-// that caused the storm. A nil report means no class was affected: the
-// pending links are absorbed, and no storm sequence, report or record is
-// spent on them (SettlePending reaches the same state on replay).
+// that caused the storm. The record's bytes are the controller's reused
+// encoding buffer: they stay valid until the next Storm, so the host
+// journals (copies) them before it storms again. A nil report means no
+// class was affected: the pending links are absorbed, and no storm
+// sequence, report or record is spent on them (SettlePending reaches
+// the same state on replay).
 //
 // The whole storm is one critical section: c.mu is held from absorbing
 // the pending set until the report is stored, so every other controller
@@ -87,20 +91,22 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	changed, totalLinks := c.pendingLocked()
+	affected := c.affectedLocked()
 	c.clearPendingLocked()
-	affected := c.affectedLocked(changed)
 	if len(affected) == 0 {
 		return nil, nil, nil
 	}
 	items := c.scoreLocked(affected)
 	clear(c.replan)
+	c.dropped = c.dropped[:0]
 	c.stormSeq++
 	seq := c.stormSeq
 
 	// The plan phase: every item gets a plan — a class that cannot be
 	// planned is recorded no-chain — so a storm never stops part-way.
 	c.flights.begin(seq, totalLinks, len(items), false)
-	rep := &Report{Storm: seq, ChangedLinks: totalLinks, AffectedClasses: len(items)}
+	rep := &Report{Storm: seq, ChangedLinks: totalLinks, AffectedClasses: len(items),
+		Classes: make([]ClassOutcome, 0, len(items))}
 	rec := record{Storm: seq, Links: changed, Plans: make([]classPlan, 0, len(items))}
 	for _, it := range items {
 		rep.AffectedSessions += len(it.cls.members)
@@ -108,7 +114,7 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	for _, it := range items {
 		out, plan, selected := c.planOneLocked(seq, it)
 		rec.Plans = append(rec.Plans, plan)
-		rep.Classes = append(rep.Classes, *out)
+		rep.Classes = append(rep.Classes, out)
 		if selected {
 			rep.SelectCalls++
 		}
@@ -133,7 +139,7 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 	c.cfg.Counters.Inc(metrics.CounterStormEvents)
 	c.cfg.Counters.Add(metrics.CounterStormClasses, int64(rep.AffectedClasses))
 	c.cfg.Counters.Observe(metrics.SampleStormRecoveryMs, rep.RecoveryMs)
-	data, err := json.Marshal(rec)
+	data, err := c.enc.encode(&rec)
 	return rep, data, err
 }
 
@@ -146,24 +152,28 @@ func (c *Controller) Storm() (*Report, json.RawMessage, error) {
 func (c *Controller) SettlePending() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	changed, _ := c.pendingLocked()
-	if len(c.affectedLocked(changed)) == 0 {
+	if len(c.affectedLocked()) == 0 {
 		c.clearPendingLocked()
 	}
 }
 
 // pendingLocked renders every region's pending set, sorted, with the
-// total number of links.
+// total number of links. The map and the sorted slices are reused by
+// the next call; the storm record holding them is encoded before that.
 func (c *Controller) pendingLocked() (map[string][]overlay.LinkRef, int) {
-	changed := make(map[string][]overlay.LinkRef)
+	if c.changed == nil {
+		c.changed = make(map[string][]overlay.LinkRef)
+	}
+	clear(c.changed)
 	total := 0
 	for name, r := range c.regions {
 		if len(r.pending) > 0 {
-			changed[name] = sortLinks(r.pending)
+			r.sorted = appendSortedLinks(r.sorted[:0], r.pending)
+			c.changed[name] = r.sorted
 			total += len(r.pending)
 		}
 	}
-	return changed, total
+	return c.changed, total
 }
 
 func (c *Controller) clearPendingLocked() {
@@ -172,32 +182,26 @@ func (c *Controller) clearPendingLocked() {
 	}
 }
 
-// affectedLocked selects the classes a changed-link set touches, plus
-// the classes NoteReplan marked.
-func (c *Controller) affectedLocked(changed map[string][]overlay.LinkRef) []*Class {
-	sets := make(map[string]map[overlay.LinkRef]bool, len(changed))
-	for name, links := range changed {
-		set := make(map[overlay.LinkRef]bool, len(links))
-		for _, l := range links {
-			set[l] = true
-		}
-		sets[name] = set
-	}
-	var out []*Class
+// affectedLocked selects the classes the pending changed-link sets
+// touch, plus the classes NoteReplan marked, into a slice the next call
+// reuses.
+func (c *Controller) affectedLocked() []*Class {
+	out := c.affected[:0]
 	for _, key := range c.order {
 		cls := c.classes[key]
 		if c.replan[key] {
 			out = append(out, cls)
 			continue
 		}
-		set, ok := sets[cls.spec.Region]
-		if !ok {
+		set := c.regions[cls.spec.Region].pending
+		if len(set) == 0 {
 			continue
 		}
 		if cls.degraded || c.chainCrosses(cls, set) {
 			out = append(out, cls)
 		}
 	}
+	c.affected = out
 	return out
 }
 
@@ -276,7 +280,7 @@ func (c *Controller) classGraphLocked(cls *Class) (*graph.Graph, error) {
 // one atomic hold swap per run. A class whose graph cannot be built gets no
 // Select and is recorded no-chain. Returns the outcome, the plan for
 // the storm record, and whether Select ran. Called with c.mu held.
-func (c *Controller) planOneLocked(seq int, it planItem) (*ClassOutcome, classPlan, bool) {
+func (c *Controller) planOneLocked(seq int, it planItem) (ClassOutcome, classPlan, bool) {
 	cls := it.cls
 	planStart := now()
 
@@ -359,7 +363,7 @@ func (c *Controller) releaseMembersLocked(cls *Class) {
 // the storm record carries so replay drops the same holds.
 func (c *Controller) restoreMembersLocked(cls *Class) []string {
 	r := c.regions[cls.spec.Region]
-	var dropped []string
+	start := len(c.dropped)
 	for i := 0; i < len(cls.members); {
 		hold := cls.members[i].held
 		if len(hold) == 0 {
@@ -371,11 +375,16 @@ func (c *Controller) restoreMembersLocked(cls *Class) []string {
 		for _, s := range cls.members[i+k : j] {
 			s.held = nil
 			c.setDegradedLocked(s, true)
-			dropped = append(dropped, s.ID)
+			c.dropped = append(c.dropped, s.ID)
 		}
 		i = j
 	}
-	return dropped
+	if len(c.dropped) == start {
+		return nil
+	}
+	// The storm's record is encoded before the next storm reuses
+	// c.dropped; a later class growing it leaves this slice intact.
+	return c.dropped[start:len(c.dropped):len(c.dropped)]
 }
 
 // dropHoldsLocked replays restoreMembersLocked's losses: each named
@@ -466,30 +475,23 @@ func samePlan(a, b *core.Result) bool {
 	if !aFound || !bFound {
 		return aFound == bFound
 	}
-	if core.PathString(a.Path) != core.PathString(b.Path) || len(a.Formats) != len(b.Formats) {
-		return false
-	}
-	for i := range a.Formats {
-		if a.Formats[i] != b.Formats[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Path, b.Path) && slices.Equal(a.Formats, b.Formats)
 }
 
 // applyPlanLocked installs a plan result on the class and fans it out
 // to the members. It is the single mutation path shared by live storms
 // and journal replay, which is what keeps a replayed fan-out
 // byte-identical to the live one.
-func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool) *ClassOutcome {
+func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool) ClassOutcome {
 	// SLO accounting fires on every application — live or replayed — so
 	// a replica's qos.* series matches the primary's (see qos.go).
-	prev := make([]bool, len(cls.members))
-	for i, s := range cls.members {
-		prev[i] = s.degraded
+	prev := c.prev[:0]
+	for _, s := range cls.members {
+		prev = append(prev, s.degraded)
 	}
+	c.prev = prev
 	defer c.qosApplyLocked(cls, prev)
-	out := &ClassOutcome{Key: cls.key, Members: len(cls.members)}
+	out := ClassOutcome{Key: cls.key, Members: len(cls.members)}
 	if res == nil || !res.Found {
 		// Graceful degradation floor: nothing composes, members keep
 		// their old holds — streaming over a degraded chain beats
@@ -509,7 +511,7 @@ func (c *Controller) applyPlanLocked(cls *Class, res *core.Result, degraded bool
 
 	kbps := cls.planKbps(res)
 	same := cls.current != nil && cls.current.Found &&
-		core.PathString(cls.current.Path) == core.PathString(res.Path) &&
+		slices.Equal(cls.current.Path, res.Path) &&
 		cls.kbps == kbps
 	cls.current = res
 	cls.kbps = kbps

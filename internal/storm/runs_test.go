@@ -69,13 +69,13 @@ func oracleDrop(c *Controller, cls *Class, ids []string) {
 // oracleApply is applyPlanLocked with the per-member swap loop: one
 // SwapChain and one counter increment per member, each member holding
 // its own copy of the new hold.
-func oracleApply(c *Controller, cls *Class, res *core.Result, degraded bool) *ClassOutcome {
+func oracleApply(c *Controller, cls *Class, res *core.Result, degraded bool) ClassOutcome {
 	prev := make([]bool, len(cls.members))
 	for i, s := range cls.members {
 		prev[i] = s.degraded
 	}
 	defer c.qosApplyLocked(cls, prev)
-	out := &ClassOutcome{Key: cls.key, Members: len(cls.members)}
+	out := ClassOutcome{Key: cls.key, Members: len(cls.members)}
 	if res == nil || !res.Found {
 		cls.degraded = true
 		for _, s := range cls.members {

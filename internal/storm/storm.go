@@ -59,7 +59,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -205,8 +207,9 @@ type region struct {
 	pool   *fault.ServiceSet
 	svcGen uint64
 	// pending is the changed-link set of events not yet absorbed by a
-	// storm.
+	// storm; sorted is the slice pendingLocked renders it into.
 	pending map[overlay.LinkRef]bool
+	sorted  []overlay.LinkRef
 }
 
 // Controller is the storm controller. See the package comment.
@@ -245,6 +248,16 @@ type Controller struct {
 	// legacy collects a pre-single-record storm between its begin and
 	// end records during replay (see journal.go).
 	legacy *record
+	// enc encodes each storm's record into a buffer it reuses.
+	enc recordEncoder
+	// Scratch reused across storms: the members whose holds a storm
+	// dropped (its plans' Dropped lists are sub-slices), the members'
+	// degraded flags before a plan applies, and one chain's hosts.
+	dropped  []string
+	prev     []bool
+	hosts    []string
+	changed  map[string][]overlay.LinkRef // pendingLocked's result
+	affected []*Class                     // affectedLocked's result
 }
 
 // Open builds an in-memory controller over the given regions; more
@@ -676,16 +689,18 @@ func (c *Controller) chainReservations(cls *Class) []overlay.Reservation {
 }
 
 // chainHosts returns the ordered hosts of the class chain (sender,
-// service hosts, receiver).
+// service hosts, receiver), in a buffer the next call reuses. Called
+// with c.mu held.
 func (c *Controller) chainHosts(cls *Class) []string {
 	r := c.regions[cls.spec.Region]
-	hosts := []string{r.SenderHost}
+	hosts := append(c.hosts[:0], r.SenderHost)
 	for _, id := range cls.current.Path[1 : len(cls.current.Path)-1] {
 		if h, ok := r.hostOf[service.ID(id)]; ok {
 			hosts = append(hosts, h)
 		}
 	}
-	return append(hosts, receiverHost(&r.Region, &cls.spec))
+	c.hosts = append(hosts, receiverHost(&r.Region, &cls.spec))
+	return c.hosts
 }
 
 // OnFaults is the fault-injection adapter: it reduces a batch of fired
@@ -841,19 +856,20 @@ func (c *Controller) Status() Status {
 	return st
 }
 
-// sortLinks renders a link set deterministically.
-func sortLinks(set map[overlay.LinkRef]bool) []overlay.LinkRef {
-	out := make([]overlay.LinkRef, 0, len(set))
+// appendSortedLinks appends a link set to dst in (from, to) order, the
+// deterministic order a storm record lists its links in.
+func appendSortedLinks(dst []overlay.LinkRef, set map[overlay.LinkRef]bool) []overlay.LinkRef {
+	start := len(dst)
 	for l := range set {
-		out = append(out, l)
+		dst = append(dst, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(dst[start:], func(a, b overlay.LinkRef) int {
+		if c := strings.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return out[i].To < out[j].To
+		return strings.Compare(a.To, b.To)
 	})
-	return out
+	return dst
 }
 
 // now is stubbed in tests that need deterministic reports.
